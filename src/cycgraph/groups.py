@@ -1,13 +1,19 @@
 """Concrete finite groups: multiplication tables, family constructors, file ingestion.
 
-Elements are dense integer indices 0..n-1.  Small groups carry a materialized
-Cayley table; larger ones multiply through a closed-form family rule, which
-keeps big cyclic groups cheap.
+Elements are dense integer indices 0..n-1.  Groups of order up to TABLE_CAP
+carry a materialized Cayley table, built with numpy index arithmetic from the
+family's closed form (a permutation group composes its element array with
+itself); cyclic groups and larger groups multiply through a closed-form family
+rule, which keeps big cyclic groups cheap.  User tables are parsed into an
+int64 array and every group axiom is checked with numpy at every order;
+associativity exactly, by Light's test on a generating set (Clifford &
+Preston, *The Algebraic Theory of Semigroups* I, section 1.2).
 """
 
 from __future__ import annotations
 
 import re
+import warnings
 from typing import Callable, Sequence
 
 import numpy as np
@@ -25,30 +31,33 @@ from .errors import (
 TABLE_CAP = 512
 #: default cap on group order for closure-style constructions
 DEFAULT_ORDER_CAP = 20000
-#: orders up to which associativity of user tables is checked exhaustively
-DEFAULT_ASSOC_CAP = 512
 
 
 class FiniteGroup:
     """An immutable finite group on element indices 0..order-1.
 
     ``mul`` is a plain callable attribute so hot loops can bind it locally.
+    A group holds at most one table: ``table``, the list of rows behind
+    ``mul``.  A rule-based group may instead carry ``array``, a zero-argument
+    callable that builds its table as an int64 array from a closed form.
     """
 
-    __slots__ = ("order", "identity", "descriptor", "mul", "_table")
+    __slots__ = ("order", "identity", "descriptor", "mul", "_table", "_array")
 
     def __init__(
         self,
         order: int,
-        mul: Callable[[int, int], int],
+        mul: Callable[[int, int], int] | None,
         identity: int,
         descriptor: str,
         table: list[list[int]] | None = None,
+        array: Callable[[], np.ndarray] | None = None,
     ):
         self.order = order
         self.identity = identity
         self.descriptor = descriptor
         self._table = table
+        self._array = array
         if table is not None:
             self.mul = lambda a, b, _t=table: _t[a][b]
         else:
@@ -61,24 +70,92 @@ class FiniteGroup:
         """Full multiplication table (materializes it for rule-based groups)."""
         if self._table is not None:
             return self._table
+        if self._array is not None:
+            return self._array().tolist()
         mul = self.mul
         n = self.order
         return [[mul(a, b) for b in range(n)] for a in range(n)]
 
 
-def _maybe_table(order: int, rule: Callable[[int, int], int]) -> list[list[int]] | None:
-    if order <= TABLE_CAP:
-        return [[rule(a, b) for b in range(order)] for a in range(order)]
-    return None
+def _as_array(group: FiniteGroup) -> np.ndarray:
+    """The group's Cayley table as an int64 array (a new array, never stored)."""
+    if group._table is None and group._array is not None:
+        return group._array()
+    return np.array(group.cayley_table(), dtype=np.int64)
+
+
+def _family_group(
+    n: int,
+    rule: Callable[[int, int], int],
+    identity: int,
+    descriptor: str,
+    array: Callable[[], np.ndarray],
+) -> FiniteGroup:
+    """Tabled from the closed-form ``array`` up to TABLE_CAP, rule-based above it."""
+    if n <= TABLE_CAP:
+        return FiniteGroup(n, None, identity, descriptor, table=array().tolist())
+    return FiniteGroup(n, rule, identity, descriptor, array=array)
+
+
+def _cyclic_array(n: int) -> np.ndarray:
+    a = np.arange(n)
+    return np.add.outer(a, a) % n
+
+
+def _product_array(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
+    """Table of G x H on index g*|H| + h, from the tables of G and H."""
+    m = len(t2)
+    n = len(t1) * m
+    return (t1[:, None, :, None] * m + t2[None, :, None, :]).reshape(n, n)
+
+
+def _dihedral_array(n: int) -> np.ndarray:
+    a = np.arange(2 * n)
+    i, s = a % n, a // n
+    k = np.where(s[:, None] == 0, i[:, None] + i, i[:, None] - i) % n
+    return k + (s[:, None] ^ s) * n
+
+
+def _dicyclic_array(m: int) -> np.ndarray:
+    n2 = 2 * m
+    a = np.arange(4 * m)
+    i, s = (a % n2)[:, None], (a // n2)[:, None]
+    j, t = a % n2, a // n2
+    return np.where(
+        s == 0, (i + j) % n2 + t * n2,
+        np.where(t == 0, (i - j) % n2 + n2, (i - j + m) % n2),
+    )
+
+
+def _composition_array(elems: Sequence[tuple[int, ...]], degree: int) -> np.ndarray:
+    """Table of a permutation group: entry [a, b] is the index of elems[a] o elems[b].
+
+    Each product is looked up by its bytes among the sorted element codes, so
+    memory is O(n^2 * degree) and independent of degree ** degree.
+    """
+    n = len(elems)
+    if n == 1:  # the trivial group, possibly of degree 0, which has no bytes to compare
+        return np.zeros((1, 1), dtype=np.int64)
+    perms = np.array(elems, dtype=np.min_scalar_type(degree - 1))
+    code = np.dtype((np.void, perms.itemsize * degree))
+
+    def codes(p):
+        return np.ascontiguousarray(p).view(code).ravel()
+
+    keys = codes(perms)
+    ranked = np.argsort(keys)
+    products = perms[:, perms].reshape(n * n, degree)     # [a*n + b, i] = elems[a][elems[b][i]]
+    return ranked[np.searchsorted(keys[ranked], codes(products))].reshape(n, n)
 
 
 # --- validation -------------------------------------------------------------
 
-def validate_table(table: Sequence[Sequence[int]], assoc_cap: int = DEFAULT_ASSOC_CAP) -> int:
+def validate_table(table: Sequence[Sequence[int]]) -> int:
     """Check the group axioms on a raw table; returns the identity index.
 
     Check order is fixed (shape, Latin square, identity, inverses,
-    associativity) and only the first failure is reported.
+    associativity) and only the first failure is reported.  Associativity is
+    exact at every order: see :func:`_check_associative`.
     """
     n = len(table)
     if n == 0:
@@ -86,48 +163,73 @@ def validate_table(table: Sequence[Sequence[int]], assoc_cap: int = DEFAULT_ASSO
     for i, row in enumerate(table):
         if len(row) != n:
             raise NotLatinSquare(f"row {i} has length {len(row)}, expected {n}")
-        for j, v in enumerate(row):
-            if not (0 <= v < n):
-                raise NotLatinSquare(f"entry ({i},{j}) = {v} out of range 0..{n - 1}")
-    t = np.asarray(table, dtype=np.int64)
-    full = set(range(n))
-    for i in range(n):
-        if set(t[i].tolist()) != full:
-            raise NotLatinSquare(f"row {i} is not a permutation of 0..{n - 1}")
-    for j in range(n):
-        if set(t[:, j].tolist()) != full:
-            raise NotLatinSquare(f"column {j} is not a permutation of 0..{n - 1}")
-    ident = np.arange(n)
-    identity = None
-    for e in range(n):
-        if np.array_equal(t[e], ident) and np.array_equal(t[:, e], ident):
-            identity = e
-            break
-    if identity is None:
+    try:
+        t = np.asarray(table, dtype=np.int64)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise NotLatinSquare(f"entries are not integers in 0..{n - 1}: {exc}") from None
+    out = np.argwhere((t < 0) | (t >= n))
+    if len(out):
+        i, j = map(int, out[0])
+        raise NotLatinSquare(f"entry ({i},{j}) = {int(t[i, j])} out of range 0..{n - 1}")
+    ar = np.arange(n)
+    seen = np.zeros((n, n), dtype=bool)
+    seen[ar[:, None], t] = True                 # seen[i, v]: v occurs in row i
+    bad = np.flatnonzero(~seen.all(axis=1))
+    if len(bad):
+        raise NotLatinSquare(f"row {bad[0]} is not a permutation of 0..{n - 1}")
+    seen[:] = False
+    seen[t, ar] = True                          # seen[v, j]: v occurs in column j
+    bad = np.flatnonzero(~seen.all(axis=0))
+    if len(bad):
+        raise NotLatinSquare(f"column {bad[0]} is not a permutation of 0..{n - 1}")
+    two_sided = (t == ar).all(axis=1) & (t == ar[:, None]).all(axis=0)
+    if not two_sided.any():
         raise NoIdentity("no two-sided identity element")
-    for x in range(n):
-        if identity not in t[x]:
-            raise NoInverse(f"element {x} has no inverse")
-    if n <= assoc_cap:
-        for a in range(n):
-            left = t[t[a]]          # left[b,c] = t[t[a,b], c]
-            right = t[a][t]         # right[b,c] = t[a, t[b,c]]
-            if not np.array_equal(left, right):
-                b, c = map(int, np.argwhere(left != right)[0])
-                raise NotAssociative(
-                    f"({a}*{b})*{c} = {int(left[b, c])} but {a}*({b}*{c}) = {int(right[b, c])}"
-                )
+    identity = int(np.argmax(two_sided))
+    lacking = np.flatnonzero(~(t == identity).any(axis=1))
+    if len(lacking):
+        raise NoInverse(f"element {lacking[0]} has no inverse")
+    _check_associative(t, identity)
     return identity
 
 
-def from_cayley_table(
-    table: Sequence[Sequence[int]],
-    descriptor: str = "cayley-table",
-    assoc_cap: int = DEFAULT_ASSOC_CAP,
-) -> FiniteGroup:
-    identity = validate_table(table, assoc_cap=assoc_cap)
-    rows = [list(r) for r in table]
-    return FiniteGroup(len(rows), lambda a, b: rows[a][b], identity, descriptor, table=rows)
+def _check_associative(t: np.ndarray, identity: int) -> None:
+    """Light's associativity test on a Latin square with identity.
+
+    Call ``a`` good when (x*a)*y = x*(a*y) for all x, y.  If a and b are good
+    then so is a*b, so the good elements are closed under the product.  The
+    test therefore checks a generating set, picked greedily as the least
+    element outside the closure of those picked so far, and is exact:
+    O(n^2) per generator, at most log2(n) generators for a group.
+    """
+    n = len(t)
+    closed = np.zeros(n, dtype=bool)
+    closed[identity] = True
+    while not closed.all():
+        a = int(np.argmin(closed))
+        left = t[t[:, a]]                       # left[x, y] = (x*a)*y
+        right = t[:, t[a]]                      # right[x, y] = x*(a*y)
+        bad = np.argwhere(left != right)
+        if len(bad):
+            x, y = map(int, bad[0])
+            raise NotAssociative(
+                f"({x}*{a})*{y} = {int(left[x, y])} but {x}*({a}*{y}) = {int(right[x, y])}"
+            )
+        # closure of closed + {a} under the product: each round multiplies the
+        # newly reached elements by every member, on both sides
+        closed[a] = True
+        fresh = np.array([a])
+        while len(fresh):
+            members = np.flatnonzero(closed)
+            prods = np.concatenate((t[np.ix_(fresh, members)].ravel(), t[np.ix_(members, fresh)].ravel()))
+            fresh = np.unique(prods[~closed[prods]])
+            closed[fresh] = True
+
+
+def from_cayley_table(table: Sequence[Sequence[int]], descriptor: str = "cayley-table") -> FiniteGroup:
+    identity = validate_table(table)
+    rows = np.asarray(table, dtype=np.int64).tolist()
+    return FiniteGroup(len(rows), None, identity, descriptor, table=rows)
 
 
 # --- family constructors ----------------------------------------------------
@@ -138,7 +240,7 @@ def cyclic(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
     if n > order_cap:
         raise OrderCapExceeded(f"cyclic group of order {n} exceeds cap {order_cap}")
     # no table: the closed-form rule is as fast as a lookup and needs no memory
-    return FiniteGroup(n, lambda a, b: (a + b) % n, 0, f"Z({n})")
+    return FiniteGroup(n, lambda a, b: (a + b) % n, 0, f"Z({n})", array=lambda: _cyclic_array(n))
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -150,9 +252,9 @@ def direct_product(g: FiniteGroup, h: FiniteGroup, order_cap: int = DEFAULT_ORDE
     def rule(a, b):
         return gmul(a // m, b // m) * m + hmul(a % m, b % m)
 
-    return FiniteGroup(
-        n, rule, g.identity * m + h.identity,
-        f"{g.descriptor}x{h.descriptor}", table=_maybe_table(n, rule),
+    return _family_group(
+        n, rule, g.identity * m + h.identity, f"{g.descriptor}x{h.descriptor}",
+        lambda: _product_array(_as_array(g), _as_array(h)),
     )
 
 
@@ -169,7 +271,7 @@ def dihedral(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         k = (i + j) % n if s == 0 else (i - j) % n
         return k + ((s + t) % 2) * n
 
-    return FiniteGroup(2 * n, rule, 0, f"D({n})", table=_maybe_table(2 * n, rule))
+    return _family_group(2 * n, rule, 0, f"D({n})", lambda: _dihedral_array(n))
 
 
 def dicyclic(m: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -192,7 +294,7 @@ def dicyclic(m: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
             return (i - j) % n2 + n2
         return (i - j + m) % n2
 
-    return FiniteGroup(4 * m, rule, 0, f"Dic({m})", table=_maybe_table(4 * m, rule))
+    return _family_group(4 * m, rule, 0, f"Dic({m})", lambda: _dicyclic_array(m))
 
 
 def from_permutation_generators(
@@ -213,9 +315,10 @@ def from_permutation_generators(
     ident = tuple(range(degree))
     elems = [ident]
     index = {ident: 0}
-    queue = [ident]
-    while queue:
-        x = queue.pop(0)
+    head = 0
+    while head < len(elems):
+        x = elems[head]
+        head += 1
         for g in gens:
             y = tuple(x[g[i]] for i in range(degree))
             if y not in index:
@@ -223,7 +326,6 @@ def from_permutation_generators(
                     raise OrderCapExceeded(f"closure exceeds order cap {order_cap}")
                 index[y] = len(elems)
                 elems.append(y)
-                queue.append(y)
     n = len(elems)
 
     def rule(a, b, _e=elems, _i=index, _d=degree):
@@ -231,7 +333,7 @@ def from_permutation_generators(
         return _i[tuple(pa[pb[i]] for i in range(_d))]
 
     desc = descriptor or f"perm-group:deg{degree}:order{n}"
-    return FiniteGroup(n, rule, 0, desc, table=_maybe_table(n, rule))
+    return _family_group(n, rule, 0, desc, lambda: _composition_array(elems, degree))
 
 
 def _cycle(points: Sequence[int], degree: int) -> tuple[int, ...]:
@@ -316,31 +418,35 @@ def relabel(group: FiniteGroup, perm: Sequence[int]) -> FiniteGroup:
     n = group.order
     if sorted(perm) != list(range(n)):
         raise InvalidPermutation("relabel needs a permutation of 0..n-1")
-    inv = [0] * n
-    for old, new in enumerate(perm):
-        inv[new] = old
-    mul = group.mul
-    table = [[perm[mul(inv[i], inv[j])] for j in range(n)] for i in range(n)]
-    return FiniteGroup(
-        n, lambda a, b: table[a][b], perm[group.identity],
-        f"relabel:{group.descriptor}", table=table,
-    )
+    new = np.asarray(perm, dtype=np.int64)
+    old = np.argsort(new)                       # old[new[x]] = x
+    table = new[_as_array(group)[np.ix_(old, old)]].tolist()
+    return FiniteGroup(n, None, perm[group.identity], f"relabel:{group.descriptor}", table=table)
 
 
 # --- file formats -----------------------------------------------------------
 
-def read_cayley_file(path: str, assoc_cap: int = DEFAULT_ASSOC_CAP) -> FiniteGroup:
+def read_cayley_file(path: str) -> FiniteGroup:
     """Cayley-table file: line 1 is n, then n lines of n space-separated indices."""
     with open(path) as fh:
-        tokens = fh.read().split()
-    if not tokens:
-        raise NotLatinSquare(f"{path}: empty file")
-    n = int(tokens[0])
-    body = tokens[1:]
-    if len(body) != n * n:
-        raise NotLatinSquare(f"{path}: expected {n * n} entries, found {len(body)}")
-    table = [[int(body[i * n + j]) for j in range(n)] for i in range(n)]
-    return from_cayley_table(table, descriptor=f"cayley-file:{path}", assoc_cap=assoc_cap)
+        header = fh.readline()
+        if not header:
+            raise NotLatinSquare(f"{path}: empty file")
+        try:
+            (n,) = map(int, header.split())
+        except ValueError:
+            raise NotLatinSquare(f"{path}: line 1 must be the order n, found {header.strip()!r}") from None
+        if n < 1:
+            raise NotLatinSquare(f"{path}: order must be >= 1, found {n}")
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)  # no rows: reported below
+                table = np.loadtxt(fh, dtype=np.int64, ndmin=2, comments=None)
+        except ValueError as exc:
+            raise NotLatinSquare(f"{path}: rows must hold integers, equally many per line: {exc}") from None
+    if table.size != n * n:
+        raise NotLatinSquare(f"{path}: expected {n * n} entries, found {table.size}")
+    return from_cayley_table(table.reshape(n, n), descriptor=f"cayley-file:{path}")
 
 
 def write_cayley_file(group: FiniteGroup, path: str) -> None:
@@ -362,7 +468,10 @@ def parse_cycle_notation(text: str, degree: int) -> tuple[int, ...]:
     perm = list(range(degree))
     seen: set[int] = set()
     for cyc in _CYCLE_RE.findall(text):
-        pts = [int(tok) for tok in cyc.split()]
+        try:
+            pts = [int(tok) for tok in cyc.split()]
+        except ValueError:
+            raise InvalidPermutation(f"non-integer point in {text!r}") from None
         if not pts:
             continue
         if any(not (0 <= p < degree) for p in pts):
@@ -383,8 +492,14 @@ def read_permutation_file(path: str, order_cap: int = DEFAULT_ORDER_CAP) -> Fini
     lines = [ln for ln in lines if ln]
     if not lines:
         raise InvalidPermutation(f"{path}: empty file")
-    degree = int(lines[0])
-    gens = [parse_cycle_notation(ln, degree) for ln in lines[1:]]
+    try:
+        degree = int(lines[0])
+    except ValueError:
+        raise InvalidPermutation(f"{path}: line 1 must be the degree, found {lines[0]!r}") from None
+    try:
+        gens = [parse_cycle_notation(ln, degree) for ln in lines[1:]]
+    except InvalidPermutation as exc:
+        raise InvalidPermutation(f"{path}: {exc}") from None
     return from_permutation_generators(
         degree, gens, descriptor=f"perm-file:{path}", order_cap=order_cap
     )

@@ -7,10 +7,8 @@ reproduced in isolation with the CLI ``analyze`` command.
 
 from __future__ import annotations
 
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -109,22 +107,6 @@ def default_catalog(max_order: int) -> Catalog:
     return Catalog(unique, max_order)
 
 
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("CYCGRAPH_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_catalog(fn: Callable, items: list):
-    """Apply fn over items, optionally fanning out; results in input order."""
-    workers = _worker_count()
-    if workers <= 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _timed(result: VerificationResult, t0: float) -> VerificationResult:
     result.elapsed = time.perf_counter() - t0
     result.passed = not result.counterexamples
@@ -133,19 +115,13 @@ def _timed(result: VerificationResult, t0: float) -> VerificationResult:
 
 def _built_graphs(catalog: Catalog, result: VerificationResult, vertex_cap: int):
     """Realize + build each catalog group, recording cap hits as skips."""
-    def one(spec):
+    out = []
+    for spec in catalog.specs:
         try:
             group = spec.realize()
-            return spec, group, build(group, vertex_cap)
+            out.append((spec, group, build(group, vertex_cap)))
         except (VertexCapExceeded, SkippedSizeCap) as exc:
-            return spec, None, str(exc)
-
-    out = []
-    for spec, group, ig in _map_catalog(one, list(catalog.specs)):
-        if group is None:
-            result.skipped.append(f"{spec.descriptor}: {ig}")
-        else:
-            out.append((spec, group, ig))
+            result.skipped.append(f"{spec.descriptor}: {exc}")
     return out
 
 
@@ -305,24 +281,17 @@ def verify_planarity_classification(max_order: int, vertex_cap: int = 5000) -> V
         groups_tested=0,
         passed=True,
     )
-
-    def one(spec):
-        try:
-            group = spec.realize()
-            ig = build(group, vertex_cap)
-            return spec, is_planar(ig.graph)
-        except (VertexCapExceeded, SkippedSizeCap) as exc:
-            return spec, str(exc)
-
     specs = [
         s
         for n in range(4, max_order + 1)
         for s in abelian_groups_of_order(n)
         if not is_cyclic_spec(s)
     ]
-    for spec, planar in _map_catalog(one, specs):
-        if isinstance(planar, str):
-            res.skipped.append(f"{spec.descriptor}: {planar}")
+    for spec in specs:
+        try:
+            planar = is_planar(build(spec.realize(), vertex_cap).graph)
+        except (VertexCapExceeded, SkippedSizeCap) as exc:
+            res.skipped.append(f"{spec.descriptor}: {exc}")
             continue
         res.groups_tested += 1
         listed = in_planar_classification(spec)

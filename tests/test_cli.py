@@ -126,6 +126,23 @@ class TestExport:
         rc, _ = run(capsys, "export", "file:cayley:/no/such/file.txt")
         assert rc == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "kind, text",
+        [
+            ("cayley", "2\n0 x\n1 0\n"),       # non-integer table entry
+            ("perm", "three\n(0 1)\n"),          # non-integer degree header
+            ("perm", "3\n(0 a)\n"),              # non-integer point in cycle notation
+        ],
+    )
+    def test_malformed_file_is_usage_error(self, tmp_path, capsys, kind, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        rc = main(["export", f"file:{kind}:{path}"])
+        err = capsys.readouterr().err
+        assert rc == EXIT_USAGE
+        assert err.startswith("error: ") and str(path) in err
+        assert "Traceback" not in err
+
 
 class TestVerify:
     def test_passing_subset(self, capsys):

@@ -1,6 +1,9 @@
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cycgraph.errors import (
     InvalidPermutation,
@@ -10,6 +13,7 @@ from cycgraph.errors import (
     OrderCapExceeded,
 )
 from cycgraph.groups import (
+    TABLE_CAP,
     alternating,
     cyclic,
     dicyclic,
@@ -29,6 +33,8 @@ from cycgraph.groups import (
     validate_table,
     write_cayley_file,
 )
+from cycgraph.specs import parse_spec
+from cycgraph.theorems import default_catalog
 
 # A Latin square with identity 0 that fails associativity: (1*1)*2 != 1*(1*2).
 NONASSOC_LOOP5 = [
@@ -228,6 +234,17 @@ class TestFiles:
         with pytest.raises(NotLatinSquare):
             read_cayley_file(str(path))
 
+    @pytest.mark.parametrize(
+        "text",
+        ["", "x\n0\n", "2 2\n0 1\n1 0\n", "0\n", "2\n", "2\n0 x\n1 0\n", "2\n0 1\n1\n",
+         "2\n0 1\n1 0\n0 1\n"],
+    )
+    def test_cayley_rejects_malformed_file(self, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        with pytest.raises(NotLatinSquare, match=re.escape(str(path))):
+            read_cayley_file(str(path))
+
     def test_permutation_file(self, tmp_path):
         path = tmp_path / "s3.txt"
         path.write_text("3\n(0 1 2)\n(0 1)\n")
@@ -238,3 +255,182 @@ class TestFiles:
         path = tmp_path / "t.txt"
         path.write_text("4\n()\n")
         assert read_permutation_file(str(path)).order == 1
+
+
+# --- associativity: Light's test against brute force ---------------------------
+
+def brute_failing_triple(t):
+    """First (a, b, c) with (a*b)*c != a*(b*c), by trying all n^3 triples."""
+    n = len(t)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if t[t[a][b]][c] != t[a][t[b][c]]:
+                    return a, b, c
+    return None
+
+
+def intercalates(t, identity):
+    """2x2 Latin subsquares (r1, c1, r2, c2) off the identity's row and column."""
+    n = len(t)
+    return [
+        (r1, c1, r2, c2)
+        for r1 in range(n) for r2 in range(r1 + 1, n)
+        for c1 in range(n) for c2 in range(c1 + 1, n)
+        if identity not in (r1, r2, c1, c2)
+        and t[r1][c1] == t[r2][c2] and t[r1][c2] == t[r2][c1]
+    ]
+
+
+def swap_intercalate(t, cells):
+    """Copy of t with the two values of an intercalate exchanged: still a
+    Latin square, with the same identity."""
+    r1, c1, r2, c2 = cells
+    t = [list(row) for row in t]
+    for r in (r1, r2):
+        t[r][c1], t[r][c2] = t[r][c2], t[r][c1]
+    return t
+
+
+def assert_named_triple_fails(t, message):
+    """The triple in a NotAssociative message fails, with the values it states."""
+    m = re.fullmatch(r"\((\d+)\*(\d+)\)\*(\d+) = (\d+) but \1\*\(\2\*\3\) = (\d+)", message)
+    assert m, message
+    x, a, y, left, right = map(int, m.groups())
+    assert t[t[x][a]][y] == left
+    assert t[x][t[a][y]] == right
+    assert left != right
+
+
+SMALL_GROUPS = [cyclic(n) for n in range(1, 9)] + [
+    elementary_abelian(2, 2),
+    elementary_abelian(2, 3),
+    direct_product(cyclic(4), cyclic(2)),
+    dihedral(3),
+    dihedral(4),
+    dicyclic(2),
+]
+
+
+@st.composite
+def small_loops(draw):
+    """A relabeled group table of order <= 8, with one intercalate swapped half the time."""
+    group = draw(st.sampled_from(SMALL_GROUPS))
+    h = relabel(group, draw(st.permutations(range(group.order))))
+    t = h.cayley_table()
+    cells = intercalates(t, h.identity)
+    if cells and draw(st.booleans()):
+        t = swap_intercalate(t, draw(st.sampled_from(cells)))
+    return t
+
+
+class TestLightAssociativity:
+    @settings(max_examples=200, deadline=None)
+    @given(small_loops())
+    def test_agrees_with_brute_force(self, t):
+        if brute_failing_triple(t) is None:
+            validate_table(t)
+        else:
+            with pytest.raises(NotAssociative) as exc:
+                validate_table(t)
+            assert_named_triple_fails(t, str(exc.value))
+
+    def test_rejects_large_nonassociative_table(self):
+        g = direct_product(cyclic(2), cyclic(300))
+        assert g.order > TABLE_CAP
+        # rows x, x*z and columns a, a*z for the involution z = (1, 0) form an
+        # intercalate; none of them is the identity 0
+        x, a, z = 1, 2, 300
+        y, b = g.mul(x, z), g.mul(a, z)
+        t = g.cayley_table()
+        assert t[x][a] == t[y][b] and t[x][b] == t[y][a]
+        bad = swap_intercalate(t, (x, a, y, b))
+        with pytest.raises(NotAssociative) as exc:
+            validate_table(bad)
+        assert_named_triple_fails(bad, str(exc.value))
+
+    def test_accepts_relabeled_order_900(self):
+        g = dihedral(450)
+        perm = list(range(g.order))
+        random.Random(11).shuffle(perm)
+        h = relabel(g, perm)
+        assert validate_table(h.cayley_table()) == h.identity == perm[0]
+
+
+# --- tables pinned to the family formulas ----------------------------------------
+
+def perm_table(degree, cycles):
+    """Closure of the cycles' permutations in BFS order from sorted generators;
+    entry [a][b] is the index of x o y, (x o y)(i) = x(y(i))."""
+    gens = []
+    for cyc in cycles:
+        p = list(range(degree))
+        for u, v in zip(cyc, cyc[1:] + cyc[:1]):
+            p[u] = v
+        gens.append(tuple(p))
+    elems = [tuple(range(degree))]
+    index = {elems[0]: 0}
+    for x in elems:  # grows while it is walked: breadth-first
+        for g in sorted(gens):
+            y = tuple(x[i] for i in g)
+            if y not in index:
+                index[y] = len(elems)
+                elems.append(y)
+    return [[index[tuple(x[i] for i in y)] for y in elems] for x in elems]
+
+
+def closed_form_table(spec):
+    """The family's table in plain Python, on the element indices the CLI prints."""
+    kind, p = spec.kind, spec.params
+    if kind == "cyclic":
+        n = p[0]
+        return [[(a + b) % n for b in range(n)] for a in range(n)]
+    if kind == "product":  # element (g, h) is g * |H| + h
+        t = [[0]]
+        for child in p:
+            h = closed_form_table(child)
+            m, n = len(h), len(t) * len(h)
+            t = [[t[a // m][b // m] * m + h[a % m][b % m] for b in range(n)] for a in range(n)]
+        return t
+    if kind == "dihedral":  # i + s*n is r^i s^s, and s r = r^-1 s
+        n = p[0]
+        return [
+            [(i + (j if s == 0 else -j)) % n + ((s + u) % 2) * n
+             for u in (0, 1) for j in range(n)]
+            for s in (0, 1) for i in range(n)
+        ]
+    if kind == "dicyclic":  # i + s*2m is a^i b^s, with b^2 = a^m and b a = a^-1 b
+        m = p[0]
+        return [
+            [(i + j) % (2 * m) + u * 2 * m if s == 0
+             else (i - j) % (2 * m) + 2 * m if u == 0
+             else (i - j + m) % (2 * m)
+             for u in (0, 1) for j in range(2 * m)]
+            for s in (0, 1) for i in range(2 * m)
+        ]
+    n = p[0]
+    if kind == "symmetric":
+        return perm_table(n, [[0, 1], list(range(n))])
+    if kind == "alternating":
+        return perm_table(n, [[0, 1, 2], list(range(n)) if n % 2 else list(range(1, n))])
+    raise AssertionError(kind)
+
+
+class TestClosedForms:
+    def test_catalog_tables(self):
+        specs = [s for s in default_catalog(240) if s.order() <= TABLE_CAP]
+        assert len(specs) == 644
+        for spec in specs:
+            assert spec.realize().cayley_table() == closed_form_table(spec), spec.descriptor
+
+    @pytest.mark.parametrize("text", ["Z(12)", "Z(6)xZ(2)", "D(7)", "Dic(5)", "S(4)", "A(5)"])
+    def test_relabel(self, text):
+        spec = parse_spec(text)
+        base = closed_form_table(spec)
+        perm = list(range(len(base)))
+        random.Random(text).shuffle(perm)
+        expected = [[0] * len(base) for _ in base]
+        for a, row in enumerate(base):
+            for b, v in enumerate(row):
+                expected[perm[a]][perm[b]] = perm[v]
+        assert relabel(spec.realize(), perm).cayley_table() == expected
