@@ -37,9 +37,9 @@ class FiniteGroup:
     """An immutable finite group on element indices 0..order-1.
 
     ``mul`` is a plain callable attribute so hot loops can bind it locally.
-    A group holds at most one table: ``table``, the list of rows behind
-    ``mul``.  A rule-based group may instead carry ``array``, a zero-argument
-    callable that builds its table as an int64 array from a closed form.
+    A group is built from exactly one of: ``table``, the list of rows behind
+    ``mul``; or a closed-form ``mul`` together with ``array``, a zero-argument
+    callable that builds the same table as an int64 array on demand.
     """
 
     __slots__ = ("order", "identity", "descriptor", "mul", "_table", "_array")
@@ -53,35 +53,28 @@ class FiniteGroup:
         table: list[list[int]] | None = None,
         array: Callable[[], np.ndarray] | None = None,
     ):
+        if (table is None) == (mul is None) or (mul is None) != (array is None):
+            raise ValueError("FiniteGroup needs either table, or both mul and array")
         self.order = order
         self.identity = identity
         self.descriptor = descriptor
         self._table = table
         self._array = array
-        if table is not None:
-            self.mul = lambda a, b, _t=table: _t[a][b]
-        else:
-            self.mul = mul
+        self.mul = mul if table is None else (lambda a, b, _t=table: _t[a][b])
 
     def __repr__(self):
         return f"FiniteGroup({self.descriptor}, order={self.order})"
 
     def cayley_table(self) -> list[list[int]]:
-        """Full multiplication table (materializes it for rule-based groups)."""
-        if self._table is not None:
-            return self._table
-        if self._array is not None:
-            return self._array().tolist()
-        mul = self.mul
-        n = self.order
-        return [[mul(a, b) for b in range(n)] for a in range(n)]
+        """Full multiplication table (built from the closed form for rule-based groups)."""
+        return self._table if self._table is not None else self._array().tolist()
 
 
 def _as_array(group: FiniteGroup) -> np.ndarray:
-    """The group's Cayley table as an int64 array (a new array, never stored)."""
-    if group._table is None and group._array is not None:
-        return group._array()
-    return np.array(group.cayley_table(), dtype=np.int64)
+    """The group's Cayley table as an int64 array (never stored on the group)."""
+    if group._table is not None:
+        return np.asarray(group._table, dtype=np.int64)
+    return group._array()
 
 
 def _family_group(
@@ -127,11 +120,16 @@ def _dicyclic_array(m: int) -> np.ndarray:
     )
 
 
+#: entries of the product array composed at once by _composition_array
+_COMPOSE_BLOCK = 1 << 22
+
+
 def _composition_array(elems: Sequence[tuple[int, ...]], degree: int) -> np.ndarray:
     """Table of a permutation group: entry [a, b] is the index of elems[a] o elems[b].
 
-    Each product is looked up by its bytes among the sorted element codes, so
-    memory is O(n^2 * degree) and independent of degree ** degree.
+    Each product is looked up by its bytes among the sorted element codes, a
+    block of rows at a time, so scratch memory stays near _COMPOSE_BLOCK
+    entries whatever the degree and never depends on degree ** degree.
     """
     n = len(elems)
     if n == 1:  # the trivial group, possibly of degree 0, which has no bytes to compare
@@ -144,8 +142,14 @@ def _composition_array(elems: Sequence[tuple[int, ...]], degree: int) -> np.ndar
 
     keys = codes(perms)
     ranked = np.argsort(keys)
-    products = perms[:, perms].reshape(n * n, degree)     # [a*n + b, i] = elems[a][elems[b][i]]
-    return ranked[np.searchsorted(keys[ranked], codes(products))].reshape(n, n)
+    sorted_keys = keys[ranked]
+    table = np.empty((n, n), dtype=np.int64)
+    rows = max(1, _COMPOSE_BLOCK // (n * degree))
+    for a0 in range(0, n, rows):
+        products = perms[a0:a0 + rows][:, perms]    # [a - a0, b, i] = elems[a][elems[b][i]]
+        found = np.searchsorted(sorted_keys, codes(products.reshape(-1, degree)))
+        table[a0:a0 + rows] = ranked[found].reshape(-1, n)
+    return table
 
 
 # --- validation -------------------------------------------------------------
@@ -157,16 +161,8 @@ def validate_table(table: Sequence[Sequence[int]]) -> int:
     associativity) and only the first failure is reported.  Associativity is
     exact at every order: see :func:`_check_associative`.
     """
-    n = len(table)
-    if n == 0:
-        raise NotLatinSquare("table is empty")
-    for i, row in enumerate(table):
-        if len(row) != n:
-            raise NotLatinSquare(f"row {i} has length {len(row)}, expected {n}")
-    try:
-        t = np.asarray(table, dtype=np.int64)
-    except (OverflowError, TypeError, ValueError) as exc:
-        raise NotLatinSquare(f"entries are not integers in 0..{n - 1}: {exc}") from None
+    t = _square_array(table)
+    n = len(t)
     out = np.argwhere((t < 0) | (t >= n))
     if len(out):
         i, j = map(int, out[0])
@@ -191,6 +187,20 @@ def validate_table(table: Sequence[Sequence[int]]) -> int:
         raise NoInverse(f"element {lacking[0]} has no inverse")
     _check_associative(t, identity)
     return identity
+
+
+def _square_array(table: Sequence[Sequence[int]]) -> np.ndarray:
+    """The table as an n x n int64 array (no copy if it is one already)."""
+    n = len(table)
+    if n == 0:
+        raise NotLatinSquare("table is empty")
+    for i, row in enumerate(table):
+        if len(row) != n:
+            raise NotLatinSquare(f"row {i} has length {len(row)}, expected {n}")
+    try:
+        return np.asarray(table, dtype=np.int64)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise NotLatinSquare(f"entries are not integers in 0..{n - 1}: {exc}") from None
 
 
 def _check_associative(t: np.ndarray, identity: int) -> None:
@@ -227,9 +237,9 @@ def _check_associative(t: np.ndarray, identity: int) -> None:
 
 
 def from_cayley_table(table: Sequence[Sequence[int]], descriptor: str = "cayley-table") -> FiniteGroup:
-    identity = validate_table(table)
-    rows = np.asarray(table, dtype=np.int64).tolist()
-    return FiniteGroup(len(rows), None, identity, descriptor, table=rows)
+    t = _square_array(table)                    # converted once; validate_table reuses it
+    identity = validate_table(t)
+    return FiniteGroup(len(t), None, identity, descriptor, table=t.tolist())
 
 
 # --- family constructors ----------------------------------------------------

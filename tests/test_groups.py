@@ -1,6 +1,8 @@
 import random
 import re
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +16,7 @@ from cycgraph.errors import (
 )
 from cycgraph.groups import (
     TABLE_CAP,
+    FiniteGroup,
     alternating,
     cyclic,
     dicyclic,
@@ -89,6 +92,21 @@ class TestValidation:
     def test_constructed_families_are_groups(self):
         for group in (dihedral(6), dicyclic(3), symmetric(4), cyclic(9)):
             assert validate_table(group.cayley_table()) == group.identity
+
+    def test_group_needs_table_or_mul_with_array(self):
+        def mul(a, b):
+            return (a + b) % 2
+
+        def array():
+            return np.array([[0, 1], [1, 0]])
+
+        for kwargs in ({}, {"mul": mul}, {"array": array},
+                       {"table": [[0, 1], [1, 0]], "mul": mul},
+                       {"table": [[0, 1], [1, 0]], "array": array}):
+            with pytest.raises(ValueError):
+                FiniteGroup(2, kwargs.pop("mul", None), 0, "z2", **kwargs)
+        assert FiniteGroup(2, None, 0, "z2", table=[[0, 1], [1, 0]]).mul(1, 1) == 0
+        assert FiniteGroup(2, mul, 0, "z2", array=array).cayley_table() == [[0, 1], [1, 0]]
 
 
 class TestFamilies:
@@ -250,6 +268,28 @@ class TestFiles:
         path.write_text("3\n(0 1 2)\n(0 1)\n")
         g = read_permutation_file(str(path))
         assert g.order == 6
+
+    def test_high_degree_permutation_file(self, tmp_path):
+        # D(16) on points 0..15 times Z(8) on 16..23: order 256.  On 1000 points
+        # the extra ones are fixed, so the table must not change; composing all
+        # 256^2 products at once would take 131 MB at degree 1000.
+        gens = ["(" + " ".join(map(str, range(16))) + ")",
+                "".join(f"({i} {16 - i})" for i in range(1, 8)),
+                "(" + " ".join(map(str, range(16, 24))) + ")"]
+        small, large = tmp_path / "deg24.txt", tmp_path / "deg1000.txt"
+        small.write_text("24\n" + "\n".join(gens) + "\n")
+        large.write_text("1000\n" + "\n".join(gens) + "\n")
+        g = read_permutation_file(str(small))
+        tracemalloc.start()
+        try:
+            h = read_permutation_file(str(large))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert h.order == g.order == 256
+        assert h.cayley_table() == g.cayley_table()
+        assert validate_table(h.cayley_table()) == h.identity == 0
+        assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
     def test_permutation_file_identity_only(self, tmp_path):
         path = tmp_path / "t.txt"
