@@ -65,6 +65,7 @@ from .invariants import (
     is_complete,
     is_regular,
     shape_checks,
+    simplicial_cover,
 )
 from .planarity import is_planar, kuratowski_oracle
 from .theorems import (

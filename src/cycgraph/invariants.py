@@ -2,6 +2,9 @@
 
 All NP-hard solvers are exact-or-skip: when a node budget or size cap is hit
 they raise :class:`SkippedSizeCap` instead of returning an approximation.
+Independence and clique cover numbers are first tried with a simplicial-cover
+certificate that is checked against the graph; only when none is found does
+the search run.
 """
 
 from __future__ import annotations
@@ -108,7 +111,12 @@ def shape_checks(g: Graph) -> dict[str, bool]:
 
 
 def girth(g: Graph) -> int | float:
-    """Length of a shortest cycle (BFS from every vertex); inf when acyclic."""
+    """Length of a shortest cycle; inf when acyclic.
+
+    A triangle decides it at once; a triangle-free graph runs BFS from every vertex.
+    """
+    if has_triangle(g):
+        return 3
     best = INFINITY
     for s in range(g.n):
         dist = [-1] * g.n
@@ -169,8 +177,35 @@ def _greedy_clique_partition(adj: list[int], cand: int) -> int:
     return cnt
 
 
+def simplicial_cover(g: Graph) -> int | None:
+    """alpha = theta = k by a checked certificate, or None when none is found.
+
+    Walks the vertices in ascending degree and takes each uncovered vertex
+    whose closed neighbourhood is a clique (a simplicial vertex).  Each taken
+    vertex lies outside the closed neighbourhoods taken before it, so the k
+    taken vertices are independent (alpha >= k); when their k cliques cover
+    every vertex, theta <= k.  As alpha <= theta on every graph, both equal k.
+    """
+    adj = g.adj
+    covered = 0
+    k = 0
+    for v in sorted(range(g.n), key=lambda u: adj[u].bit_count()):
+        closed = adj[v] | 1 << v
+        if not covered >> v & 1 and g.is_clique_mask(closed):
+            covered |= closed
+            k += 1
+    return k if covered == (1 << g.n) - 1 else None
+
+
 def independence_number(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
-    """Exact maximum independent set size.
+    """Exact maximum independent set size: the simplicial-cover certificate when
+    it exists, else branch and bound."""
+    k = simplicial_cover(g)
+    return k if k is not None else _independence_search(g, node_budget)
+
+
+def _independence_search(g: Graph, node_budget: int) -> int:
+    """Exact maximum independent set size by branch and bound.
 
     Branches on a maximum-degree vertex of the candidate set (ties broken by
     index); the upper bound is a greedy clique partition of the candidates.
@@ -308,8 +343,10 @@ def _chromatic_connected(g: Graph, node_budget: int) -> int:
 
 
 def clique_cover_number(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
-    """Exact clique cover number, computed as the chromatic number of the complement."""
-    return chromatic_number(g.complement(), node_budget)
+    """Exact clique cover number: the simplicial-cover certificate when it
+    exists, else the chromatic number of the complement."""
+    k = simplicial_cover(g)
+    return k if k is not None else chromatic_number(g.complement(), node_budget)
 
 
 def domination_number(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> int:

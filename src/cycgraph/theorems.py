@@ -34,7 +34,7 @@ from .invariants import (
 )
 from .planarity import is_planar
 from .specs import GroupSpec, abelian_groups_of_order, in_planar_classification, is_cyclic_spec
-from .subgroups import maximal_cyclic_subgroups, prime_order_subgroup_count
+from .subgroups import maximal_cyclic_subgroups
 
 
 @dataclass
@@ -181,7 +181,11 @@ def verify_iso_invariance_catalog(
         if picked >= groups:
             break
         group = spec.realize()
-        ig = build(group, vertex_cap)
+        try:
+            ig = build(group, vertex_cap)
+        except VertexCapExceeded as exc:
+            res.skipped.append(f"{spec.descriptor}: {exc}")
+            continue
         if not (2 <= ig.n <= iso_size_cap):
             continue
         picked += 1
@@ -244,7 +248,7 @@ def verify_complete(catalog: Catalog, vertex_cap: int = 5000) -> VerificationRes
             continue
         res.groups_tested += 1
         complete = is_complete(ig.graph)
-        m = prime_order_subgroup_count(group)
+        m = sum(1 for v in ig.vertices if is_prime(v.order))
         if complete != (m == 1):
             res.counterexamples.append(
                 (spec.descriptor, f"complete <-> m==1 (m={m})", f"complete={complete}")
@@ -433,7 +437,7 @@ def verify_alpha_theta(
         passed=True,
     )
     for spec, group, ig in _built_graphs(catalog, res, vertex_cap):
-        m = prime_order_subgroup_count(group)
+        m = sum(1 for v in ig.vertices if is_prime(v.order))
         try:
             alpha = independence_number(ig.graph, node_budget)
             theta = clique_cover_number(ig.graph, node_budget)

@@ -108,6 +108,29 @@ def brute_clique_cover_number(g: Graph) -> int:
     return comp.n
 
 
+def brute_girth(g: Graph) -> float:
+    """Shortest cycle: for every edge uv, the BFS distance from u to v once
+    that edge is removed, plus one.  inf when no edge lies on a cycle."""
+    best = float("inf")
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            if not g.adj[u] >> v & 1:
+                continue
+            dist = {u: 0}
+            frontier = [u]
+            while frontier and v not in dist:
+                nxt = []
+                for x in frontier:
+                    for y in range(g.n):
+                        if g.adj[x] >> y & 1 and y not in dist and {x, y} != {u, v}:
+                            dist[y] = dist[x] + 1
+                            nxt.append(y)
+                frontier = nxt
+            if v in dist:
+                best = min(best, dist[v] + 1)
+    return best
+
+
 @pytest.fixture(scope="session")
 def small_catalog_graphs():
     """Intersection graphs for every catalog group of order <= 64."""

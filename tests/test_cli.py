@@ -165,6 +165,17 @@ class TestVerify:
         rc, _ = run(capsys, "verify", "t24-regular-zn", "--max-n", "3")
         assert rc == EXIT_SKIP_ONLY
 
+    def test_iso_invariance_records_vertex_cap_skips(self, capsys):
+        argv = ["--max-order", "20", "--vertex-cap", "3", "--format", "json"]
+        rc, out = run(capsys, "verify", "thm13-iso-invariance", *argv)
+        assert rc == EXIT_OK
+        iso = json.loads(out)["results"][0]
+        _, out = run(capsys, "verify", "cor-c1-girth", *argv)
+        girth = json.loads(out)["results"][0]
+        assert iso["groups_tested"] > 0 and len(iso["skipped"]) == 27
+        assert iso["skipped"] == girth["skipped"]
+        assert iso["skipped"][0].startswith("D(3): ")
+
     def test_json_matches_schema(self, capsys):
         rc, out = run(
             capsys, "verify", "thm15-complete", "cor-c1-girth",
@@ -216,3 +227,12 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "Z(4)", "--format", "yaml"])
         assert exc.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["verify thm15-complete", "catalog"])
+    def test_max_order_below_two(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([*command.split(), "--max-order", "1"])
+        err = capsys.readouterr().err
+        assert exc.value.code == EXIT_USAGE
+        assert "error: argument --max-order: must be >= 2" in err
+        assert "Traceback" not in err

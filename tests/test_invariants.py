@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import (
     brute_clique_cover_number,
     brute_domination_number,
+    brute_girth,
     brute_independence_number,
 )
 from cycgraph.errors import EmptyGraphError, SkippedSizeCap
@@ -21,7 +22,9 @@ from cycgraph.graphs import (
 )
 from cycgraph.groups import cyclic, dicyclic, direct_product
 from cycgraph.invariants import (
+    DEFAULT_NODE_BUDGET,
     INFINITY,
+    _independence_search,
     chromatic_number,
     clique_cover_number,
     component_structure,
@@ -41,7 +44,10 @@ from cycgraph.invariants import (
     is_star,
     is_totally_disconnected,
     shape_checks,
+    simplicial_cover,
 )
+from cycgraph.subgroups import prime_order_subgroup_count
+from cycgraph.theorems import default_catalog
 
 INF = INFINITY
 
@@ -56,6 +62,13 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     return g
 
 
+def petersen() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    return Graph(10, outer + inner + spokes)
+
+
 @st.composite
 def graphs(draw, max_n=10):
     n = draw(st.integers(min_value=0, max_value=max_n))
@@ -63,6 +76,18 @@ def graphs(draw, max_n=10):
     for u in range(n):
         for v in range(u + 1, n):
             if draw(st.booleans()):
+                g.add_edge(u, v)
+    return g
+
+
+@st.composite
+def triangle_free_graphs(draw, max_n=12):
+    """Drawn edges are kept only when they close no triangle."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    g = Graph(n)
+    for u in range(n):
+        for v in range(u + 1, n):
+            if draw(st.booleans()) and not g.adj[u] & g.adj[v]:
                 g.add_edge(u, v)
     return g
 
@@ -139,14 +164,16 @@ class TestGirth:
         assert girth(Graph(0)) == INF
 
     def test_petersen(self):
-        outer = [(i, (i + 1) % 5) for i in range(5)]
-        inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-        spokes = [(i, i + 5) for i in range(5)]
-        assert girth(Graph(10, outer + inner + spokes)) == 5
+        assert girth(petersen()) == 5
 
     def test_mixed_components(self):
         g = disjoint_union(path_graph(4), cycle_graph(6))
         assert girth(g) == 6
+
+    @settings(max_examples=60, deadline=None)
+    @given(triangle_free_graphs())
+    def test_triangle_free_matches_bfs_reference(self, g):
+        assert girth(g) == brute_girth(g)
 
 
 class TestComponentStructure:
@@ -194,8 +221,11 @@ class TestSolvers:
 
     def test_budget_exhaustion_raises(self):
         g = random_graph(40, 0.5, seed=1)
+        assert simplicial_cover(g) is None  # so the budget-bound search runs
         with pytest.raises(SkippedSizeCap):
             independence_number(g, node_budget=10)
+        with pytest.raises(SkippedSizeCap):
+            clique_cover_number(g, node_budget=10)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_against_brute_force(self, seed):
@@ -216,6 +246,70 @@ class TestSolvers:
             assert domination_number(g) == brute_domination_number(g), desc
             checked += 1
         assert checked >= 20
+
+
+class TestSimplicialCover:
+    """The certificate, and the search path it leaves for graphs without one."""
+
+    def test_known_values(self):
+        assert simplicial_cover(Graph(0)) == 0
+        assert simplicial_cover(Graph(4)) == 4
+        assert simplicial_cover(complete_graph(5)) == 1
+        assert simplicial_cover(path_graph(4)) == 2
+        assert simplicial_cover(cycle_graph(4)) is None
+        # P5 is chordal, but the ends' cliques leave the middle vertex uncovered
+        assert simplicial_cover(path_graph(5)) is None
+        assert independence_number(path_graph(5)) == 3
+
+    def test_decides_every_catalog_graph(self):
+        # alpha = theta = number of prime-order subgroups; a graph that falls
+        # back to the search here would only be slower, so make it fail
+        for spec in default_catalog(100):
+            group = spec.realize()
+            k = simplicial_cover(build(group).graph)
+            assert k == prime_order_subgroup_count(group), spec.descriptor
+
+    def test_certificate_needs_no_budget(self):
+        g = build(cyclic(30)).graph
+        assert independence_number(g, node_budget=0) == 3
+        assert clique_cover_number(g, node_budget=0) == 3
+
+    def test_search_matches_brute_force_on_catalog(self, small_catalog_graphs):
+        checked = 0
+        for desc, ig in small_catalog_graphs:
+            g = ig.graph
+            if not 0 < g.n <= 16:
+                continue
+            assert _independence_search(g, DEFAULT_NODE_BUDGET) == brute_independence_number(g), desc
+            assert chromatic_number(g.complement()) == brute_clique_cover_number(g), desc
+            checked += 1
+        assert checked >= 20
+
+    @pytest.mark.parametrize(
+        "g", [cycle_graph(5), cycle_graph(7), petersen()], ids=["C5", "C7", "Petersen"]
+    )
+    def test_fallback_without_certificate(self, g):
+        assert simplicial_cover(g) is None
+        assert independence_number(g) == brute_independence_number(g)
+        assert clique_cover_number(g) == brute_clique_cover_number(g)
+
+    def test_fallback_on_random_graphs(self):
+        fell_back = 0
+        for seed in range(60):
+            g = random_graph(5 + seed % 8, 0.2 + (seed % 4) * 0.2, seed)
+            if simplicial_cover(g) is not None:
+                continue
+            fell_back += 1
+            assert independence_number(g) == brute_independence_number(g), seed
+            assert clique_cover_number(g) == brute_clique_cover_number(g), seed
+        assert fell_back >= 20
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs())
+    def test_certificate_is_exact(self, g):
+        k = simplicial_cover(g)
+        if k is not None:
+            assert brute_independence_number(g) == brute_clique_cover_number(g) == k
 
 
 class TestIsomorphism:
