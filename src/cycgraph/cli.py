@@ -176,20 +176,24 @@ def cmd_catalog(args) -> int:
 
 # --- entry point --------------------------------------------------------------
 
-def _max_order(text: str) -> int:
-    """argparse type for --max-order: an integer >= 2, else a usage error."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 2:
-        raise argparse.ArgumentTypeError(f"must be >= 2, got {value}")
-    return value
+def _at_least(lo: int):
+    """argparse type: an integer >= lo, else a usage error."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if value < lo:
+            raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        return value
+
+    return parse
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--vertex-cap", type=int, default=DEFAULT_VERTEX_CAP)
-    p.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
+    p.add_argument("--vertex-cap", type=_at_least(1), default=DEFAULT_VERTEX_CAP)
+    p.add_argument("--node-budget", type=_at_least(1), default=DEFAULT_NODE_BUDGET)
     p.add_argument("--out", default=None, help="write output to this file instead of stdout")
 
 
@@ -209,7 +213,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify", help="run theorem verifiers over the group catalog")
     p.add_argument("theorems", nargs="+", help=f'"all" or ids from: {", ".join(THEOREM_IDS)}')
-    p.add_argument("--max-order", type=_max_order, default=100)
+    p.add_argument("--max-order", type=_at_least(2), default=100)
     p.add_argument("--max-n", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["text", "json"], default="text")
@@ -223,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_export)
 
     p = subs.add_parser("catalog", help="list the default group catalog")
-    p.add_argument("--max-order", type=_max_order, default=100)
+    p.add_argument("--max-order", type=_at_least(2), default=100)
     _add_common(p)
     p.set_defaults(func=cmd_catalog)
 

@@ -3,8 +3,8 @@
 All NP-hard solvers are exact-or-skip: when a node budget or size cap is hit
 they raise :class:`SkippedSizeCap` instead of returning an approximation.
 Independence and clique cover numbers are first tried with a simplicial-cover
-certificate that is checked against the graph; only when none is found does
-the search run.
+certificate, and the domination number with a 2-packing certificate; each is
+checked against the graph, and only when none is found does the search run.
 """
 
 from __future__ import annotations
@@ -349,24 +349,64 @@ def clique_cover_number(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> int
     return k if k is not None else chromatic_number(g.complement(), node_budget)
 
 
+def _two_packing(closed: list[int]) -> list[int]:
+    """Greedy 2-packing: vertices with pairwise disjoint closed neighbourhoods.
+
+    Walks the vertices in ascending closed-neighbourhood size and takes each
+    one whose N[v] meets none taken before.  Each taken vertex is dominated
+    only from its N[v], and no vertex lies in two of them, so gamma >= the
+    number taken.
+    """
+    taken = 0
+    packed = []
+    for v in sorted(range(len(closed)), key=lambda u: closed[u].bit_count()):
+        if not closed[v] & taken:
+            taken |= closed[v]
+            packed.append(v)
+    return packed
+
+
+def domination_certificate(g: Graph) -> int | None:
+    """gamma = k by a checked certificate, or None when none is found.
+
+    A greedy 2-packing of k vertices gives gamma >= k.  For each packed vertex
+    the dominator in its N[v] covering the most still-uncovered vertices is
+    picked; when the k picks dominate every vertex, gamma <= k.  In these
+    graphs the subgroups of one prime order have disjoint N[v] (a cyclic group
+    has one subgroup of each prime order), so the bound is usually tight.
+    """
+    closed = [a | 1 << v for v, a in enumerate(g.adj)]
+    packed = _two_packing(closed)
+    covered = 0
+    for v in packed:
+        covered |= max(
+            (closed[w] for w in bits(closed[v])),
+            key=lambda c: (c & ~covered).bit_count(),
+        )
+    return len(packed) if covered == (1 << g.n) - 1 else None
+
+
 def domination_number(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
-    """Exact domination number by iterative deepening over the set size."""
+    """Exact domination number: the 2-packing certificate when it exists, else
+    iterative deepening over the set size from the packing lower bound."""
     n = g.n
     if n == 0:
         raise EmptyGraphError("domination number is undefined on the empty graph")
+    cert = domination_certificate(g)
+    if cert is not None:
+        return cert
     adj = g.adj
     closed = [adj[v] | 1 << v for v in range(n)]
     full = (1 << n) - 1
     budget = _Budget(node_budget)
 
-    # isolated vertices are forced members
+    # isolated vertices are forced members and each is in the packing; the
+    # certificate has already decided a graph with no other vertices
     forced = sum(1 << v for v in range(n) if adj[v] == 0)
     base_cover = 0
     for v in bits(forced):
         base_cover |= closed[v]
     forced_count = forced.bit_count()
-    if base_cover == full:
-        return forced_count
 
     def feasible(covered: int, k: int) -> bool:
         if covered == full:
@@ -385,7 +425,7 @@ def domination_number(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
                 return True
         return False
 
-    for k in range(1, n - forced_count + 1):
+    for k in range(len(_two_packing(closed)) - forced_count, n - forced_count + 1):
         if feasible(base_cover, k):
             return forced_count + k
     return n  # unreachable: the full vertex set always dominates

@@ -73,9 +73,15 @@ def maximal_cyclic_subgroups(group: FiniteGroup) -> list[CyclicSubgroup]:
     which is not a vertex; callers needing that case should also consult
     :func:`cycgraph.groups.is_cyclic_group`.
     """
-    subs = cyclic_subgroups(group)
-    out = []
-    for s in subs:
-        if not any(t is not s and t.contains(s) for t in subs):
-            out.append(s)
-    return out
+    return maximal_among(cyclic_subgroups(group))
+
+
+def maximal_among(
+    subs: list[CyclicSubgroup] | tuple[CyclicSubgroup, ...],
+) -> list[CyclicSubgroup]:
+    """The subgroups of ``subs`` contained in no other one, in their given order.
+
+    Passing an intersection graph's vertices gives the maximal proper cyclic
+    subgroups without enumerating them again.
+    """
+    return [s for s in subs if not any(t is not s and t.contains(s) for t in subs)]

@@ -34,7 +34,7 @@ from .invariants import (
 )
 from .planarity import is_planar
 from .specs import GroupSpec, abelian_groups_of_order, in_planar_classification, is_cyclic_spec
-from .subgroups import maximal_cyclic_subgroups
+from .subgroups import maximal_among
 
 
 @dataclass
@@ -356,11 +356,11 @@ def _order_in_small_set(m: int) -> bool:
     return False
 
 
-def subgroup_condition(group: FiniteGroup, ig: IntersectionGraph, reading: str) -> bool:
+def subgroup_condition(ig: IntersectionGraph, reading: str) -> bool:
     """The subgroup-side condition of the acyclicity equivalence, under one
     quantifier reading ('some' or 'every' maximal proper cyclic subgroup has
     order p, p^2 or pq), plus the pairwise-trivial-intersection clause."""
-    maximals = maximal_cyclic_subgroups(group)
+    maximals = maximal_among(ig.vertices)
     orders = [s.order for s in maximals]
     if reading == "some":
         clause_a = any(_order_in_small_set(m) for m in orders)
@@ -395,7 +395,7 @@ def verify_acyclic_equivalences(catalog: Catalog, vertex_cap: int = 5000) -> Ver
     )
     match = {"some": 0, "every": 0}
     mismatch_examples = {"some": [], "every": []}
-    for spec, group, ig in _built_graphs(catalog, res, vertex_cap):
+    for spec, _, ig in _built_graphs(catalog, res, vertex_cap):
         res.groups_tested += 1
         acyclic = is_acyclic(ig.graph)
         bipartite = is_bipartite(ig.graph)
@@ -409,7 +409,7 @@ def verify_acyclic_equivalences(catalog: Catalog, vertex_cap: int = 5000) -> Ver
                 )
             )
         for reading in ("some", "every"):
-            if subgroup_condition(group, ig, reading) == acyclic:
+            if subgroup_condition(ig, reading) == acyclic:
                 match[reading] += 1
             elif len(mismatch_examples[reading]) < 5:
                 mismatch_examples[reading].append(spec.descriptor)

@@ -67,6 +67,16 @@ class TestAnalyze:
         assert payload["report"]["independence_number"] == 1
         assert len(payload["vertices"]) == 4
 
+    def test_gamma_hard_group_is_decided(self, capsys):
+        rc, out = run(
+            capsys, "analyze", "Z(12)xZ(2)xZ(2)xZ(2)xZ(2)", "--format", "json",
+            "--node-budget", "20000",
+        )
+        assert rc == EXIT_OK
+        report = json.loads(out)["report"]
+        assert report["domination_number"] == 31
+        assert "domination_number" not in report["notes"]
+
     def test_bad_spec(self, capsys):
         rc, _ = run(capsys, "analyze", "W(3)")
         assert rc == EXIT_USAGE
@@ -227,6 +237,14 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["analyze", "Z(4)", "--format", "yaml"])
         assert exc.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("flag, value", [("--node-budget", "-1"), ("--vertex-cap", "0")])
+    def test_budget_and_cap_below_one(self, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "Z(12)xZ(2)", flag, value])
+        err = capsys.readouterr().err
+        assert exc.value.code == EXIT_USAGE
+        assert f"error: argument {flag}: must be >= 1, got {value}" in err
 
     @pytest.mark.parametrize("command", ["verify thm15-complete", "catalog"])
     def test_max_order_below_two(self, capsys, command):

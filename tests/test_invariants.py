@@ -21,14 +21,17 @@ from cycgraph.graphs import (
     path_graph,
 )
 from cycgraph.groups import cyclic, dicyclic, direct_product
+from cycgraph.specs import parse_spec
 from cycgraph.invariants import (
     DEFAULT_NODE_BUDGET,
     INFINITY,
     _independence_search,
+    _two_packing,
     chromatic_number,
     clique_cover_number,
     component_structure,
     compute_report,
+    domination_certificate,
     domination_number,
     girth,
     graph_isomorphic,
@@ -310,6 +313,72 @@ class TestSimplicialCover:
         k = simplicial_cover(g)
         if k is not None:
             assert brute_independence_number(g) == brute_clique_cover_number(g) == k
+
+
+class TestDominationCertificate:
+    """The 2-packing certificate for gamma, and the search it leaves."""
+
+    def test_known_values(self):
+        assert domination_certificate(Graph(4)) == 4
+        assert domination_certificate(complete_graph(5)) == 1
+        assert domination_certificate(path_graph(4)) == 2
+        assert domination_certificate(path_graph(5)) == 2
+        assert domination_certificate(complete_bipartite(1, 6)) == 1
+
+    def test_matches_brute_force_on_catalog(self, small_catalog_graphs):
+        decided = 0
+        for desc, ig in small_catalog_graphs:
+            g = ig.graph
+            if not 0 < g.n <= 16:
+                continue
+            k = domination_certificate(g)
+            if k is not None:
+                assert brute_domination_number(g) == k, desc
+                decided += 1
+        assert decided >= 20
+
+    @settings(max_examples=100, deadline=None)
+    @given(graphs())
+    def test_certificate_is_exact(self, g):
+        k = domination_certificate(g)
+        if g.n and k is not None:
+            assert brute_domination_number(g) == k
+
+    def test_c7_falls_back_to_search(self):
+        g = cycle_graph(7)
+        closed = [a | 1 << v for v, a in enumerate(g.adj)]
+        assert len(_two_packing(closed)) == 2
+        assert domination_certificate(g) is None
+        assert domination_number(g) == brute_domination_number(g) == 3
+
+    def test_search_keeps_its_budget(self):
+        g = random_graph(40, 0.5, seed=1)
+        assert domination_certificate(g) is None
+        with pytest.raises(SkippedSizeCap):
+            domination_number(g, node_budget=10)
+
+    @pytest.mark.parametrize(
+        "spec, gamma",
+        [
+            ("Z(12)xZ(2)xZ(2)xZ(2)xZ(2)", 31),
+            ("Z(6)xZ(6)xZ(2)xZ(2)", 15),
+            ("S(5)", 31),
+            ("Z(6)xZ(6)xZ(3)", 13),
+        ],
+    )
+    def test_hard_groups_need_no_budget(self, spec, gamma):
+        g = build(parse_spec(spec).realize()).graph
+        assert domination_certificate(g) == gamma
+        assert domination_number(g, node_budget=1) == gamma
+
+    def test_no_skip_on_catalog_200(self):
+        decided = 0
+        for spec in default_catalog(200):
+            g = build(spec.realize()).graph
+            if g.n:
+                domination_number(g, DEFAULT_NODE_BUDGET)  # SkippedSizeCap fails the test
+                decided += 1
+        assert decided == 494
 
 
 class TestIsomorphism:

@@ -8,8 +8,10 @@ from cycgraph.groups import (
     direct_product,
     elementary_abelian,
 )
+from cycgraph.graphs import build
 from cycgraph.subgroups import (
     cyclic_subgroups,
+    maximal_among,
     maximal_cyclic_subgroups,
     prime_order_subgroup_count,
 )
@@ -134,3 +136,8 @@ class TestMaximal:
             for s in subs:
                 if s not in maxs:
                     assert any(m.contains(s) for m in maxs)
+
+    def test_maximal_among_graph_vertices(self):
+        # the graph's vertices are the same subgroups, so no second enumeration
+        for group in (cyclic(48), dicyclic(3), alternating(4), direct_product(cyclic(4), cyclic(2))):
+            assert maximal_among(build(group).vertices) == maximal_cyclic_subgroups(group)

@@ -107,12 +107,11 @@ class TestVerifiers:
         assert f"'every' matches acyclicity on {n}/{n}" in res.notes
 
     def test_subgroup_condition_readings(self):
-        g = cyclic(7)
-        ig = build(g)
-        assert subgroup_condition(g, ig, "every")  # vacuously true
-        assert not subgroup_condition(g, ig, "some")
+        ig = build(cyclic(7))
+        assert subgroup_condition(ig, "every")  # vacuously true
+        assert not subgroup_condition(ig, "some")
         with pytest.raises(ValueError):
-            subgroup_condition(g, ig, "most")
+            subgroup_condition(ig, "most")
 
     def test_alpha_theta(self):
         res = verify_alpha_theta(default_catalog(60))
