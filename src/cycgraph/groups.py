@@ -1,13 +1,16 @@
-"""Concrete finite groups: multiplication tables, family constructors, file ingestion.
+"""Concrete finite groups: multiplication rules, family constructors, file ingestion.
 
-Elements are dense integer indices 0..n-1.  Groups of order up to TABLE_CAP
-carry a materialized Cayley table, built with numpy index arithmetic from the
-family's closed form (a permutation group composes its element array with
-itself); cyclic groups and larger groups multiply through a closed-form family
-rule, which keeps big cyclic groups cheap.  User tables are parsed into an
-int64 array and every group axiom is checked with numpy at every order;
-associativity exactly, by Light's test on a generating set (Clifford &
-Preston, *The Algebraic Theory of Semigroups* I, section 1.2).
+Elements are dense integer indices 0..n-1.  Every family (cyclic, direct
+product, dihedral, dicyclic, permutation closure) multiplies through its
+closed-form rule and builds no Cayley table until one is asked for: by
+``cayley_table``, ``relabel``, ``write_cayley_file``, or as a factor of a direct
+product's table.  Such a table is built with numpy index arithmetic from the
+same closed form (a permutation group composes its element array with itself).
+Only a real table given as input (a Cayley-table file, or a relabeled copy)
+is stored as rows.  User tables are parsed into an int64 array and every group
+axiom is checked with numpy at every order; associativity exactly, by Light's
+test on a generating set (Clifford & Preston, *The Algebraic Theory of
+Semigroups* I, section 1.2).
 """
 
 from __future__ import annotations
@@ -27,8 +30,6 @@ from .errors import (
     OrderCapExceeded,
 )
 
-#: orders up to which multiplication tables are materialized
-TABLE_CAP = 512
 #: default cap on group order for closure-style constructions
 DEFAULT_ORDER_CAP = 20000
 
@@ -38,8 +39,9 @@ class FiniteGroup:
 
     ``mul`` is a plain callable attribute so hot loops can bind it locally.
     A group is built from exactly one of: ``table``, the list of rows behind
-    ``mul``; or a closed-form ``mul`` together with ``array``, a zero-argument
-    callable that builds the same table as an int64 array on demand.
+    ``mul``, for a table that was the input; or a closed-form ``mul`` together
+    with ``array``, a zero-argument callable that builds the same table as an
+    int64 array on demand, which is how every family constructor builds it.
     """
 
     __slots__ = ("order", "identity", "descriptor", "mul", "_table", "_array")
@@ -66,8 +68,11 @@ class FiniteGroup:
         return f"FiniteGroup({self.descriptor}, order={self.order})"
 
     def cayley_table(self) -> list[list[int]]:
-        """Full multiplication table (built from the closed form for rule-based groups)."""
-        return self._table if self._table is not None else self._array().tolist()
+        """A fresh copy of the full multiplication table (built from the closed form
+        for rule-based groups), so changing it leaves the group as it was."""
+        if self._table is not None:
+            return [row[:] for row in self._table]
+        return self._array().tolist()
 
 
 def _as_array(group: FiniteGroup) -> np.ndarray:
@@ -75,19 +80,6 @@ def _as_array(group: FiniteGroup) -> np.ndarray:
     if group._table is not None:
         return np.asarray(group._table, dtype=np.int64)
     return group._array()
-
-
-def _family_group(
-    n: int,
-    rule: Callable[[int, int], int],
-    identity: int,
-    descriptor: str,
-    array: Callable[[], np.ndarray],
-) -> FiniteGroup:
-    """Tabled from the closed-form ``array`` up to TABLE_CAP, rule-based above it."""
-    if n <= TABLE_CAP:
-        return FiniteGroup(n, None, identity, descriptor, table=array().tolist())
-    return FiniteGroup(n, rule, identity, descriptor, array=array)
 
 
 def _cyclic_array(n: int) -> np.ndarray:
@@ -249,7 +241,6 @@ def cyclic(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         raise ValueError("cyclic(n) needs n >= 1")
     if n > order_cap:
         raise OrderCapExceeded(f"cyclic group of order {n} exceeds cap {order_cap}")
-    # no table: the closed-form rule is as fast as a lookup and needs no memory
     return FiniteGroup(n, lambda a, b: (a + b) % n, 0, f"Z({n})", array=lambda: _cyclic_array(n))
 
 
@@ -262,9 +253,9 @@ def direct_product(g: FiniteGroup, h: FiniteGroup, order_cap: int = DEFAULT_ORDE
     def rule(a, b):
         return gmul(a // m, b // m) * m + hmul(a % m, b % m)
 
-    return _family_group(
+    return FiniteGroup(
         n, rule, g.identity * m + h.identity, f"{g.descriptor}x{h.descriptor}",
-        lambda: _product_array(_as_array(g), _as_array(h)),
+        array=lambda: _product_array(_as_array(g), _as_array(h)),
     )
 
 
@@ -281,7 +272,7 @@ def dihedral(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         k = (i + j) % n if s == 0 else (i - j) % n
         return k + ((s + t) % 2) * n
 
-    return _family_group(2 * n, rule, 0, f"D({n})", lambda: _dihedral_array(n))
+    return FiniteGroup(2 * n, rule, 0, f"D({n})", array=lambda: _dihedral_array(n))
 
 
 def dicyclic(m: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
@@ -304,7 +295,7 @@ def dicyclic(m: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
             return (i - j) % n2 + n2
         return (i - j + m) % n2
 
-    return _family_group(4 * m, rule, 0, f"Dic({m})", lambda: _dicyclic_array(m))
+    return FiniteGroup(4 * m, rule, 0, f"Dic({m})", array=lambda: _dicyclic_array(m))
 
 
 def from_permutation_generators(
@@ -330,7 +321,7 @@ def from_permutation_generators(
         x = elems[head]
         head += 1
         for g in gens:
-            y = tuple(x[g[i]] for i in range(degree))
+            y = tuple(map(x.__getitem__, g))    # y(i) = x(g(i))
             if y not in index:
                 if len(elems) >= order_cap:
                     raise OrderCapExceeded(f"closure exceeds order cap {order_cap}")
@@ -338,12 +329,11 @@ def from_permutation_generators(
                 elems.append(y)
     n = len(elems)
 
-    def rule(a, b, _e=elems, _i=index, _d=degree):
-        pa, pb = _e[a], _e[b]
-        return _i[tuple(pa[pb[i]] for i in range(_d))]
+    def rule(a, b, _e=elems, _i=index):
+        return _i[tuple(map(_e[a].__getitem__, _e[b]))]
 
     desc = descriptor or f"perm-group:deg{degree}:order{n}"
-    return _family_group(n, rule, 0, desc, lambda: _composition_array(elems, degree))
+    return FiniteGroup(n, rule, 0, desc, array=lambda: _composition_array(elems, degree))
 
 
 def _cycle(points: Sequence[int], degree: int) -> tuple[int, ...]:

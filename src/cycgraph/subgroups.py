@@ -79,9 +79,15 @@ def maximal_cyclic_subgroups(group: FiniteGroup) -> list[CyclicSubgroup]:
 def maximal_among(
     subs: list[CyclicSubgroup] | tuple[CyclicSubgroup, ...],
 ) -> list[CyclicSubgroup]:
-    """The subgroups of ``subs`` contained in no other one, in their given order.
+    """The subgroups of ``subs`` (all distinct) contained in no other one, in their given order.
 
+    K lies in H exactly when K's canonical generator does, so one walk over
+    each H's elements finds every K below it: O(sum of |H|), not O(|subs|^2).
     Passing an intersection graph's vertices gives the maximal proper cyclic
     subgroups without enumerating them again.
     """
-    return [s for s in subs if not any(t is not s and t.contains(s) for t in subs)]
+    gens = {s.generator for s in subs}
+    covered: set[int] = set()
+    for h in subs:
+        covered |= gens.intersection(h.elements) - {h.generator}
+    return [s for s in subs if s.generator not in covered]

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cycgraph import groups
+from cycgraph.cli import main as cli_main
 from cycgraph.errors import (
     InvalidPermutation,
     NoIdentity,
@@ -15,7 +17,6 @@ from cycgraph.errors import (
     OrderCapExceeded,
 )
 from cycgraph.groups import (
-    TABLE_CAP,
     FiniteGroup,
     alternating,
     cyclic,
@@ -36,6 +37,7 @@ from cycgraph.groups import (
     validate_table,
     write_cayley_file,
 )
+from cycgraph.graphs import build
 from cycgraph.specs import parse_spec
 from cycgraph.theorems import default_catalog
 
@@ -236,6 +238,20 @@ class TestRelabel:
         with pytest.raises(InvalidPermutation):
             relabel(cyclic(3), [0, 0, 1])
 
+    def test_cayley_table_is_a_copy(self):
+        for g in (from_cayley_table([[0, 1, 2], [1, 2, 0], [2, 0, 1]]),
+                  relabel(cyclic(3), [2, 0, 1]),
+                  dihedral(3)):
+            def products():
+                return [[g.mul(a, b) for b in range(g.order)] for a in range(g.order)]
+
+            before = products()
+            t = g.cayley_table()
+            assert t == before
+            t[1][1] = t[0][0] = -1
+            assert g.cayley_table() == before
+            assert products() == before
+
 
 class TestFiles:
     def test_cayley_round_trip(self, tmp_path):
@@ -377,7 +393,7 @@ class TestLightAssociativity:
 
     def test_rejects_large_nonassociative_table(self):
         g = direct_product(cyclic(2), cyclic(300))
-        assert g.order > TABLE_CAP
+        assert g.order == 600
         # rows x, x*z and columns a, a*z for the involution z = (1, 0) form an
         # intercalate; none of them is the identity 0
         x, a, z = 1, 2, 300
@@ -458,10 +474,30 @@ def closed_form_table(spec):
 
 class TestClosedForms:
     def test_catalog_tables(self):
-        specs = [s for s in default_catalog(240) if s.order() <= TABLE_CAP]
+        specs = default_catalog(240)
         assert len(specs) == 644
         for spec in specs:
-            assert spec.realize().cayley_table() == closed_form_table(spec), spec.descriptor
+            g, expected = spec.realize(), closed_form_table(spec)
+            assert g.cayley_table() == expected, spec.descriptor
+            # the closed-form rule, which the catalog multiplies by, agrees with the table
+            rng = random.Random(spec.descriptor)
+            for _ in range(100):
+                a, b = rng.randrange(g.order), rng.randrange(g.order)
+                assert g.mul(a, b) == expected[a][b], (spec.descriptor, a, b)
+
+    def test_catalog_builds_no_table(self, monkeypatch, capsys):
+        def refuse(*args):
+            raise AssertionError("a family table was built")
+
+        for name in ("_cyclic_array", "_product_array", "_dihedral_array",
+                     "_dicyclic_array", "_composition_array"):
+            monkeypatch.setattr(groups, name, refuse)
+        specs = default_catalog(240)
+        assert len(specs) == 644
+        for spec in specs:
+            build(spec.realize())
+        assert cli_main(["catalog", "--max-order", "240"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 644
 
     @pytest.mark.parametrize("text", ["Z(12)", "Z(6)xZ(2)", "D(7)", "Dic(5)", "S(4)", "A(5)"])
     def test_relabel(self, text):

@@ -15,6 +15,7 @@ from cycgraph.subgroups import (
     maximal_cyclic_subgroups,
     prime_order_subgroup_count,
 )
+from cycgraph.theorems import default_catalog
 
 
 class TestEnumeration:
@@ -141,3 +142,9 @@ class TestMaximal:
         # the graph's vertices are the same subgroups, so no second enumeration
         for group in (cyclic(48), dicyclic(3), alternating(4), direct_product(cyclic(4), cyclic(2))):
             assert maximal_among(build(group).vertices) == maximal_cyclic_subgroups(group)
+
+    def test_maximal_among_matches_pairwise_definition(self):
+        for spec in default_catalog(120):
+            subs = build(spec.realize()).vertices
+            pairwise = [s for s in subs if not any(t is not s and t.contains(s) for t in subs)]
+            assert maximal_among(subs) == pairwise, spec.descriptor
