@@ -214,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("verify", help="run theorem verifiers over the group catalog")
     p.add_argument("theorems", nargs="+", help=f'"all" or ids from: {", ".join(THEOREM_IDS)}')
     p.add_argument("--max-order", type=_at_least(2), default=100)
-    p.add_argument("--max-n", type=int, default=2000)
+    p.add_argument("--max-n", type=_at_least(2), default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["text", "json"], default="text")
     _add_common(p)

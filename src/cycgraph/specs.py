@@ -15,6 +15,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from . import groups
 from .arith import factorize, partitions, prime_power
@@ -22,77 +23,65 @@ from .errors import SpecParseError
 from .groups import DEFAULT_ORDER_CAP, FiniteGroup
 
 
+class _Atom(NamedTuple):
+    prefix: str                             # descriptor and parser name: "D" in D(4)
+    arg: str                                # the parameter's name in parse errors
+    least: int                              # smallest parameter the parser accepts
+    order: Callable[[int], int]             # group order from the parameter
+    construct: Callable[..., FiniteGroup]   # (parameter, order_cap) -> group
+
+
+_ATOMS = {
+    "cyclic": _Atom("Z", "n", 1, lambda n: n, groups.cyclic),
+    "dihedral": _Atom("D", "n", 1, lambda n: 2 * n, groups.dihedral),
+    "dicyclic": _Atom("Dic", "m", 2, lambda m: 4 * m, groups.dicyclic),
+    "symmetric": _Atom("S", "n", 1, math.factorial, groups.symmetric),
+    "alternating": _Atom("A", "n", 1, lambda n: max(math.factorial(n) // 2, 1), groups.alternating),
+}
+_KIND_OF_PREFIX = {atom.prefix: kind for kind, atom in _ATOMS.items()}
+_FILE_PREFIXES = {"cayley_file": "file:cayley:", "perm_file": "file:perm:"}
+
+
+def _atom(kind: str) -> _Atom:
+    if kind not in _ATOMS:
+        raise SpecParseError(f"unknown spec kind {kind!r}")
+    return _ATOMS[kind]
+
+
 @dataclass(frozen=True)
 class GroupSpec:
-    kind: str                         # cyclic|product|dihedral|dicyclic|symmetric|alternating|cayley_file|perm_file
+    kind: str                         # product, a key of _ATOMS or of _FILE_PREFIXES
     params: tuple = field(default=())
 
     @property
     def descriptor(self) -> str:
         k, p = self.kind, self.params
-        if k == "cyclic":
-            return f"Z({p[0]})"
         if k == "product":
             return "x".join(c.descriptor for c in p)
-        if k == "dihedral":
-            return f"D({p[0]})"
-        if k == "dicyclic":
-            return f"Dic({p[0]})"
-        if k == "symmetric":
-            return f"S({p[0]})"
-        if k == "alternating":
-            return f"A({p[0]})"
-        if k == "cayley_file":
-            return f"file:cayley:{p[0]}"
-        if k == "perm_file":
-            return f"file:perm:{p[0]}"
-        raise SpecParseError(f"unknown spec kind {k!r}")
+        if k in _FILE_PREFIXES:
+            return _FILE_PREFIXES[k] + p[0]
+        return f"{_atom(k).prefix}({p[0]})"
 
     def order(self) -> int | None:
         """Group order, or None for file-backed specs (unknown before realization)."""
         k, p = self.kind, self.params
-        if k == "cyclic":
-            return p[0]
         if k == "product":
-            out = 1
-            for c in p:
-                o = c.order()
-                if o is None:
-                    return None
-                out *= o
-            return out
-        if k == "dihedral":
-            return 2 * p[0]
-        if k == "dicyclic":
-            return 4 * p[0]
-        if k == "symmetric":
-            return math.factorial(p[0])
-        if k == "alternating":
-            return max(math.factorial(p[0]) // 2, 1)
-        return None
+            orders = [c.order() for c in p]
+            return None if None in orders else math.prod(orders)
+        return _ATOMS[k].order(p[0]) if k in _ATOMS else None
 
     def realize(self, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         k, p = self.kind, self.params
-        if k == "cyclic":
-            return groups.cyclic(p[0], order_cap)
         if k == "product":
             g = p[0].realize(order_cap)
             for child in p[1:]:
                 g = groups.direct_product(g, child.realize(order_cap), order_cap)
             return g
-        if k == "dihedral":
-            return groups.dihedral(p[0], order_cap)
-        if k == "dicyclic":
-            return groups.dicyclic(p[0], order_cap)
-        if k == "symmetric":
-            return groups.symmetric(p[0], order_cap)
-        if k == "alternating":
-            return groups.alternating(p[0], order_cap)
         if k == "cayley_file":
             return groups.read_cayley_file(p[0])
         if k == "perm_file":
             return groups.read_permutation_file(p[0], order_cap)
-        raise SpecParseError(f"unknown spec kind {k!r}")
+        return _atom(k).construct(p[0], order_cap)
 
 
 def Zs(*orders: int) -> GroupSpec:
@@ -115,38 +104,23 @@ def _parse_atom(text: str) -> GroupSpec:
         val = int(base) ** int(exp)
     else:
         val = int(arg)
-    if name == "Z":
-        if val < 1:
-            raise SpecParseError(f"Z(n) needs n >= 1, got {val}")
-        return GroupSpec("cyclic", (val,))
-    if name == "D":
-        if val < 1:
-            raise SpecParseError(f"D(n) needs n >= 1, got {val}")
-        return GroupSpec("dihedral", (val,))
-    if name == "Dic":
-        if val < 2:
-            raise SpecParseError(f"Dic(m) needs m >= 2, got {val}")
-        return GroupSpec("dicyclic", (val,))
     if name == "Q":
         pp = prime_power(val)
         if pp is None or pp[0] != 2 or val < 8:
             raise SpecParseError(f"Q(k) needs k a power of two >= 8, got {val}")
         return GroupSpec("dicyclic", (val // 4,))
-    if name == "S":
-        if val < 1:
-            raise SpecParseError(f"S(n) needs n >= 1, got {val}")
-        return GroupSpec("symmetric", (val,))
-    if val < 1:
-        raise SpecParseError(f"A(n) needs n >= 1, got {val}")
-    return GroupSpec("alternating", (val,))
+    kind = _KIND_OF_PREFIX[name]
+    atom = _ATOMS[kind]
+    if val < atom.least:
+        raise SpecParseError(f"{name}({atom.arg}) needs {atom.arg} >= {atom.least}, got {val}")
+    return GroupSpec(kind, (val,))
 
 
 def parse_spec(text: str) -> GroupSpec:
     s = text.strip()
-    if s.startswith("file:cayley:"):
-        return GroupSpec("cayley_file", (s[len("file:cayley:"):],))
-    if s.startswith("file:perm:"):
-        return GroupSpec("perm_file", (s[len("file:perm:"):],))
+    for kind, prefix in _FILE_PREFIXES.items():
+        if s.startswith(prefix):
+            return GroupSpec(kind, (s[len(prefix):],))
     s = re.sub(r"\s", "", s)
     if not s:
         raise SpecParseError("empty group spec")

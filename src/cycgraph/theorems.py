@@ -7,6 +7,7 @@ reproduced in isolation with the CLI ``analyze`` command.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass, field
@@ -33,7 +34,13 @@ from .invariants import (
     shape_checks,
 )
 from .planarity import is_planar
-from .specs import GroupSpec, abelian_groups_of_order, in_planar_classification, is_cyclic_spec
+from .specs import (
+    GroupSpec,
+    abelian_groups_of_order,
+    abelian_prime_signature,
+    in_planar_classification,
+    is_cyclic_spec,
+)
 from .subgroups import maximal_among
 
 
@@ -41,8 +48,8 @@ from .subgroups import maximal_among
 class VerificationResult:
     theorem_id: str
     domain: str
-    groups_tested: int
-    passed: bool
+    groups_tested: int = 0
+    passed: bool = True
     counterexamples: list[tuple[str, str, str]] = field(default_factory=list)
     skipped: list[str] = field(default_factory=list)
     elapsed: float = 0.0
@@ -66,14 +73,36 @@ class VerificationResult:
 
 @dataclass
 class Catalog:
+    """Catalog specs plus a memo of their builds, so that every verifier run
+    over one catalog realizes and builds each group at most once."""
+
     specs: list[GroupSpec]
     max_order: int
+    # (spec, vertex_cap) -> (group, graph), or the vertex-cap skip message
+    _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __iter__(self):
         return iter(self.specs)
 
     def __len__(self):
         return len(self.specs)
+
+    def graphs(self, result: VerificationResult, vertex_cap: int, specs=None):
+        """Yield (spec, group, graph) lazily in catalog order (or over `specs`),
+        building on first use; vertex-cap hits go to ``result.skipped``."""
+        for spec in self.specs if specs is None else specs:
+            key = (spec, vertex_cap)
+            if key not in self._built:
+                group = spec.realize()
+                try:
+                    self._built[key] = (group, build(group, vertex_cap))
+                except VertexCapExceeded as exc:
+                    self._built[key] = str(exc)
+            entry = self._built[key]
+            if isinstance(entry, str):
+                result.skipped.append(entry)
+            else:
+                yield (spec, *entry)
 
 
 def default_catalog(max_order: int) -> Catalog:
@@ -107,26 +136,23 @@ def default_catalog(max_order: int) -> Catalog:
     return Catalog(unique, max_order)
 
 
-def _timed(result: VerificationResult, t0: float) -> VerificationResult:
-    result.elapsed = time.perf_counter() - t0
-    result.passed = not result.counterexamples
-    return result
+def _timed(verifier):
+    """Time a verifier and mark its result passed iff it found no counterexample."""
 
+    @functools.wraps(verifier)
+    def run(*args, **kwargs) -> VerificationResult:
+        t0 = time.perf_counter()
+        result = verifier(*args, **kwargs)
+        result.elapsed = time.perf_counter() - t0
+        result.passed = not result.counterexamples
+        return result
 
-def _built_graphs(catalog: Catalog, result: VerificationResult, vertex_cap: int):
-    """Realize + build each catalog group, recording cap hits as skips."""
-    out = []
-    for spec in catalog.specs:
-        try:
-            group = spec.realize()
-            out.append((spec, group, build(group, vertex_cap)))
-        except (VertexCapExceeded, SkippedSizeCap) as exc:
-            result.skipped.append(f"{spec.descriptor}: {exc}")
-    return out
+    return run
 
 
 # --- individual theorem checks ------------------------------------------------
 
+@_timed
 def verify_iso_invariance(
     group: FiniteGroup,
     trials: int,
@@ -134,12 +160,10 @@ def verify_iso_invariance(
     iso_size_cap: int = DEFAULT_ISO_SIZE_CAP,
 ) -> VerificationResult:
     """Random relabelings of a group must yield isomorphic intersection graphs."""
-    t0 = time.perf_counter()
     res = VerificationResult(
         "thm13-iso-invariance",
         f"{group.descriptor}, {trials} seeded relabelings",
         groups_tested=trials,
-        passed=True,
     )
     base = build(group)
     rng = random.Random(seed)
@@ -157,9 +181,10 @@ def verify_iso_invariance(
             res.counterexamples.append(
                 (group.descriptor, "isomorphic graphs", f"trial {t} not isomorphic")
             )
-    return _timed(res, t0)
+    return res
 
 
+@_timed
 def verify_iso_invariance_catalog(
     catalog: Catalog,
     trials: int = 20,
@@ -168,49 +193,37 @@ def verify_iso_invariance_catalog(
     iso_size_cap: int = DEFAULT_ISO_SIZE_CAP,
     vertex_cap: int = 5000,
 ) -> VerificationResult:
-    t0 = time.perf_counter()
     res = VerificationResult(
         "thm13-iso-invariance",
         f"first {groups} catalog groups with 2..{iso_size_cap} vertices, "
         f"{trials} relabelings each (catalog max order {catalog.max_order})",
-        groups_tested=0,
-        passed=True,
     )
-    picked = 0
-    for spec in catalog:
-        if picked >= groups:
-            break
-        group = spec.realize()
-        try:
-            ig = build(group, vertex_cap)
-        except VertexCapExceeded as exc:
-            res.skipped.append(f"{spec.descriptor}: {exc}")
-            continue
+    # stop at the last pick: the lazy pass builds nothing beyond it
+    for spec, group, ig in catalog.graphs(res, vertex_cap) if groups > 0 else ():
         if not (2 <= ig.n <= iso_size_cap):
             continue
-        picked += 1
         res.groups_tested += 1
-        sub = verify_iso_invariance(group, trials, seed + picked, iso_size_cap)
+        sub = verify_iso_invariance(group, trials, seed + res.groups_tested, iso_size_cap)
         res.counterexamples.extend(sub.counterexamples)
         res.skipped.extend(sub.skipped)
-    return _timed(res, t0)
+        if res.groups_tested == groups:
+            break
+    return res
 
 
+@_timed
 def verify_totally_disconnected(catalog: Catalog, vertex_cap: int = 5000) -> VerificationResult:
     """Edge-free graph <-> every non-identity element has prime order.
 
     Groups whose graph has fewer than 2 vertices are excluded (the forward
     direction silently assumes two subgroups exist); exclusions are counted.
     """
-    t0 = time.perf_counter()
     res = VerificationResult(
         "thm14-totally-disconnected",
         f"default catalog, order <= {catalog.max_order}, graphs with >= 2 vertices",
-        groups_tested=0,
-        passed=True,
     )
     excluded = 0
-    for spec, group, ig in _built_graphs(catalog, res, vertex_cap):
+    for spec, group, ig in catalog.graphs(res, vertex_cap):
         if ig.n < 2:
             excluded += 1
             continue
@@ -230,20 +243,18 @@ def verify_totally_disconnected(catalog: Catalog, vertex_cap: int = 5000) -> Ver
                 )
             )
     res.notes = f"excluded {excluded} groups with < 2 vertices"
-    return _timed(res, t0)
+    return res
 
 
+@_timed
 def verify_complete(catalog: Catalog, vertex_cap: int = 5000) -> VerificationResult:
     """Complete graph <-> unique proper subgroup of prime order (nonempty graphs);
     plus the exact vertex-count formulas for cyclic p-power and quaternion groups."""
-    t0 = time.perf_counter()
     res = VerificationResult(
         "thm15-complete",
         f"default catalog, order <= {catalog.max_order}, nonempty graphs",
-        groups_tested=0,
-        passed=True,
     )
-    for spec, group, ig in _built_graphs(catalog, res, vertex_cap):
+    for spec, group, ig in catalog.graphs(res, vertex_cap):
         if ig.n == 0:
             continue
         res.groups_tested += 1
@@ -272,29 +283,24 @@ def verify_complete(catalog: Catalog, vertex_cap: int = 5000) -> VerificationRes
                         (spec.descriptor, f"complete K_{want}",
                          f"complete={complete}, vertices={ig.n}")
                     )
-    return _timed(res, t0)
+    return res
 
 
-def verify_planarity_classification(max_order: int, vertex_cap: int = 5000) -> VerificationResult:
+@_timed
+def verify_planarity_classification(catalog: Catalog, vertex_cap: int = 5000) -> VerificationResult:
     """Planar graph <-> the group is one of the five listed abelian families,
-    over every non-cyclic abelian group up to the order bound."""
-    t0 = time.perf_counter()
+    over every non-cyclic abelian group of the catalog."""
     res = VerificationResult(
         "thm16-planarity",
-        f"all non-cyclic abelian groups of order <= {max_order}",
-        groups_tested=0,
-        passed=True,
+        f"all non-cyclic abelian groups of order <= {catalog.max_order}",
     )
     specs = [
-        s
-        for n in range(4, max_order + 1)
-        for s in abelian_groups_of_order(n)
-        if not is_cyclic_spec(s)
+        s for s in catalog if abelian_prime_signature(s) is not None and not is_cyclic_spec(s)
     ]
-    for spec in specs:
+    for spec, _, ig in catalog.graphs(res, vertex_cap, specs):
         try:
-            planar = is_planar(build(spec.realize(), vertex_cap).graph)
-        except (VertexCapExceeded, SkippedSizeCap) as exc:
+            planar = is_planar(ig.graph)
+        except SkippedSizeCap as exc:
             res.skipped.append(f"{spec.descriptor}: {exc}")
             continue
         res.groups_tested += 1
@@ -303,19 +309,17 @@ def verify_planarity_classification(max_order: int, vertex_cap: int = 5000) -> V
             res.counterexamples.append(
                 (spec.descriptor, f"planar <-> in classification ({listed})", f"planar={planar}")
             )
-    return _timed(res, t0)
+    return res
 
 
+@_timed
 def verify_star_path_cycle(catalog: Catalog, vertex_cap: int = 5000) -> VerificationResult:
     """Star and path graphs occur exactly for cyclic p^3; a cycle exactly for cyclic p^4."""
-    t0 = time.perf_counter()
     res = VerificationResult(
         "thm345-star-path-cycle",
         f"default catalog, order <= {catalog.max_order}",
-        groups_tested=0,
-        passed=True,
     )
-    for spec, group, ig in _built_graphs(catalog, res, vertex_cap):
+    for spec, group, ig in catalog.graphs(res, vertex_cap):
         res.groups_tested += 1
         shapes = shape_checks(ig.graph)
         pp = prime_power(spec.params[0]) if spec.kind == "cyclic" else None
@@ -326,24 +330,22 @@ def verify_star_path_cycle(catalog: Catalog, vertex_cap: int = 5000) -> Verifica
                 res.counterexamples.append(
                     (spec.descriptor, f"{shape}={expect}", f"{shape}={shapes[shape]}")
                 )
-    return _timed(res, t0)
+    return res
 
 
+@_timed
 def verify_girth(catalog: Catalog, vertex_cap: int = 5000) -> VerificationResult:
     """girth is always 3 or infinity."""
-    t0 = time.perf_counter()
     res = VerificationResult(
         "cor-c1-girth",
         f"default catalog, order <= {catalog.max_order}",
-        groups_tested=0,
-        passed=True,
     )
-    for spec, group, ig in _built_graphs(catalog, res, vertex_cap):
+    for spec, group, ig in catalog.graphs(res, vertex_cap):
         res.groups_tested += 1
         gv = girth(ig.graph)
         if gv != 3 and gv != INFINITY:
             res.counterexamples.append((spec.descriptor, "girth in {3, inf}", f"girth={gv}"))
-    return _timed(res, t0)
+    return res
 
 
 def _order_in_small_set(m: int) -> bool:
@@ -380,22 +382,20 @@ def subgroup_condition(ig: IntersectionGraph, reading: str) -> bool:
     return clause_a and clause_b
 
 
+@_timed
 def verify_acyclic_equivalences(catalog: Catalog, vertex_cap: int = 5000) -> VerificationResult:
     """acyclic <-> bipartite <-> triangle-free on every catalog graph.
 
     The subgroup-side condition is reported under both quantifier readings
     (notes field) without being part of the pass criterion.
     """
-    t0 = time.perf_counter()
     res = VerificationResult(
         "thm7-acyclic-equivalences",
         f"default catalog, order <= {catalog.max_order}",
-        groups_tested=0,
-        passed=True,
     )
     match = {"some": 0, "every": 0}
     mismatch_examples = {"some": [], "every": []}
-    for spec, _, ig in _built_graphs(catalog, res, vertex_cap):
+    for spec, _, ig in catalog.graphs(res, vertex_cap):
         res.groups_tested += 1
         acyclic = is_acyclic(ig.graph)
         bipartite = is_bipartite(ig.graph)
@@ -420,23 +420,21 @@ def verify_acyclic_equivalences(catalog: Catalog, vertex_cap: int = 5000) -> Ver
             s += f" (first mismatches: {', '.join(mismatch_examples[reading])})"
         parts.append(s)
     res.notes = "; ".join(parts)
-    return _timed(res, t0)
+    return res
 
 
+@_timed
 def verify_alpha_theta(
     catalog: Catalog,
     vertex_cap: int = 5000,
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> VerificationResult:
     """independence number = clique cover number = number of prime-order subgroups."""
-    t0 = time.perf_counter()
     res = VerificationResult(
         "thm8-300-alpha-theta",
         f"default catalog, order <= {catalog.max_order}, within solver caps",
-        groups_tested=0,
-        passed=True,
     )
-    for spec, group, ig in _built_graphs(catalog, res, vertex_cap):
+    for spec, group, ig in catalog.graphs(res, vertex_cap):
         m = sum(1 for v in ig.vertices if is_prime(v.order))
         try:
             alpha = independence_number(ig.graph, node_budget)
@@ -449,21 +447,19 @@ def verify_alpha_theta(
             res.counterexamples.append(
                 (spec.descriptor, f"alpha == theta == m ({m})", f"alpha={alpha}, theta={theta}")
             )
-    return _timed(res, t0)
+    return res
 
 
+@_timed
 def verify_regular_zn(max_n: int) -> VerificationResult:
     """Regular graph <-> n is p^alpha with alpha >= 2, over nonempty Z_n graphs.
 
     Uses the divisor-gcd representation of the Z_n graph (validated against
     the element-level build elsewhere in the suite).
     """
-    t0 = time.perf_counter()
     res = VerificationResult(
         "t24-regular-zn",
         f"Z(n) for n <= {max_n} with nonempty graph",
-        groups_tested=0,
-        passed=True,
     )
     for n in range(2, max_n + 1):
         ds, g = zn_divisor_graph(n)
@@ -477,7 +473,7 @@ def verify_regular_zn(max_n: int) -> VerificationResult:
             res.counterexamples.append(
                 (f"Z({n})", f"regular <-> prime power ({expect})", f"regular={regular}")
             )
-    return _timed(res, t0)
+    return res
 
 
 def zn_expected_degree(n: int, d: int) -> int:
@@ -490,13 +486,11 @@ def zn_expected_degree(n: int, d: int) -> int:
     return tau(n) - 2 - coprime
 
 
+@_timed
 def verify_degree_formula_zn(max_n: int) -> VerificationResult:
-    t0 = time.perf_counter()
     res = VerificationResult(
         "t24-degree-formula-zn",
         f"Z(n) for n <= {max_n}, every vertex",
-        groups_tested=0,
-        passed=True,
     )
     for n in range(2, max_n + 1):
         ds, g = zn_divisor_graph(n)
@@ -510,18 +504,16 @@ def verify_degree_formula_zn(max_n: int) -> VerificationResult:
                 res.counterexamples.append(
                     (f"Z({n})", f"deg(order-{d} vertex) = {want}", f"deg={got}")
                 )
-    return _timed(res, t0)
+    return res
 
 
+@_timed
 def verify_domination_zn(max_n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> VerificationResult:
     """Domination number of the Z_n graph: 1 when some exponent exceeds 1,
     2 when n is squarefree with >= 2 prime factors; primes are skipped."""
-    t0 = time.perf_counter()
     res = VerificationResult(
         "t22-domination-zn",
         f"Z(n) for composite n <= {max_n}",
-        groups_tested=0,
-        passed=True,
     )
     for n in range(4, max_n + 1):
         fact = factorize(n)
@@ -539,24 +531,28 @@ def verify_domination_zn(max_n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> 
             continue
         if gamma != expect:
             res.counterexamples.append((f"Z({n})", f"gamma={expect}", f"gamma={gamma}"))
-    return _timed(res, t0)
+    return res
 
 
 # --- registry -------------------------------------------------------------------
 
-THEOREM_IDS = (
-    "thm13-iso-invariance",
-    "thm14-totally-disconnected",
-    "thm15-complete",
-    "thm16-planarity",
-    "thm345-star-path-cycle",
-    "cor-c1-girth",
-    "thm7-acyclic-equivalences",
-    "thm8-300-alpha-theta",
-    "t24-regular-zn",
-    "t24-degree-formula-zn",
-    "t22-domination-zn",
-)
+#: theorem id -> (verifier, the run inputs it takes by name), in report order
+VERIFIERS: dict[str, tuple[Callable[..., VerificationResult], tuple[str, ...]]] = {
+    "thm13-iso-invariance": (
+        verify_iso_invariance_catalog, ("catalog", "seed", "iso_size_cap", "vertex_cap")
+    ),
+    "thm14-totally-disconnected": (verify_totally_disconnected, ("catalog", "vertex_cap")),
+    "thm15-complete": (verify_complete, ("catalog", "vertex_cap")),
+    "thm16-planarity": (verify_planarity_classification, ("catalog", "vertex_cap")),
+    "thm345-star-path-cycle": (verify_star_path_cycle, ("catalog", "vertex_cap")),
+    "cor-c1-girth": (verify_girth, ("catalog", "vertex_cap")),
+    "thm7-acyclic-equivalences": (verify_acyclic_equivalences, ("catalog", "vertex_cap")),
+    "thm8-300-alpha-theta": (verify_alpha_theta, ("catalog", "vertex_cap", "node_budget")),
+    "t24-regular-zn": (verify_regular_zn, ("max_n",)),
+    "t24-degree-formula-zn": (verify_degree_formula_zn, ("max_n",)),
+    "t22-domination-zn": (verify_domination_zn, ("max_n", "node_budget")),
+}
+THEOREM_IDS = tuple(VERIFIERS)
 
 
 def run_verifiers(
@@ -575,20 +571,16 @@ def run_verifiers(
         for tid in ids:
             if tid not in THEOREM_IDS:
                 raise UnknownTheoremId(tid)
-    catalog = default_catalog(max_order)
-    dispatch: dict[str, Callable[[], VerificationResult]] = {
-        "thm13-iso-invariance": lambda: verify_iso_invariance_catalog(
-            catalog, seed=seed, iso_size_cap=iso_size_cap, vertex_cap=vertex_cap
-        ),
-        "thm14-totally-disconnected": lambda: verify_totally_disconnected(catalog, vertex_cap),
-        "thm15-complete": lambda: verify_complete(catalog, vertex_cap),
-        "thm16-planarity": lambda: verify_planarity_classification(max_order, vertex_cap),
-        "thm345-star-path-cycle": lambda: verify_star_path_cycle(catalog, vertex_cap),
-        "cor-c1-girth": lambda: verify_girth(catalog, vertex_cap),
-        "thm7-acyclic-equivalences": lambda: verify_acyclic_equivalences(catalog, vertex_cap),
-        "thm8-300-alpha-theta": lambda: verify_alpha_theta(catalog, vertex_cap, node_budget),
-        "t24-regular-zn": lambda: verify_regular_zn(max_n),
-        "t24-degree-formula-zn": lambda: verify_degree_formula_zn(max_n),
-        "t22-domination-zn": lambda: verify_domination_zn(max_n, node_budget),
+    # one catalog, and so one memo of builds, is shared by every verifier of the run
+    inputs = {
+        "catalog": default_catalog(max_order),
+        "max_n": max_n,
+        "seed": seed,
+        "vertex_cap": vertex_cap,
+        "node_budget": node_budget,
+        "iso_size_cap": iso_size_cap,
     }
-    return [dispatch[tid]() for tid in ids]
+    return [
+        verifier(**{name: inputs[name] for name in names})
+        for verifier, names in (VERIFIERS[tid] for tid in ids)
+    ]

@@ -93,7 +93,7 @@ def test_criterion_01_complete_graph_formulas():
 
 def test_criterion_02_planarity_classification():
     t0 = time.perf_counter()
-    res = verify_planarity_classification(200)
+    res = verify_planarity_classification(default_catalog(200))
     elapsed = time.perf_counter() - t0
     # Z(p^2)xZ(p^2) has p+1 subgroups of order p and p(p+1) cyclic subgroups
     # of order p^2, each containing exactly one of the former: the graph is

@@ -185,6 +185,7 @@ class TestVerify:
         assert iso["groups_tested"] > 0 and len(iso["skipped"]) == 27
         assert iso["skipped"] == girth["skipped"]
         assert iso["skipped"][0].startswith("D(3): ")
+        assert iso["skipped"][0] == "D(3): 4 vertices exceeds cap 3"
 
     def test_json_matches_schema(self, capsys):
         rc, out = run(
@@ -253,4 +254,13 @@ class TestUsage:
         err = capsys.readouterr().err
         assert exc.value.code == EXIT_USAGE
         assert "error: argument --max-order: must be >= 2" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["1", "-5"])
+    def test_max_n_below_two(self, capsys, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "t24-regular-zn", "--max-n", value])
+        err = capsys.readouterr().err
+        assert exc.value.code == EXIT_USAGE
+        assert f"error: argument --max-n: must be >= 2, got {value}" in err
         assert "Traceback" not in err

@@ -1,9 +1,15 @@
+import json
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
 from conftest import distinct_prime_pairs
+from cycgraph import theorems
 from cycgraph.errors import UnknownTheoremId
+from cycgraph.invariants import DEFAULT_ISO_SIZE_CAP
 from cycgraph.groups import alternating, cyclic
-from cycgraph.specs import parse_spec
+from cycgraph.specs import GroupSpec, abelian_groups_of_order, is_cyclic_spec, parse_spec
 from cycgraph.theorems import (
     THEOREM_IDS,
     default_catalog,
@@ -120,9 +126,9 @@ class TestVerifiers:
 
     def test_planarity_classification_counterexample(self):
         # Z9 x Z9 falls outside the claimed planar list yet its graph is 4*K4
-        res = verify_planarity_classification(80)
+        res = verify_planarity_classification(default_catalog(80))
         assert res.passed
-        res = verify_planarity_classification(150)
+        res = verify_planarity_classification(default_catalog(150))
         assert not res.passed
         assert [c[0] for c in res.counterexamples] == ["Z(9)xZ(9)"]
 
@@ -162,16 +168,8 @@ class TestRunVerifiers:
         assert [r.theorem_id for r in results] == list(THEOREM_IDS)
 
     def test_deterministic(self):
-        def strip(results):
-            out = []
-            for r in results:
-                d = r.to_dict()
-                d.pop("elapsed_s")
-                out.append(d)
-            return out
-
-        a = strip(run_verifiers("all", max_order=30, max_n=200, seed=4))
-        b = strip(run_verifiers("all", max_order=30, max_n=200, seed=4))
+        a = _without_timings(run_verifiers("all", max_order=30, max_n=200, seed=4))
+        b = _without_timings(run_verifiers("all", max_order=30, max_n=200, seed=4))
         assert a == b
 
     def test_counterexamples_are_realizable(self):
@@ -186,3 +184,101 @@ class TestRunVerifiers:
             "theorem_id", "domain", "groups_tested", "passed",
             "counterexamples", "skipped", "elapsed_s", "notes",
         }
+
+
+def _without_timings(results):
+    out = []
+    for r in results:
+        d = r.to_dict()
+        d.pop("elapsed_s")
+        out.append(d)
+    return out
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """Count realizations and builds per descriptor, in call order.
+
+    Only the outermost realize of a spec counts: a product realizes its
+    factors on the way, which is not a catalog realization."""
+    record = {"realize": Counter(), "build": [], "depth": 0}
+    realize, build_ = GroupSpec.realize, theorems.build
+
+    def counting_realize(spec, *args, **kwargs):
+        if record["depth"] == 0:
+            record["realize"][spec.descriptor] += 1
+        record["depth"] += 1
+        try:
+            return realize(spec, *args, **kwargs)
+        finally:
+            record["depth"] -= 1
+
+    def counting_build(group, *args, **kwargs):
+        ig = build_(group, *args, **kwargs)
+        record["build"].append((group.descriptor, ig.n))
+        return ig
+
+    monkeypatch.setattr(GroupSpec, "realize", counting_realize)
+    monkeypatch.setattr(theorems, "build", counting_build)
+    return record
+
+
+class TestSharedPass:
+    CATALOG_IDS = [
+        tid for tid, (_, inputs) in theorems.VERIFIERS.items() if "catalog" in inputs
+    ]
+
+    def test_all_equals_each_alone(self):
+        together = _without_timings(run_verifiers("all", max_order=60, max_n=300, seed=2))
+        alone = [
+            d
+            for tid in THEOREM_IDS
+            for d in _without_timings(run_verifiers([tid], max_order=60, max_n=300, seed=2))
+        ]
+        assert together == alone
+
+    def test_each_catalog_group_realized_and_built_once(self, built):
+        ids = [tid for tid in self.CATALOG_IDS if tid != "thm13-iso-invariance"]
+        assert len(ids) == 7
+        run_verifiers(ids, max_order=60)
+        once = {s.descriptor: 1 for s in default_catalog(60)}
+        assert built["realize"] == once
+        assert Counter(d for d, _ in built["build"]) == once
+
+    def test_iso_invariance_alone_builds_up_to_its_last_pick(self, built):
+        run_verifiers(["thm13-iso-invariance"], max_order=100)
+        descs = [s.descriptor for s in default_catalog(100)]
+        # the catalog builds come first in each pick, then the base graph and
+        # 20 relabelings inside the per-group check
+        catalog_builds = [(d, n) for d, n in built["build"] if d in descs]
+        first = list(dict.fromkeys(d for d, _ in catalog_builds))
+        assert first == descs[: len(first)]
+        picks = [d for d, n in dict(catalog_builds).items() if 2 <= n <= DEFAULT_ISO_SIZE_CAP]
+        assert len(picks) == 10 and first[-1] == picks[-1]
+        assert set(built["realize"]) == set(first)
+
+    def test_planarity_alone_builds_only_noncyclic_abelian(self, built):
+        run_verifiers(["thm16-planarity"], max_order=100)
+        want = Counter(
+            s.descriptor
+            for n in range(4, 101)
+            for s in abelian_groups_of_order(n)
+            if not is_cyclic_spec(s)
+        )
+        assert Counter(d for d, _ in built["build"]) == want
+        assert built["realize"] == want
+
+
+def test_verify_all_matches_frozen_sweep_report():
+    """The multi-verifier path against the frozen single-verifier benchmark
+    report: everything but timings, with skips as counts."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "expected" / "verify-sweep.json"
+    expected = json.loads(path.read_text())
+    results = run_verifiers("all", max_order=100, max_n=2000, seed=1)
+    got = []
+    for d in _without_timings(results):
+        d["skipped"] = len(d["skipped"])
+        got.append(d)
+    assert got == expected["results"]
+    assert all(r.passed for r in results) == expected["all_passed"]
+    assert (expected["max_order"], expected["max_n"]) == (100, 2000)
