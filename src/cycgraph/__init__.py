@@ -51,7 +51,6 @@ from .subgroups import (
 from .graphs import Graph, IntersectionGraph, build, zn_divisor_graph
 from .invariants import (
     InvariantReport,
-    chromatic_number,
     clique_cover_number,
     component_structure,
     compute_report,

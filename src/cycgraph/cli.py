@@ -73,10 +73,8 @@ def cmd_analyze(args) -> int:
             ],
         }
         _write_out(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    elif args.format == "text":
-        _write_out(_render_report_text(ig, report), args.out)
     else:
-        raise SpecParseError(f"analyze supports text/json output, not {args.format!r}")
+        _write_out(_render_report_text(ig, report), args.out)
     return EXIT_OK
 
 
@@ -112,8 +110,6 @@ def render_json(ig: IntersectionGraph) -> str:
 def cmd_export(args) -> int:
     ig = _build_from_spec(args.spec, args.vertex_cap)
     renderers = {"dot": render_dot, "csv": render_csv, "json": render_json}
-    if args.format not in renderers:
-        raise SpecParseError(f"export supports dot/csv/json, not {args.format!r}")
     _write_out(renderers[args.format](ig), args.out)
     return EXIT_OK
 
@@ -191,9 +187,10 @@ def _at_least(lo: int):
     return parse
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, node_budget: bool = False) -> None:
     p.add_argument("--vertex-cap", type=_at_least(1), default=DEFAULT_VERTEX_CAP)
-    p.add_argument("--node-budget", type=_at_least(1), default=DEFAULT_NODE_BUDGET)
+    if node_budget:
+        p.add_argument("--node-budget", type=_at_least(1), default=DEFAULT_NODE_BUDGET)
     p.add_argument("--out", default=None, help="write output to this file instead of stdout")
 
 
@@ -208,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("analyze", help="full invariant report for one group")
     p.add_argument("spec", help='group spec, e.g. "Z(4)xZ(2)", "Q(8)", "file:cayley:g.txt"')
     p.add_argument("--format", choices=["text", "json"], default="text")
-    _add_common(p)
+    _add_common(p, node_budget=True)
     p.set_defaults(func=cmd_analyze)
 
     p = subs.add_parser("verify", help="run theorem verifiers over the group catalog")
@@ -217,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=_at_least(2), default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["text", "json"], default="text")
-    _add_common(p)
+    _add_common(p, node_budget=True)
     p.set_defaults(func=cmd_verify)
 
     p = subs.add_parser("export", help="export the intersection graph of one group")

@@ -38,7 +38,8 @@ class VertexCapExceeded(CycgraphError):
 
 
 class SkippedSizeCap(CycgraphError):
-    """An exact solver refused an instance above its size/node budget."""
+    """An exact solver gave up: a size cap or node budget was hit, or the
+    certificate the solver relies on does not exist for this graph."""
 
 
 class EmptyGraphError(CycgraphError):

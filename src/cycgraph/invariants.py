@@ -1,10 +1,13 @@
-"""Exact graph invariants: shape predicates, girth, and branch-and-bound solvers.
+"""Exact graph invariants: shape predicates, girth, and certified solvers.
 
-All NP-hard solvers are exact-or-skip: when a node budget or size cap is hit
-they raise :class:`SkippedSizeCap` instead of returning an approximation.
-Independence and clique cover numbers are first tried with a simplicial-cover
-certificate, and the domination number with a 2-packing certificate; each is
-checked against the graph, and only when none is found does the search run.
+Every solver is exact-or-skip: it returns the exact value or raises
+:class:`SkippedSizeCap`, never an approximation.  Independence and clique
+cover numbers come from a simplicial-cover certificate alone: every
+intersection graph of cyclic subgroups has one, since a vertex is simplicial
+exactly when it contains one prime-order subgroup, and any other graph is
+skipped, not searched.  The domination number is first tried with a
+2-packing certificate and falls back to a node-budgeted search.  Each
+certificate is checked against the graph.
 """
 
 from __future__ import annotations
@@ -161,22 +164,6 @@ class _Budget:
             raise SkippedSizeCap("solver node budget exhausted")
 
 
-def _greedy_clique_partition(adj: list[int], cand: int) -> int:
-    """Number of cliques in a greedy clique partition of the candidate set."""
-    cnt = 0
-    rem = cand
-    while rem:
-        v = (rem & -rem).bit_length() - 1
-        rem ^= 1 << v
-        grow = rem & adj[v]
-        while grow:
-            u = (grow & -grow).bit_length() - 1
-            rem ^= 1 << u
-            grow = grow & adj[u] & ~(1 << u)
-        cnt += 1
-    return cnt
-
-
 def simplicial_cover(g: Graph) -> int | None:
     """alpha = theta = k by a checked certificate, or None when none is found.
 
@@ -185,6 +172,13 @@ def simplicial_cover(g: Graph) -> int | None:
     vertex lies outside the closed neighbourhoods taken before it, so the k
     taken vertices are independent (alpha >= k); when their k cliques cover
     every vertex, theta <= k.  As alpha <= theta on every graph, both equal k.
+
+    In an intersection graph of cyclic subgroups two vertices meet iff they
+    share a prime-order subgroup (a cyclic group has one of each prime order),
+    so a vertex is simplicial iff it contains exactly one prime-order subgroup
+    P, and then its closed neighbourhood is C_P = {H : P <= H}.  Each P is
+    itself such a vertex, so the cover always exists there, with k the number
+    of prime-order subgroups.
     """
     adj = g.adj
     covered = 0
@@ -197,156 +191,23 @@ def simplicial_cover(g: Graph) -> int | None:
     return k if covered == (1 << g.n) - 1 else None
 
 
-def independence_number(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
-    """Exact maximum independent set size: the simplicial-cover certificate when
-    it exists, else branch and bound."""
+def _certified_cover(g: Graph) -> int:
     k = simplicial_cover(g)
-    return k if k is not None else _independence_search(g, node_budget)
+    if k is None:
+        raise SkippedSizeCap("no simplicial-cover certificate")
+    return k
 
 
-def _independence_search(g: Graph, node_budget: int) -> int:
-    """Exact maximum independent set size by branch and bound.
-
-    Branches on a maximum-degree vertex of the candidate set (ties broken by
-    index); the upper bound is a greedy clique partition of the candidates.
-    """
-    n = g.n
-    if n == 0:
-        return 0
-    adj = g.adj
-    budget = _Budget(node_budget)
-
-    # greedy lower bound: repeatedly take a minimum-degree candidate
-    best = 0
-    rem = (1 << n) - 1
-    while rem:
-        v = min(bits(rem), key=lambda u: (adj[u] & rem).bit_count())
-        best += 1
-        rem &= ~(adj[v] | 1 << v)
-
-    def solve(cand: int, size: int) -> None:
-        nonlocal best
-        budget.spend()
-        if size + cand.bit_count() <= best:
-            return
-        # closing rule: if max degree within cand <= 1 the rest is forced
-        pick, maxdeg = -1, -1
-        edges2 = 0
-        for v in bits(cand):
-            d = (adj[v] & cand).bit_count()
-            edges2 += d
-            if d > maxdeg:
-                pick, maxdeg = v, d
-        if maxdeg <= 1:
-            total = size + cand.bit_count() - edges2 // 2
-            if total > best:
-                best = total
-            return
-        if size + _greedy_clique_partition(adj, cand) <= best:
-            return
-        bit = 1 << pick
-        solve(cand & ~(adj[pick] | bit), size + 1)
-        solve(cand & ~bit, size)
-
-    solve((1 << n) - 1, 0)
-    return best
+def independence_number(g: Graph) -> int:
+    """Exact maximum independent set size, by the simplicial-cover certificate;
+    raises SkippedSizeCap on a graph without one."""
+    return _certified_cover(g)
 
 
-def _greedy_clique(g: Graph) -> int:
-    """Size of a greedily grown clique (a chromatic lower bound for g)."""
-    best = 0
-    for s in range(g.n):
-        size = 1
-        cand = g.adj[s]
-        while cand:
-            v = max(bits(cand), key=lambda u: (g.adj[u] & cand).bit_count())
-            size += 1
-            cand &= g.adj[v]
-        best = max(best, size)
-    return best
-
-
-def _dsatur_greedy(g: Graph) -> int:
-    """Number of colors used by the DSATUR greedy heuristic (an upper bound)."""
-    n = g.n
-    if n == 0:
-        return 0
-    color = [-1] * n
-    neighbor_colors: list[set[int]] = [set() for _ in range(n)]
-    used = 0
-    for _ in range(n):
-        v = max(
-            (u for u in range(n) if color[u] == -1),
-            key=lambda u: (len(neighbor_colors[u]), g.adj[u].bit_count(), -u),
-        )
-        c = 0
-        while c in neighbor_colors[v]:
-            c += 1
-        color[v] = c
-        used = max(used, c + 1)
-        for w in bits(g.adj[v]):
-            neighbor_colors[w].add(c)
-    return used
-
-
-def chromatic_number(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
-    """Exact chromatic number via saturation-ordered branch and bound."""
-    total = 0
-    for mask in g.component_masks():
-        comp = g.subgraph(list(bits(mask)))
-        total = max(total, _chromatic_connected(comp, node_budget))
-    return total
-
-
-def _chromatic_connected(g: Graph, node_budget: int) -> int:
-    n = g.n
-    if n == 0:
-        return 0
-    lower = _greedy_clique(g)
-    best = _dsatur_greedy(g)
-    if best <= lower:
-        return best
-    budget = _Budget(node_budget)
-    color = [-1] * n
-    adj = g.adj
-
-    def dfs(colored: int, used: int) -> None:
-        nonlocal best
-        if used >= best or best <= lower:
-            return
-        budget.spend()
-        if colored == n:
-            best = used
-            return
-        # DSATUR choice: max saturation, then max degree, then index
-        pick, key = -1, (-1, -1, 0)
-        for v in range(n):
-            if color[v] != -1:
-                continue
-            sat = len({color[w] for w in bits(adj[v]) if color[w] != -1})
-            k = (sat, adj[v].bit_count(), -v)
-            if k > key:
-                pick, key = v, k
-        forbidden = {color[w] for w in bits(adj[pick]) if color[w] != -1}
-        for c in range(used):
-            if c not in forbidden:
-                color[pick] = c
-                dfs(colored + 1, used)
-                color[pick] = -1
-        if used + 1 < best:
-            color[pick] = used
-            dfs(colored + 1, used + 1)
-            color[pick] = -1
-
-    dfs(0, 0)
-    return best
-
-
-def clique_cover_number(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
-    """Exact clique cover number: the simplicial-cover certificate when it
-    exists, else the chromatic number of the complement."""
-    k = simplicial_cover(g)
-    return k if k is not None else chromatic_number(g.complement(), node_budget)
+def clique_cover_number(g: Graph) -> int:
+    """Exact clique cover number, by the simplicial-cover certificate; raises
+    SkippedSizeCap on a graph without one."""
+    return _certified_cover(g)
 
 
 def _two_packing(closed: list[int]) -> list[int]:
@@ -547,7 +408,8 @@ class InvariantReport:
 
 
 def compute_report(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> InvariantReport:
-    """All invariants of one graph, with per-invariant skip markers."""
+    """All invariants of one graph, with per-invariant skip markers; the node
+    budget bounds the domination search."""
     from .planarity import is_planar  # local import to avoid a cycle
 
     report = InvariantReport(
@@ -577,7 +439,7 @@ def compute_report(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> Invarian
         ("clique_cover_number", clique_cover_number),
     ):
         try:
-            setattr(report, name, fn(g, node_budget))
+            setattr(report, name, fn(g))
         except SkippedSizeCap as exc:
             report.notes[name] = str(exc)
     try:

@@ -160,12 +160,17 @@ def verify_iso_invariance(
     iso_size_cap: int = DEFAULT_ISO_SIZE_CAP,
 ) -> VerificationResult:
     """Random relabelings of a group must yield isomorphic intersection graphs."""
+    return _relabelings_isomorphic(group, build(group), trials, seed, iso_size_cap)
+
+
+def _relabelings_isomorphic(
+    group: FiniteGroup, base: IntersectionGraph, trials: int, seed: int, iso_size_cap: int
+) -> VerificationResult:
     res = VerificationResult(
         "thm13-iso-invariance",
         f"{group.descriptor}, {trials} seeded relabelings",
         groups_tested=trials,
     )
-    base = build(group)
     rng = random.Random(seed)
     n = group.order
     for t in range(trials):
@@ -203,7 +208,7 @@ def verify_iso_invariance_catalog(
         if not (2 <= ig.n <= iso_size_cap):
             continue
         res.groups_tested += 1
-        sub = verify_iso_invariance(group, trials, seed + res.groups_tested, iso_size_cap)
+        sub = _relabelings_isomorphic(group, ig, trials, seed + res.groups_tested, iso_size_cap)
         res.counterexamples.extend(sub.counterexamples)
         res.skipped.extend(sub.skipped)
         if res.groups_tested == groups:
@@ -424,11 +429,7 @@ def verify_acyclic_equivalences(catalog: Catalog, vertex_cap: int = 5000) -> Ver
 
 
 @_timed
-def verify_alpha_theta(
-    catalog: Catalog,
-    vertex_cap: int = 5000,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> VerificationResult:
+def verify_alpha_theta(catalog: Catalog, vertex_cap: int = 5000) -> VerificationResult:
     """independence number = clique cover number = number of prime-order subgroups."""
     res = VerificationResult(
         "thm8-300-alpha-theta",
@@ -437,8 +438,8 @@ def verify_alpha_theta(
     for spec, group, ig in catalog.graphs(res, vertex_cap):
         m = sum(1 for v in ig.vertices if is_prime(v.order))
         try:
-            alpha = independence_number(ig.graph, node_budget)
-            theta = clique_cover_number(ig.graph, node_budget)
+            alpha = independence_number(ig.graph)
+            theta = clique_cover_number(ig.graph)
         except SkippedSizeCap as exc:
             res.skipped.append(f"{spec.descriptor}: {exc}")
             continue
@@ -547,7 +548,7 @@ VERIFIERS: dict[str, tuple[Callable[..., VerificationResult], tuple[str, ...]]] 
     "thm345-star-path-cycle": (verify_star_path_cycle, ("catalog", "vertex_cap")),
     "cor-c1-girth": (verify_girth, ("catalog", "vertex_cap")),
     "thm7-acyclic-equivalences": (verify_acyclic_equivalences, ("catalog", "vertex_cap")),
-    "thm8-300-alpha-theta": (verify_alpha_theta, ("catalog", "vertex_cap", "node_budget")),
+    "thm8-300-alpha-theta": (verify_alpha_theta, ("catalog", "vertex_cap")),
     "t24-regular-zn": (verify_regular_zn, ("max_n",)),
     "t24-degree-formula-zn": (verify_degree_formula_zn, ("max_n",)),
     "t22-domination-zn": (verify_domination_zn, ("max_n", "node_budget")),

@@ -1,9 +1,10 @@
 """Shared fixtures and independent brute-force oracles for the test suite.
 
-The solvers in cycgraph.invariants are branch-and-bound searches with
-heuristic bounds.  The oracles here deliberately avoid all of that: they
-enumerate subsets (or colourings) directly, so agreement between the two
-is meaningful evidence of correctness.  Likewise the number-theoretic
+The solvers in cycgraph.invariants are greedy certificates (and, for the
+domination number, a bounded search behind one).  The oracles here
+deliberately avoid all of that: they enumerate subsets (or colourings)
+directly, so agreement between the two is meaningful evidence of
+correctness.  Likewise the number-theoretic
 oracle uses plain trial division rather than cycgraph.arith.
 """
 

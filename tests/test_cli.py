@@ -264,3 +264,10 @@ class TestUsage:
         assert exc.value.code == EXIT_USAGE
         assert f"error: argument --max-n: must be >= 2, got {value}" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["export Z(12)", "catalog --max-order 30"])
+    def test_node_budget_only_where_a_search_reads_it(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([*command.split(), "--node-budget", "5"])
+        assert exc.value.code == EXIT_USAGE
+        assert "unrecognized arguments: --node-budget 5" in capsys.readouterr().err

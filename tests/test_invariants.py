@@ -1,4 +1,5 @@
 import random
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -25,9 +26,7 @@ from cycgraph.specs import parse_spec
 from cycgraph.invariants import (
     DEFAULT_NODE_BUDGET,
     INFINITY,
-    _independence_search,
     _two_packing,
-    chromatic_number,
     clique_cover_number,
     component_structure,
     compute_report,
@@ -54,6 +53,12 @@ from cycgraph.theorems import default_catalog
 
 INF = INFINITY
 
+#: non-abelian products outside the default catalog
+PRODUCTS = (
+    "D(4)xZ(2)", "S(3)xS(3)", "Dic(3)xZ(3)", "A(4)xZ(2)",
+    "Q(16)xZ(3)", "D(6)xD(3)", "S(4)xZ(3)", "A(5)xZ(2)",
+)
+
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
     rng = random.Random(seed)
@@ -70,6 +75,36 @@ def petersen() -> Graph:
     inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
     spokes = [(i, i + 5) for i in range(5)]
     return Graph(10, outer + inner + spokes)
+
+
+def assert_alpha_theta_exact_or_skip(g: Graph, msg=None) -> bool:
+    """alpha and theta equal brute force when the simplicial-cover certificate
+    exists, and both raise SkippedSizeCap otherwise; returns whether it exists."""
+    if simplicial_cover(g) is None:
+        for solver in (independence_number, clique_cover_number):
+            with pytest.raises(SkippedSizeCap, match="no simplicial-cover certificate"):
+                solver(g)
+        return False
+    assert independence_number(g) == brute_independence_number(g), msg
+    assert clique_cover_number(g) == brute_clique_cover_number(g), msg
+    return True
+
+
+def alpha_or_skip(g: Graph) -> int | None:
+    try:
+        return independence_number(g)
+    except SkippedSizeCap:
+        return None
+
+
+@pytest.fixture(scope="module")
+def catalog_240_and_products():
+    """(descriptor, group, graph) for default_catalog(240) plus PRODUCTS."""
+    out = []
+    for spec in [*default_catalog(240), *map(parse_spec, PRODUCTS)]:
+        group = spec.realize()
+        out.append((spec.descriptor, group, build(group)))
+    return out
 
 
 @st.composite
@@ -194,16 +229,18 @@ class TestSolvers:
     def test_known_values(self):
         assert independence_number(complete_graph(6)) == 1
         assert independence_number(Graph(7)) == 7
-        assert independence_number(cycle_graph(7)) == 3
         assert clique_cover_number(complete_graph(6)) == 1
         assert clique_cover_number(Graph(7)) == 7
-        assert clique_cover_number(cycle_graph(7)) == 4
+        # C7 (alpha 3, theta 4) has no simplicial vertex: skipped, not searched
+        assert not assert_alpha_theta_exact_or_skip(cycle_graph(7))
         assert domination_number(complete_graph(6)) == 1
         assert domination_number(Graph(7)) == 7
         assert domination_number(cycle_graph(7)) == 3
-        assert chromatic_number(complete_graph(5)) == 5
-        assert chromatic_number(cycle_graph(5)) == 3
-        assert chromatic_number(complete_bipartite(4, 4)) == 2
+        # theta of a complement is the chromatic number: 5, 2, and C5 skipped
+        assert clique_cover_number(complete_graph(5).complement()) == 5
+        assert clique_cover_number(complete_bipartite(4, 4).complement()) == 2
+        with pytest.raises(SkippedSizeCap):
+            clique_cover_number(cycle_graph(5).complement())
 
     def test_group_values(self):
         g = build(cyclic(30)).graph
@@ -223,19 +260,15 @@ class TestSolvers:
             domination_number(Graph(0))
 
     def test_budget_exhaustion_raises(self):
+        # without a certificate alpha and theta skip at once; no budget is spent
         g = random_graph(40, 0.5, seed=1)
-        assert simplicial_cover(g) is None  # so the budget-bound search runs
-        with pytest.raises(SkippedSizeCap):
-            independence_number(g, node_budget=10)
-        with pytest.raises(SkippedSizeCap):
-            clique_cover_number(g, node_budget=10)
+        assert not assert_alpha_theta_exact_or_skip(g)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_against_brute_force(self, seed):
         n = 4 + seed % 8
         g = random_graph(n, 0.15 + (seed % 5) * 0.18, seed)
-        assert independence_number(g) == brute_independence_number(g)
-        assert clique_cover_number(g) == brute_clique_cover_number(g)
+        assert_alpha_theta_exact_or_skip(g)
         assert domination_number(g) == brute_domination_number(g)
 
     def test_catalog_against_brute_force(self, small_catalog_graphs):
@@ -252,7 +285,7 @@ class TestSolvers:
 
 
 class TestSimplicialCover:
-    """The certificate, and the search path it leaves for graphs without one."""
+    """The certificate, and the skip it leaves for graphs without one."""
 
     def test_known_values(self):
         assert simplicial_cover(Graph(0)) == 0
@@ -262,49 +295,47 @@ class TestSimplicialCover:
         assert simplicial_cover(cycle_graph(4)) is None
         # P5 is chordal, but the ends' cliques leave the middle vertex uncovered
         assert simplicial_cover(path_graph(5)) is None
-        assert independence_number(path_graph(5)) == 3
+        with pytest.raises(SkippedSizeCap):
+            independence_number(path_graph(5))
 
-    def test_decides_every_catalog_graph(self):
-        # alpha = theta = number of prime-order subgroups; a graph that falls
-        # back to the search here would only be slower, so make it fail
-        for spec in default_catalog(100):
-            group = spec.realize()
-            k = simplicial_cover(build(group).graph)
-            assert k == prime_order_subgroup_count(group), spec.descriptor
+    def test_decides_every_catalog_graph(self, catalog_240_and_products):
+        # alpha = theta = number of prime-order subgroups; a graph without the
+        # certificate would have alpha and theta skipped, so make it fail
+        for desc, group, ig in catalog_240_and_products:
+            assert simplicial_cover(ig.graph) == prime_order_subgroup_count(group), desc
 
-    def test_certificate_needs_no_budget(self):
-        g = build(cyclic(30)).graph
-        assert independence_number(g, node_budget=0) == 3
-        assert clique_cover_number(g, node_budget=0) == 3
+    def test_simplicial_iff_one_prime_order_subgroup(self, catalog_240_and_products):
+        """The fact the certificate rests on, checked vertex by vertex."""
+        def prime(m):
+            return m > 1 and all(m % d for d in range(2, isqrt(m) + 1))
 
-    def test_search_matches_brute_force_on_catalog(self, small_catalog_graphs):
-        checked = 0
-        for desc, ig in small_catalog_graphs:
+        for desc, _, ig in catalog_240_and_products:
             g = ig.graph
-            if not 0 < g.n <= 16:
-                continue
-            assert _independence_search(g, DEFAULT_NODE_BUDGET) == brute_independence_number(g), desc
-            assert chromatic_number(g.complement()) == brute_clique_cover_number(g), desc
-            checked += 1
-        assert checked >= 20
+            primes = [p.mask for p in ig.vertices if prime(p.order)]
+            for v, h in enumerate(ig.vertices):
+                simplicial = g.is_clique_mask(g.adj[v] | 1 << v)
+                below = sum(1 for p in primes if p | h.mask == h.mask)
+                assert simplicial == (below == 1), (desc, h.generator)
 
     @pytest.mark.parametrize(
         "g", [cycle_graph(5), cycle_graph(7), petersen()], ids=["C5", "C7", "Petersen"]
     )
     def test_fallback_without_certificate(self, g):
-        assert simplicial_cover(g) is None
-        assert independence_number(g) == brute_independence_number(g)
-        assert clique_cover_number(g) == brute_clique_cover_number(g)
+        # alpha and theta are skipped with a note; gamma is still decided
+        assert not assert_alpha_theta_exact_or_skip(g)
+        r = compute_report(g)
+        assert r.independence_number is None and r.clique_cover_number is None
+        assert r.notes["independence_number"] == "no simplicial-cover certificate"
+        assert r.notes["clique_cover_number"] == "no simplicial-cover certificate"
+        assert r.weakly_alpha_perfect is None
+        assert r.domination_number == brute_domination_number(g)
+        assert "domination_number" not in r.notes
 
     def test_fallback_on_random_graphs(self):
         fell_back = 0
         for seed in range(60):
             g = random_graph(5 + seed % 8, 0.2 + (seed % 4) * 0.2, seed)
-            if simplicial_cover(g) is not None:
-                continue
-            fell_back += 1
-            assert independence_number(g) == brute_independence_number(g), seed
-            assert clique_cover_number(g) == brute_clique_cover_number(g), seed
+            fell_back += not assert_alpha_theta_exact_or_skip(g, seed)
         assert fell_back >= 20
 
     @settings(max_examples=100, deadline=None)
@@ -434,18 +465,16 @@ class TestReport:
         g = random_graph(45, 0.5, seed=2)
         r = compute_report(g, node_budget=10)
         assert r.independence_number is None
-        assert "independence_number" in r.notes
+        assert r.notes["independence_number"] == "no simplicial-cover certificate"
+        assert r.notes["domination_number"] == "solver node budget exhausted"
 
 
 class TestProperties:
     @settings(max_examples=60, deadline=None)
     @given(graphs())
     def test_alpha_le_theta_and_brute(self, g):
-        a = independence_number(g)
-        t = clique_cover_number(g)
-        assert a <= t
-        assert a == brute_independence_number(g)
-        assert t == brute_clique_cover_number(g)
+        assert brute_independence_number(g) <= brute_clique_cover_number(g)
+        assert_alpha_theta_exact_or_skip(g)
 
     @settings(max_examples=60, deadline=None)
     @given(graphs())
@@ -473,11 +502,7 @@ class TestProperties:
         rng.shuffle(perm)
         h = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
         assert graph_isomorphic(g, h)
-        assert independence_number(g) == independence_number(h)
+        # the certificate, and whether one exists, does not depend on labels
+        assert alpha_or_skip(g) == alpha_or_skip(h)
         if g.n:
             assert domination_number(g) == domination_number(h)
-
-    @settings(max_examples=40, deadline=None)
-    @given(graphs(max_n=8))
-    def test_chromatic_equals_cover_of_complement(self, g):
-        assert chromatic_number(g) == clique_cover_number(g.complement())

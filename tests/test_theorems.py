@@ -248,14 +248,22 @@ class TestSharedPass:
     def test_iso_invariance_alone_builds_up_to_its_last_pick(self, built):
         run_verifiers(["thm13-iso-invariance"], max_order=100)
         descs = [s.descriptor for s in default_catalog(100)]
-        # the catalog builds come first in each pick, then the base graph and
-        # 20 relabelings inside the per-group check
+        # the catalog builds come first in each pick, then 20 relabelings
+        # inside the per-group check
         catalog_builds = [(d, n) for d, n in built["build"] if d in descs]
         first = list(dict.fromkeys(d for d, _ in catalog_builds))
         assert first == descs[: len(first)]
         picks = [d for d, n in dict(catalog_builds).items() if 2 <= n <= DEFAULT_ISO_SIZE_CAP]
         assert len(picks) == 10 and first[-1] == picks[-1]
         assert set(built["realize"]) == set(first)
+        # each pick reuses its catalog graph as the base: only the relabelings build again
+        assert len(built["build"]) == len(first) + 10 * 20 == 216
+
+    def test_verify_all_build_count(self, built):
+        run_verifiers("all", max_order=200)
+        # 540 catalog groups once each, plus thm13's 20 relabelings of 10 picks
+        assert len(default_catalog(200)) == 540
+        assert len(built["build"]) == 540 + 10 * 20 == 740
 
     def test_planarity_alone_builds_only_noncyclic_abelian(self, built):
         run_verifiers(["thm16-planarity"], max_order=100)
