@@ -13,11 +13,12 @@ certificate is checked against the graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 from .errors import EmptyGraphError, SkippedSizeCap
 from .graphs import Graph, bits
+from .planarity import is_planar
 
 DEFAULT_NODE_BUDGET = 2_000_000
 DEFAULT_ISO_SIZE_CAP = 32
@@ -374,7 +375,7 @@ class InvariantReport:
     has_triangle: bool
     girth: int | float
     component_structure: tuple[tuple[int, bool], ...]
-    is_planar: bool | None = None
+    is_planar: bool
     is_regular: bool | None = None
     independence_number: int | None = None
     clique_cover_number: int | None = None
@@ -383,35 +384,17 @@ class InvariantReport:
     notes: dict[str, str] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        d = {
-            "vertex_count": self.vertex_count,
-            "edge_count": self.edge_count,
-            "is_totally_disconnected": self.is_totally_disconnected,
-            "is_complete": self.is_complete,
-            "is_star": self.is_star,
-            "is_path": self.is_path,
-            "is_cycle": self.is_cycle,
-            "is_bipartite": self.is_bipartite,
-            "is_acyclic": self.is_acyclic,
-            "has_triangle": self.has_triangle,
-            "girth": "inf" if self.girth == INFINITY else self.girth,
-            "component_structure": [list(c) for c in self.component_structure],
-            "is_planar": self.is_planar,
-            "is_regular": self.is_regular,
-            "independence_number": self.independence_number,
-            "clique_cover_number": self.clique_cover_number,
-            "domination_number": self.domination_number,
-            "weakly_alpha_perfect": self.weakly_alpha_perfect,
-            "notes": dict(sorted(self.notes.items())),
-        }
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        if self.girth == INFINITY:
+            d["girth"] = "inf"
+        d["component_structure"] = [list(c) for c in self.component_structure]
+        d["notes"] = dict(sorted(self.notes.items()))
         return d
 
 
 def compute_report(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> InvariantReport:
     """All invariants of one graph, with per-invariant skip markers; the node
     budget bounds the domination search."""
-    from .planarity import is_planar  # local import to avoid a cycle
-
     report = InvariantReport(
         vertex_count=g.n,
         edge_count=g.edge_count(),
@@ -425,31 +408,23 @@ def compute_report(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> Invarian
         has_triangle=has_triangle(g),
         girth=girth(g),
         component_structure=component_structure(g),
+        is_planar=is_planar(g),
     )
-    try:
-        report.is_planar = is_planar(g)
-    except SkippedSizeCap as exc:
-        report.notes["is_planar"] = str(exc)
-    try:
-        report.is_regular = is_regular(g)
-    except EmptyGraphError:
-        report.notes["is_regular"] = "undefined on the empty graph"
-    for name, fn in (
-        ("independence_number", independence_number),
-        ("clique_cover_number", clique_cover_number),
+    # alpha and theta share one certificate, so one solver call sets both fields
+    for names, solver in (
+        (("is_regular",), is_regular),
+        (("independence_number", "clique_cover_number"), _certified_cover),
+        (("domination_number",), lambda h: domination_number(h, node_budget)),
     ):
         try:
-            setattr(report, name, fn(g))
+            value = solver(g)
+        except EmptyGraphError:
+            report.notes.update(dict.fromkeys(names, "undefined on the empty graph"))
         except SkippedSizeCap as exc:
-            report.notes[name] = str(exc)
-    try:
-        report.domination_number = domination_number(g, node_budget)
-    except EmptyGraphError:
-        report.notes["domination_number"] = "undefined on the empty graph"
-    except SkippedSizeCap as exc:
-        report.notes["domination_number"] = str(exc)
-    if report.independence_number is not None and report.clique_cover_number is not None:
-        report.weakly_alpha_perfect = (
-            report.independence_number == report.clique_cover_number
-        )
+            report.notes.update(dict.fromkeys(names, str(exc)))
+        else:
+            for name in names:
+                setattr(report, name, value)
+    if report.independence_number is not None:
+        report.weakly_alpha_perfect = report.independence_number == report.clique_cover_number
     return report

@@ -13,22 +13,20 @@ import networkx as nx
 from .errors import SkippedSizeCap
 from .graphs import Graph, bits
 
-DEFAULT_PLANARITY_COMPONENT_CAP = 2000
 KURATOWSKI_COMPONENT_CAP = 12
 
 
-def is_planar(g: Graph, component_cap: int = DEFAULT_PLANARITY_COMPONENT_CAP) -> bool:
-    """Exact planarity decision, per connected component.
+def is_planar(g: Graph) -> bool:
+    """Exact planarity decision, per connected component, at any size.
 
     Components with <= 4 vertices are planar; components violating the Euler
-    bound e <= 3v - 6 are not; the rest go to a linear-time embedding test.
+    bound e <= 3v - 6 are not; the rest, with O(v) edges, go to networkx's
+    linear-time left-right planarity test.
     """
     for mask in g.component_masks():
         k = mask.bit_count()
         if k <= 4:
             continue
-        if k > component_cap:
-            raise SkippedSizeCap(f"planarity capped at {component_cap} vertices per component")
         comp = g.subgraph(list(bits(mask)))
         e = comp.edge_count()
         if e > 3 * k - 6:

@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 from . import groups
 from .arith import factorize, partitions, prime_power
 from .errors import SpecParseError
-from .groups import DEFAULT_ORDER_CAP, FiniteGroup
+from .groups import FiniteGroup
 
 
 class _Atom(NamedTuple):
@@ -28,7 +28,7 @@ class _Atom(NamedTuple):
     arg: str                                # the parameter's name in parse errors
     least: int                              # smallest parameter the parser accepts
     order: Callable[[int], int]             # group order from the parameter
-    construct: Callable[..., FiniteGroup]   # (parameter, order_cap) -> group
+    construct: Callable[[int], FiniteGroup] # parameter -> group, under the constructor's order cap
 
 
 _ATOMS = {
@@ -70,18 +70,18 @@ class GroupSpec:
             return None if None in orders else math.prod(orders)
         return _ATOMS[k].order(p[0]) if k in _ATOMS else None
 
-    def realize(self, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+    def realize(self) -> FiniteGroup:
         k, p = self.kind, self.params
         if k == "product":
-            g = p[0].realize(order_cap)
+            g = p[0].realize()
             for child in p[1:]:
-                g = groups.direct_product(g, child.realize(order_cap), order_cap)
+                g = groups.direct_product(g, child.realize())
             return g
         if k == "cayley_file":
             return groups.read_cayley_file(p[0])
         if k == "perm_file":
-            return groups.read_permutation_file(p[0], order_cap)
-        return _atom(k).construct(p[0], order_cap)
+            return groups.read_permutation_file(p[0])
+        return _atom(k).construct(p[0])
 
 
 def Zs(*orders: int) -> GroupSpec:

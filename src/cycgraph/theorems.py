@@ -15,23 +15,20 @@ from typing import Callable
 
 from .arith import factorize, is_prime, prime_power, tau
 from .errors import SkippedSizeCap, UnknownTheoremId, VertexCapExceeded
-from .graphs import IntersectionGraph, build, zn_divisor_graph
+from .graphs import DEFAULT_VERTEX_CAP, IntersectionGraph, bits, build, zn_divisor_graph
 from .groups import FiniteGroup, element_order, relabel
 from .invariants import (
-    DEFAULT_ISO_SIZE_CAP,
     DEFAULT_NODE_BUDGET,
     INFINITY,
-    clique_cover_number,
     domination_number,
     girth,
-    graph_isomorphic,
     has_triangle,
-    independence_number,
     is_acyclic,
     is_bipartite,
     is_complete,
     is_regular,
     shape_checks,
+    simplicial_cover,
 )
 from .planarity import is_planar
 from .specs import (
@@ -42,6 +39,9 @@ from .specs import (
     is_cyclic_spec,
 )
 from .subgroups import maximal_among
+
+#: thm13 relabels the first catalog groups whose graphs have 2..this many vertices
+ISO_PICK_MAX_VERTICES = 32
 
 
 @dataclass
@@ -73,12 +73,13 @@ class VerificationResult:
 
 @dataclass
 class Catalog:
-    """Catalog specs plus a memo of their builds, so that every verifier run
-    over one catalog realizes and builds each group at most once."""
+    """Catalog specs, the run's vertex cap and a memo of their builds, so that
+    every verifier run over one catalog realizes and builds each group at most once."""
 
     specs: list[GroupSpec]
     max_order: int
-    # (spec, vertex_cap) -> (group, graph), or the vertex-cap skip message
+    vertex_cap: int = DEFAULT_VERTEX_CAP
+    # spec -> (group, graph), or the vertex-cap skip message
     _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __iter__(self):
@@ -87,27 +88,26 @@ class Catalog:
     def __len__(self):
         return len(self.specs)
 
-    def graphs(self, result: VerificationResult, vertex_cap: int, specs=None):
+    def graphs(self, result: VerificationResult, specs=None):
         """Yield (spec, group, graph) lazily in catalog order (or over `specs`),
         building on first use; vertex-cap hits go to ``result.skipped``."""
         for spec in self.specs if specs is None else specs:
-            key = (spec, vertex_cap)
-            if key not in self._built:
+            if spec not in self._built:
                 group = spec.realize()
                 try:
-                    self._built[key] = (group, build(group, vertex_cap))
+                    self._built[spec] = (group, build(group, self.vertex_cap))
                 except VertexCapExceeded as exc:
-                    self._built[key] = str(exc)
-            entry = self._built[key]
+                    self._built[spec] = str(exc)
+            entry = self._built[spec]
             if isinstance(entry, str):
                 result.skipped.append(entry)
             else:
                 yield (spec, *entry)
 
 
-def default_catalog(max_order: int) -> Catalog:
+def default_catalog(max_order: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Catalog:
     """All abelian groups plus the dihedral/dicyclic/symmetric/alternating
-    families up to the order bound, deduplicated by descriptor."""
+    families up to the order bound, each spec once; builds obey ``vertex_cap``."""
     if max_order < 2:
         raise ValueError("max_order must be >= 2")
     specs: list[GroupSpec] = []
@@ -127,13 +127,7 @@ def default_catalog(max_order: int) -> Catalog:
             specs.append(GroupSpec("symmetric", (factorials[n],)))
         if 2 * n in factorials and factorials[2 * n] >= 4:
             specs.append(GroupSpec("alternating", (factorials[2 * n],)))
-    seen = set()
-    unique = []
-    for s in specs:
-        if s.descriptor not in seen:
-            seen.add(s.descriptor)
-            unique.append(s)
-    return Catalog(unique, max_order)
+    return Catalog(specs, max_order, vertex_cap)
 
 
 def _timed(verifier):
@@ -153,19 +147,22 @@ def _timed(verifier):
 # --- individual theorem checks ------------------------------------------------
 
 @_timed
-def verify_iso_invariance(
-    group: FiniteGroup,
-    trials: int,
-    seed: int = 0,
-    iso_size_cap: int = DEFAULT_ISO_SIZE_CAP,
-) -> VerificationResult:
+def verify_iso_invariance(group: FiniteGroup, trials: int, seed: int = 0) -> VerificationResult:
     """Random relabelings of a group must yield isomorphic intersection graphs."""
-    return _relabelings_isomorphic(group, build(group), trials, seed, iso_size_cap)
+    return _relabelings_isomorphic(group, build(group), trials, seed)
 
 
 def _relabelings_isomorphic(
-    group: FiniteGroup, base: IntersectionGraph, trials: int, seed: int, iso_size_cap: int
+    group: FiniteGroup, base: IntersectionGraph, trials: int, seed: int
 ) -> VerificationResult:
+    """Each seeded relabeling ``perm`` must induce an isomorphism of the graphs.
+
+    sigma sends each vertex of ``base`` to the relabeled graph's vertex whose
+    element set is its image under ``perm``.  Defined on every vertex, with
+    equal vertex counts, sigma is a bijection; it must map every adjacency row
+    onto the matching row.  Exact at any size, and stricter than "some
+    isomorphism exists"; there is no search and so no cap.
+    """
     res = VerificationResult(
         "thm13-iso-invariance",
         f"{group.descriptor}, {trials} seeded relabelings",
@@ -177,11 +174,12 @@ def _relabelings_isomorphic(
         perm = list(range(n))
         rng.shuffle(perm)
         other = build(relabel(group, perm))
-        try:
-            ok = graph_isomorphic(base.graph, other.graph, iso_size_cap)
-        except SkippedSizeCap as exc:
-            res.skipped.append(f"{group.descriptor} trial {t}: {exc}")
-            continue
+        index = {v.elements: i for i, v in enumerate(other.vertices)}
+        sigma = [index.get(tuple(sorted(perm[x] for x in v.elements))) for v in base.vertices]
+        ok = None not in sigma and base.n == other.n and all(
+            other.graph.adj[sigma[v]] == sum(1 << sigma[w] for w in bits(row))
+            for v, row in enumerate(base.graph.adj)
+        )
         if not ok:
             res.counterexamples.append(
                 (group.descriptor, "isomorphic graphs", f"trial {t} not isomorphic")
@@ -195,29 +193,26 @@ def verify_iso_invariance_catalog(
     trials: int = 20,
     groups: int = 10,
     seed: int = 0,
-    iso_size_cap: int = DEFAULT_ISO_SIZE_CAP,
-    vertex_cap: int = 5000,
 ) -> VerificationResult:
     res = VerificationResult(
         "thm13-iso-invariance",
-        f"first {groups} catalog groups with 2..{iso_size_cap} vertices, "
+        f"first {groups} catalog groups with 2..{ISO_PICK_MAX_VERTICES} vertices, "
         f"{trials} relabelings each (catalog max order {catalog.max_order})",
     )
     # stop at the last pick: the lazy pass builds nothing beyond it
-    for spec, group, ig in catalog.graphs(res, vertex_cap) if groups > 0 else ():
-        if not (2 <= ig.n <= iso_size_cap):
+    for spec, group, ig in catalog.graphs(res) if groups > 0 else ():
+        if not (2 <= ig.n <= ISO_PICK_MAX_VERTICES):
             continue
         res.groups_tested += 1
-        sub = _relabelings_isomorphic(group, ig, trials, seed + res.groups_tested, iso_size_cap)
+        sub = _relabelings_isomorphic(group, ig, trials, seed + res.groups_tested)
         res.counterexamples.extend(sub.counterexamples)
-        res.skipped.extend(sub.skipped)
         if res.groups_tested == groups:
             break
     return res
 
 
 @_timed
-def verify_totally_disconnected(catalog: Catalog, vertex_cap: int = 5000) -> VerificationResult:
+def verify_totally_disconnected(catalog: Catalog) -> VerificationResult:
     """Edge-free graph <-> every non-identity element has prime order.
 
     Groups whose graph has fewer than 2 vertices are excluded (the forward
@@ -228,7 +223,7 @@ def verify_totally_disconnected(catalog: Catalog, vertex_cap: int = 5000) -> Ver
         f"default catalog, order <= {catalog.max_order}, graphs with >= 2 vertices",
     )
     excluded = 0
-    for spec, group, ig in catalog.graphs(res, vertex_cap):
+    for spec, group, ig in catalog.graphs(res):
         if ig.n < 2:
             excluded += 1
             continue
@@ -252,14 +247,14 @@ def verify_totally_disconnected(catalog: Catalog, vertex_cap: int = 5000) -> Ver
 
 
 @_timed
-def verify_complete(catalog: Catalog, vertex_cap: int = 5000) -> VerificationResult:
+def verify_complete(catalog: Catalog) -> VerificationResult:
     """Complete graph <-> unique proper subgroup of prime order (nonempty graphs);
     plus the exact vertex-count formulas for cyclic p-power and quaternion groups."""
     res = VerificationResult(
         "thm15-complete",
         f"default catalog, order <= {catalog.max_order}, nonempty graphs",
     )
-    for spec, group, ig in catalog.graphs(res, vertex_cap):
+    for spec, group, ig in catalog.graphs(res):
         if ig.n == 0:
             continue
         res.groups_tested += 1
@@ -292,7 +287,7 @@ def verify_complete(catalog: Catalog, vertex_cap: int = 5000) -> VerificationRes
 
 
 @_timed
-def verify_planarity_classification(catalog: Catalog, vertex_cap: int = 5000) -> VerificationResult:
+def verify_planarity_classification(catalog: Catalog) -> VerificationResult:
     """Planar graph <-> the group is one of the five listed abelian families,
     over every non-cyclic abelian group of the catalog."""
     res = VerificationResult(
@@ -302,12 +297,8 @@ def verify_planarity_classification(catalog: Catalog, vertex_cap: int = 5000) ->
     specs = [
         s for s in catalog if abelian_prime_signature(s) is not None and not is_cyclic_spec(s)
     ]
-    for spec, _, ig in catalog.graphs(res, vertex_cap, specs):
-        try:
-            planar = is_planar(ig.graph)
-        except SkippedSizeCap as exc:
-            res.skipped.append(f"{spec.descriptor}: {exc}")
-            continue
+    for spec, _, ig in catalog.graphs(res, specs):
+        planar = is_planar(ig.graph)
         res.groups_tested += 1
         listed = in_planar_classification(spec)
         if planar != listed:
@@ -318,13 +309,13 @@ def verify_planarity_classification(catalog: Catalog, vertex_cap: int = 5000) ->
 
 
 @_timed
-def verify_star_path_cycle(catalog: Catalog, vertex_cap: int = 5000) -> VerificationResult:
+def verify_star_path_cycle(catalog: Catalog) -> VerificationResult:
     """Star and path graphs occur exactly for cyclic p^3; a cycle exactly for cyclic p^4."""
     res = VerificationResult(
         "thm345-star-path-cycle",
         f"default catalog, order <= {catalog.max_order}",
     )
-    for spec, group, ig in catalog.graphs(res, vertex_cap):
+    for spec, group, ig in catalog.graphs(res):
         res.groups_tested += 1
         shapes = shape_checks(ig.graph)
         pp = prime_power(spec.params[0]) if spec.kind == "cyclic" else None
@@ -339,13 +330,13 @@ def verify_star_path_cycle(catalog: Catalog, vertex_cap: int = 5000) -> Verifica
 
 
 @_timed
-def verify_girth(catalog: Catalog, vertex_cap: int = 5000) -> VerificationResult:
+def verify_girth(catalog: Catalog) -> VerificationResult:
     """girth is always 3 or infinity."""
     res = VerificationResult(
         "cor-c1-girth",
         f"default catalog, order <= {catalog.max_order}",
     )
-    for spec, group, ig in catalog.graphs(res, vertex_cap):
+    for spec, group, ig in catalog.graphs(res):
         res.groups_tested += 1
         gv = girth(ig.graph)
         if gv != 3 and gv != INFINITY:
@@ -388,7 +379,7 @@ def subgroup_condition(ig: IntersectionGraph, reading: str) -> bool:
 
 
 @_timed
-def verify_acyclic_equivalences(catalog: Catalog, vertex_cap: int = 5000) -> VerificationResult:
+def verify_acyclic_equivalences(catalog: Catalog) -> VerificationResult:
     """acyclic <-> bipartite <-> triangle-free on every catalog graph.
 
     The subgroup-side condition is reported under both quantifier readings
@@ -400,7 +391,7 @@ def verify_acyclic_equivalences(catalog: Catalog, vertex_cap: int = 5000) -> Ver
     )
     match = {"some": 0, "every": 0}
     mismatch_examples = {"some": [], "every": []}
-    for spec, _, ig in catalog.graphs(res, vertex_cap):
+    for spec, _, ig in catalog.graphs(res):
         res.groups_tested += 1
         acyclic = is_acyclic(ig.graph)
         bipartite = is_bipartite(ig.graph)
@@ -429,24 +420,23 @@ def verify_acyclic_equivalences(catalog: Catalog, vertex_cap: int = 5000) -> Ver
 
 
 @_timed
-def verify_alpha_theta(catalog: Catalog, vertex_cap: int = 5000) -> VerificationResult:
+def verify_alpha_theta(catalog: Catalog) -> VerificationResult:
     """independence number = clique cover number = number of prime-order subgroups."""
     res = VerificationResult(
         "thm8-300-alpha-theta",
         f"default catalog, order <= {catalog.max_order}, within solver caps",
     )
-    for spec, group, ig in catalog.graphs(res, vertex_cap):
+    for spec, group, ig in catalog.graphs(res):
         m = sum(1 for v in ig.vertices if is_prime(v.order))
-        try:
-            alpha = independence_number(ig.graph)
-            theta = clique_cover_number(ig.graph)
-        except SkippedSizeCap as exc:
-            res.skipped.append(f"{spec.descriptor}: {exc}")
+        # one certificate gives alpha = theta = k
+        k = simplicial_cover(ig.graph)
+        if k is None:
+            res.skipped.append(f"{spec.descriptor}: no simplicial-cover certificate")
             continue
         res.groups_tested += 1
-        if not (alpha == theta == m):
+        if k != m:
             res.counterexamples.append(
-                (spec.descriptor, f"alpha == theta == m ({m})", f"alpha={alpha}, theta={theta}")
+                (spec.descriptor, f"alpha == theta == m ({m})", f"alpha={k}, theta={k}")
             )
     return res
 
@@ -539,16 +529,14 @@ def verify_domination_zn(max_n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> 
 
 #: theorem id -> (verifier, the run inputs it takes by name), in report order
 VERIFIERS: dict[str, tuple[Callable[..., VerificationResult], tuple[str, ...]]] = {
-    "thm13-iso-invariance": (
-        verify_iso_invariance_catalog, ("catalog", "seed", "iso_size_cap", "vertex_cap")
-    ),
-    "thm14-totally-disconnected": (verify_totally_disconnected, ("catalog", "vertex_cap")),
-    "thm15-complete": (verify_complete, ("catalog", "vertex_cap")),
-    "thm16-planarity": (verify_planarity_classification, ("catalog", "vertex_cap")),
-    "thm345-star-path-cycle": (verify_star_path_cycle, ("catalog", "vertex_cap")),
-    "cor-c1-girth": (verify_girth, ("catalog", "vertex_cap")),
-    "thm7-acyclic-equivalences": (verify_acyclic_equivalences, ("catalog", "vertex_cap")),
-    "thm8-300-alpha-theta": (verify_alpha_theta, ("catalog", "vertex_cap")),
+    "thm13-iso-invariance": (verify_iso_invariance_catalog, ("catalog", "seed")),
+    "thm14-totally-disconnected": (verify_totally_disconnected, ("catalog",)),
+    "thm15-complete": (verify_complete, ("catalog",)),
+    "thm16-planarity": (verify_planarity_classification, ("catalog",)),
+    "thm345-star-path-cycle": (verify_star_path_cycle, ("catalog",)),
+    "cor-c1-girth": (verify_girth, ("catalog",)),
+    "thm7-acyclic-equivalences": (verify_acyclic_equivalences, ("catalog",)),
+    "thm8-300-alpha-theta": (verify_alpha_theta, ("catalog",)),
     "t24-regular-zn": (verify_regular_zn, ("max_n",)),
     "t24-degree-formula-zn": (verify_degree_formula_zn, ("max_n",)),
     "t22-domination-zn": (verify_domination_zn, ("max_n", "node_budget")),
@@ -561,9 +549,8 @@ def run_verifiers(
     max_order: int = 100,
     max_n: int = 2000,
     seed: int = 0,
-    vertex_cap: int = 5000,
+    vertex_cap: int = DEFAULT_VERTEX_CAP,
     node_budget: int = DEFAULT_NODE_BUDGET,
-    iso_size_cap: int = DEFAULT_ISO_SIZE_CAP,
 ) -> list[VerificationResult]:
     if theorem_ids == "all":
         ids = list(THEOREM_IDS)
@@ -574,12 +561,10 @@ def run_verifiers(
                 raise UnknownTheoremId(tid)
     # one catalog, and so one memo of builds, is shared by every verifier of the run
     inputs = {
-        "catalog": default_catalog(max_order),
+        "catalog": default_catalog(max_order, vertex_cap),
         "max_n": max_n,
         "seed": seed,
-        "vertex_cap": vertex_cap,
         "node_budget": node_budget,
-        "iso_size_cap": iso_size_cap,
     }
     return [
         verifier(**{name: inputs[name] for name in names})

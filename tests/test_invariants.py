@@ -467,6 +467,18 @@ class TestReport:
         assert r.independence_number is None
         assert r.notes["independence_number"] == "no simplicial-cover certificate"
         assert r.notes["domination_number"] == "solver node budget exhausted"
+        assert r.is_planar is not None and "is_planar" not in r.notes
+
+    def test_to_dict_keys_in_report_order(self):
+        d = compute_report(Graph(0)).to_dict()
+        assert list(d) == [
+            "vertex_count", "edge_count", "is_totally_disconnected", "is_complete",
+            "is_star", "is_path", "is_cycle", "is_bipartite", "is_acyclic",
+            "has_triangle", "girth", "component_structure", "is_planar", "is_regular",
+            "independence_number", "clique_cover_number", "domination_number",
+            "weakly_alpha_perfect", "notes",
+        ]
+        assert list(d["notes"]) == sorted(d["notes"])
 
 
 class TestProperties:

@@ -63,12 +63,15 @@ class TestIsPlanar:
     def test_nonplanar(self, g):
         assert not is_planar(g)
 
-    def test_size_cap(self):
-        g = complete_graph(3)  # fine
-        assert is_planar(g, component_cap=3)
-        with pytest.raises(SkippedSizeCap):
-            # a single component above the cap without an Euler short-circuit
-            is_planar(cycle_graph(50), component_cap=20)
+    def test_large_sparse_components_are_decided(self):
+        # single components past any Euler short-circuit go to the embedding test
+        assert is_planar(cycle_graph(3000))
+        k5_path = Graph(2505, complete_graph(5).edges())
+        for v in range(4, 2504):
+            k5_path.add_edge(v, v + 1)
+        assert len(k5_path.component_masks()) == 1
+        assert k5_path.edge_count() <= 3 * 2505 - 6
+        assert not is_planar(k5_path)
 
 
 class TestKuratowskiOracle:

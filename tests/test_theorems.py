@@ -7,8 +7,8 @@ import pytest
 from conftest import distinct_prime_pairs
 from cycgraph import theorems
 from cycgraph.errors import UnknownTheoremId
-from cycgraph.invariants import DEFAULT_ISO_SIZE_CAP
-from cycgraph.groups import alternating, cyclic
+from cycgraph.invariants import graph_isomorphic
+from cycgraph.groups import alternating, cyclic, relabel
 from cycgraph.specs import GroupSpec, abelian_groups_of_order, is_cyclic_spec, parse_spec
 from cycgraph.theorems import (
     THEOREM_IDS,
@@ -28,7 +28,7 @@ from cycgraph.theorems import (
     verify_totally_disconnected,
     zn_expected_degree,
 )
-from cycgraph.graphs import build
+from cycgraph.graphs import IntersectionGraph, build
 
 # squarefree products of exactly two primes: the graphs are K̄2 yet the group
 # has an element of composite order, so several statements break on them
@@ -59,10 +59,10 @@ class TestCatalog:
         assert "A(5)" in descs and "S(4)" in descs and "Dic(15)" in descs
 
     def test_no_duplicates_and_order_bound(self):
-        cat = default_catalog(40)
+        cat = default_catalog(400)
         descs = [s.descriptor for s in cat]
         assert len(descs) == len(set(descs))
-        assert all(s.order() <= 40 for s in cat)
+        assert all(s.order() <= 400 for s in cat)
 
     def test_deterministic(self):
         a = [s.descriptor for s in default_catalog(50)]
@@ -78,6 +78,18 @@ class TestVerifiers:
     def test_iso_invariance(self):
         res = verify_iso_invariance(cyclic(24), trials=5, seed=1)
         assert res.passed and not res.counterexamples
+
+    def test_iso_invariance_checks_the_induced_map(self):
+        # the same graph with its vertex list reversed: some isomorphism exists,
+        # but the relabeling's own vertex map is not one
+        group = cyclic(24)
+        base = build(group)
+        mislabeled = IntersectionGraph(base.vertices[::-1], base.graph, base.source_descriptor)
+        res = theorems._relabelings_isomorphic(group, mislabeled, trials=3, seed=1)
+        assert len(res.counterexamples) == 3 and not res.skipped
+        other = build(relabel(group, list(reversed(range(group.order)))))
+        assert graph_isomorphic(mislabeled.graph, other.graph)
+        assert not theorems._relabelings_isomorphic(group, base, trials=3, seed=1).counterexamples
 
     def test_totally_disconnected_counterexamples_are_semiprimes(self):
         res = verify_totally_disconnected(default_catalog(60))
@@ -253,7 +265,7 @@ class TestSharedPass:
         catalog_builds = [(d, n) for d, n in built["build"] if d in descs]
         first = list(dict.fromkeys(d for d, _ in catalog_builds))
         assert first == descs[: len(first)]
-        picks = [d for d, n in dict(catalog_builds).items() if 2 <= n <= DEFAULT_ISO_SIZE_CAP]
+        picks = [d for d, n in dict(catalog_builds).items() if 2 <= n <= theorems.ISO_PICK_MAX_VERTICES]
         assert len(picks) == 10 and first[-1] == picks[-1]
         assert set(built["realize"]) == set(first)
         # each pick reuses its catalog graph as the base: only the relabelings build again
