@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import __version__
-from .errors import CycgraphError, SpecParseError, UnknownTheoremId
+from .errors import CycgraphError, SpecParseError, UnknownTheoremId, VertexCapExceeded
 from .graphs import DEFAULT_VERTEX_CAP, IntersectionGraph, build
 from .invariants import DEFAULT_NODE_BUDGET, compute_report
 from .specs import parse_spec
@@ -160,12 +160,17 @@ def cmd_verify(args) -> int:
 # --- catalog ----------------------------------------------------------------
 
 def cmd_catalog(args) -> int:
+    """One line per catalog group; a group over the vertex cap gets the skip
+    message ``verify`` records in place of its vertex count."""
     catalog = default_catalog(args.max_order)
     lines = []
     for spec in catalog:
         group = spec.realize()
-        ig = build(group, args.vertex_cap)
-        lines.append(f"{spec.descriptor}\torder={group.order}\tfamily={spec.kind}\tvertices={ig.n}")
+        try:
+            size = f"vertices={build(group, args.vertex_cap).n}"
+        except VertexCapExceeded as exc:
+            size = str(exc)
+        lines.append(f"{spec.descriptor}\torder={group.order}\tfamily={spec.kind}\t{size}")
     _write_out("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

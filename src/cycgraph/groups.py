@@ -1,16 +1,17 @@
 """Concrete finite groups: multiplication rules, family constructors, file ingestion.
 
-Elements are dense integer indices 0..n-1.  Every family (cyclic, direct
-product, dihedral, dicyclic, permutation closure) multiplies through its
-closed-form rule and builds no Cayley table until one is asked for: by
-``cayley_table``, ``relabel``, ``write_cayley_file``, or as a factor of a direct
-product's table.  Such a table is built with numpy index arithmetic from the
-same closed form (a permutation group composes its element array with itself).
-Only a real table given as input (a Cayley-table file, or a relabeled copy)
-is stored as rows.  User tables are parsed into an int64 array and every group
-axiom is checked with numpy at every order; associativity exactly, by Light's
-test on a generating set (Clifford & Preston, *The Algebraic Theory of
-Semigroups* I, section 1.2).
+Elements are dense integer indices 0..n-1.  A group is a multiplication rule
+plus a callable that builds its Cayley table on demand.  Every family (cyclic,
+direct product, dihedral, dicyclic, permutation closure) multiplies through
+its closed form, and builds its table only for ``cayley_table`` or
+``write_cayley_file``, with numpy index arithmetic from the same closed form (a
+permutation group composes its element array with itself).  A relabeled copy
+composes the source rule with the renaming and builds no table either.  Only a
+Cayley table given as input is stored, as the rows its rule looks up.  User
+tables are parsed into an int64 array and every group axiom is checked with
+numpy at every order; associativity exactly, by Light's test on a generating
+set (Clifford & Preston, *The Algebraic Theory of Semigroups* I, section 1.2).
+No group may exceed ``ORDER_CAP`` elements.
 """
 
 from __future__ import annotations
@@ -30,56 +31,43 @@ from .errors import (
     OrderCapExceeded,
 )
 
-#: default cap on group order for closure-style constructions
-DEFAULT_ORDER_CAP = 20000
+#: the largest group order any constructor accepts
+ORDER_CAP = 20000
 
 
 class FiniteGroup:
     """An immutable finite group on element indices 0..order-1.
 
     ``mul`` is a plain callable attribute so hot loops can bind it locally.
-    A group is built from exactly one of: ``table``, the list of rows behind
-    ``mul``, for a table that was the input; or a closed-form ``mul`` together
-    with ``array``, a zero-argument callable that builds the same table as an
-    int64 array on demand, which is how every family constructor builds it.
+    ``array`` is a zero-argument callable that builds the same multiplication
+    table as an int64 array on demand; the table is never kept on the group.
     """
 
-    __slots__ = ("order", "identity", "descriptor", "mul", "_table", "_array")
+    __slots__ = ("order", "identity", "descriptor", "mul", "_array")
 
     def __init__(
         self,
         order: int,
-        mul: Callable[[int, int], int] | None,
+        mul: Callable[[int, int], int],
         identity: int,
         descriptor: str,
-        table: list[list[int]] | None = None,
-        array: Callable[[], np.ndarray] | None = None,
+        array: Callable[[], np.ndarray],
     ):
-        if (table is None) == (mul is None) or (mul is None) != (array is None):
-            raise ValueError("FiniteGroup needs either table, or both mul and array")
+        if order > ORDER_CAP:
+            raise OrderCapExceeded(f"{descriptor}: order {order} exceeds cap {ORDER_CAP}")
         self.order = order
         self.identity = identity
         self.descriptor = descriptor
-        self._table = table
+        self.mul = mul
         self._array = array
-        self.mul = mul if table is None else (lambda a, b, _t=table: _t[a][b])
 
     def __repr__(self):
         return f"FiniteGroup({self.descriptor}, order={self.order})"
 
     def cayley_table(self) -> list[list[int]]:
-        """A fresh copy of the full multiplication table (built from the closed form
-        for rule-based groups), so changing it leaves the group as it was."""
-        if self._table is not None:
-            return [row[:] for row in self._table]
+        """A freshly built copy of the full multiplication table, so changing it
+        leaves the group as it was."""
         return self._array().tolist()
-
-
-def _as_array(group: FiniteGroup) -> np.ndarray:
-    """The group's Cayley table as an int64 array (never stored on the group)."""
-    if group._table is not None:
-        return np.asarray(group._table, dtype=np.int64)
-    return group._array()
 
 
 def _cyclic_array(n: int) -> np.ndarray:
@@ -231,40 +219,37 @@ def _check_associative(t: np.ndarray, identity: int) -> None:
 def from_cayley_table(table: Sequence[Sequence[int]], descriptor: str = "cayley-table") -> FiniteGroup:
     t = _square_array(table)                    # converted once; validate_table reuses it
     identity = validate_table(t)
-    return FiniteGroup(len(t), None, identity, descriptor, table=t.tolist())
+    rows = t.tolist()
+    return FiniteGroup(
+        len(rows), lambda a, b: rows[a][b], identity, descriptor,
+        lambda: np.asarray(rows, dtype=np.int64),
+    )
 
 
 # --- family constructors ----------------------------------------------------
 
-def cyclic(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("cyclic(n) needs n >= 1")
-    if n > order_cap:
-        raise OrderCapExceeded(f"cyclic group of order {n} exceeds cap {order_cap}")
-    return FiniteGroup(n, lambda a, b: (a + b) % n, 0, f"Z({n})", array=lambda: _cyclic_array(n))
+    return FiniteGroup(n, lambda a, b: (a + b) % n, 0, f"Z({n})", lambda: _cyclic_array(n))
 
 
-def direct_product(g: FiniteGroup, h: FiniteGroup, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
-    n = g.order * h.order
-    if n > order_cap:
-        raise OrderCapExceeded(f"direct product of order {n} exceeds cap {order_cap}")
+def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     m, gmul, hmul = h.order, g.mul, h.mul
 
     def rule(a, b):
         return gmul(a // m, b // m) * m + hmul(a % m, b % m)
 
     return FiniteGroup(
-        n, rule, g.identity * m + h.identity, f"{g.descriptor}x{h.descriptor}",
-        array=lambda: _product_array(_as_array(g), _as_array(h)),
+        g.order * m, rule, g.identity * m + h.identity, f"{g.descriptor}x{h.descriptor}",
+        lambda: _product_array(g._array(), h._array()),
     )
 
 
-def dihedral(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def dihedral(n: int) -> FiniteGroup:
     """Dihedral group of order 2n; element i + s*n is r^i s^s."""
     if n < 1:
         raise ValueError("dihedral(n) needs n >= 1")
-    if 2 * n > order_cap:
-        raise OrderCapExceeded(f"dihedral group of order {2 * n} exceeds cap {order_cap}")
 
     def rule(a, b):
         i, s = a % n, a // n
@@ -272,18 +257,16 @@ def dihedral(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
         k = (i + j) % n if s == 0 else (i - j) % n
         return k + ((s + t) % 2) * n
 
-    return FiniteGroup(2 * n, rule, 0, f"D({n})", array=lambda: _dihedral_array(n))
+    return FiniteGroup(2 * n, rule, 0, f"D({n})", lambda: _dihedral_array(n))
 
 
-def dicyclic(m: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def dicyclic(m: int) -> FiniteGroup:
     """Dicyclic group of order 4m (<a,b | a^{2m}=1, b^2=a^m, bab^-1=a^-1>).
 
     dicyclic(2^(a-2)) is the generalized quaternion group of order 2^a.
     """
     if m < 2:
         raise ValueError("dicyclic(m) needs m >= 2")
-    if 4 * m > order_cap:
-        raise OrderCapExceeded(f"dicyclic group of order {4 * m} exceeds cap {order_cap}")
     n2 = 2 * m
 
     def rule(a, b):
@@ -295,14 +278,13 @@ def dicyclic(m: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
             return (i - j) % n2 + n2
         return (i - j + m) % n2
 
-    return FiniteGroup(4 * m, rule, 0, f"Dic({m})", array=lambda: _dicyclic_array(m))
+    return FiniteGroup(4 * m, rule, 0, f"Dic({m})", lambda: _dicyclic_array(m))
 
 
 def from_permutation_generators(
     degree: int,
     gens: Sequence[Sequence[int]],
     descriptor: str | None = None,
-    order_cap: int = DEFAULT_ORDER_CAP,
 ) -> FiniteGroup:
     """Closure of permutation generators; elements in BFS discovery order.
 
@@ -323,8 +305,8 @@ def from_permutation_generators(
         for g in gens:
             y = tuple(map(x.__getitem__, g))    # y(i) = x(g(i))
             if y not in index:
-                if len(elems) >= order_cap:
-                    raise OrderCapExceeded(f"closure exceeds order cap {order_cap}")
+                if len(elems) >= ORDER_CAP:
+                    raise OrderCapExceeded(f"closure exceeds order cap {ORDER_CAP}")
                 index[y] = len(elems)
                 elems.append(y)
     n = len(elems)
@@ -333,7 +315,7 @@ def from_permutation_generators(
         return _i[tuple(map(_e[a].__getitem__, _e[b]))]
 
     desc = descriptor or f"perm-group:deg{degree}:order{n}"
-    return FiniteGroup(n, rule, 0, desc, array=lambda: _composition_array(elems, degree))
+    return FiniteGroup(n, rule, 0, desc, lambda: _composition_array(elems, degree))
 
 
 def _cycle(points: Sequence[int], degree: int) -> tuple[int, ...]:
@@ -344,38 +326,37 @@ def _cycle(points: Sequence[int], degree: int) -> tuple[int, ...]:
     return tuple(p)
 
 
-def symmetric(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def symmetric(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("symmetric(n) needs n >= 1")
     if n == 1:
-        return from_permutation_generators(1, [], descriptor="S(1)", order_cap=order_cap)
+        return from_permutation_generators(1, [], descriptor="S(1)")
     gens = [_cycle([0, 1], n)]
     if n > 2:
         gens.append(_cycle(list(range(n)), n))
-    g = from_permutation_generators(n, gens, descriptor=f"S({n})", order_cap=order_cap)
-    return g
+    return from_permutation_generators(n, gens, descriptor=f"S({n})")
 
 
-def alternating(n: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def alternating(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("alternating(n) needs n >= 1")
     if n <= 2:
-        return from_permutation_generators(max(n, 1), [], descriptor=f"A({n})", order_cap=order_cap)
+        return from_permutation_generators(max(n, 1), [], descriptor=f"A({n})")
     gens = [_cycle([0, 1, 2], n)]
     if n > 3:
         if n % 2 == 1:
             gens.append(_cycle(list(range(n)), n))
         else:
             gens.append(_cycle(list(range(1, n)), n))
-    return from_permutation_generators(n, gens, descriptor=f"A({n})", order_cap=order_cap)
+    return from_permutation_generators(n, gens, descriptor=f"A({n})")
 
 
-def elementary_abelian(p: int, k: int, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def elementary_abelian(p: int, k: int) -> FiniteGroup:
     if k < 1:
         raise ValueError("elementary_abelian(p, k) needs k >= 1")
-    g = cyclic(p, order_cap)
+    g = cyclic(p)
     for _ in range(k - 1):
-        g = direct_product(g, cyclic(p, order_cap), order_cap)
+        g = direct_product(g, cyclic(p))
     return g
 
 
@@ -398,30 +379,29 @@ def element_orders(group: FiniteGroup) -> list[int]:
 
 
 def is_cyclic_group(group: FiniteGroup) -> bool:
-    n = group.order
-    mul, e = group.mul, group.identity
-    for g in range(n):
-        k, x = 1, g
-        while x != e:
-            x = mul(x, g)
-            k += 1
-        if k == n:
-            return True
-    return False
+    return any(element_order(group, g) == group.order for g in range(group.order))
 
 
 def relabel(group: FiniteGroup, perm: Sequence[int]) -> FiniteGroup:
     """Isomorphic copy of the group with elements renamed by ``perm``.
 
-    perm maps old index -> new index; the new identity index is recomputed.
+    perm maps old index -> new index.  The copy multiplies by the source rule,
+    new[mul(old[a], old[b])], and builds its table from the source's on demand.
     """
     n = group.order
     if sorted(perm) != list(range(n)):
         raise InvalidPermutation("relabel needs a permutation of 0..n-1")
-    new = np.asarray(perm, dtype=np.int64)
-    old = np.argsort(new)                       # old[new[x]] = x
-    table = new[_as_array(group)[np.ix_(old, old)]].tolist()
-    return FiniteGroup(n, None, perm[group.identity], f"relabel:{group.descriptor}", table=table)
+    new = list(perm)
+    old = np.argsort(perm).tolist()             # old[new[x]] = x
+    mul = group.mul
+
+    def rule(a, b):
+        return new[mul(old[a], old[b])]
+
+    return FiniteGroup(
+        n, rule, new[group.identity], f"relabel:{group.descriptor}",
+        lambda: np.asarray(new, dtype=np.int64)[group._array()[np.ix_(old, old)]],
+    )
 
 
 # --- file formats -----------------------------------------------------------
@@ -485,7 +465,7 @@ def parse_cycle_notation(text: str, degree: int) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def read_permutation_file(path: str, order_cap: int = DEFAULT_ORDER_CAP) -> FiniteGroup:
+def read_permutation_file(path: str) -> FiniteGroup:
     """Permutation-generator file: line 1 is the degree, one generator per line after."""
     with open(path) as fh:
         lines = [ln.strip() for ln in fh.readlines()]
@@ -500,6 +480,4 @@ def read_permutation_file(path: str, order_cap: int = DEFAULT_ORDER_CAP) -> Fini
         gens = [parse_cycle_notation(ln, degree) for ln in lines[1:]]
     except InvalidPermutation as exc:
         raise InvalidPermutation(f"{path}: {exc}") from None
-    return from_permutation_generators(
-        degree, gens, descriptor=f"perm-file:{path}", order_cap=order_cap
-    )
+    return from_permutation_generators(degree, gens, descriptor=f"perm-file:{path}")

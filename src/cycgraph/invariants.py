@@ -21,7 +21,8 @@ from .graphs import Graph, bits
 from .planarity import is_planar
 
 DEFAULT_NODE_BUDGET = 2_000_000
-DEFAULT_ISO_SIZE_CAP = 32
+#: most vertices graph_isomorphic searches; a larger graph is skipped
+ISO_SIZE_CAP = 32
 
 INFINITY = math.inf
 
@@ -262,14 +263,6 @@ def domination_number(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
     full = (1 << n) - 1
     budget = _Budget(node_budget)
 
-    # isolated vertices are forced members and each is in the packing; the
-    # certificate has already decided a graph with no other vertices
-    forced = sum(1 << v for v in range(n) if adj[v] == 0)
-    base_cover = 0
-    for v in bits(forced):
-        base_cover |= closed[v]
-    forced_count = forced.bit_count()
-
     def feasible(covered: int, k: int) -> bool:
         if covered == full:
             return True
@@ -287,9 +280,9 @@ def domination_number(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
                 return True
         return False
 
-    for k in range(len(_two_packing(closed)) - forced_count, n - forced_count + 1):
-        if feasible(base_cover, k):
-            return forced_count + k
+    for k in range(len(_two_packing(closed)), n + 1):
+        if feasible(0, k):
+            return k
     return n  # unreachable: the full vertex set always dominates
 
 
@@ -313,12 +306,12 @@ def _refine_labels(g: Graph) -> list[int]:
     return labels
 
 
-def graph_isomorphic(g1: Graph, g2: Graph, size_cap: int = DEFAULT_ISO_SIZE_CAP) -> bool:
+def graph_isomorphic(g1: Graph, g2: Graph) -> bool:
     """Backtracking isomorphism test with degree/neighborhood refinement."""
     if g1.n != g2.n:
         return False
-    if g1.n > size_cap:
-        raise SkippedSizeCap(f"isomorphism test capped at {size_cap} vertices")
+    if g1.n > ISO_SIZE_CAP:
+        raise SkippedSizeCap(f"isomorphism test capped at {ISO_SIZE_CAP} vertices")
     if g1.edge_count() != g2.edge_count():
         return False
     l1, l2 = _refine_labels(g1), _refine_labels(g2)

@@ -13,6 +13,7 @@ import networkx as nx
 from .errors import SkippedSizeCap
 from .graphs import Graph, bits
 
+#: most vertices per component kuratowski_oracle searches; a larger one is skipped
 KURATOWSKI_COMPONENT_CAP = 12
 
 
@@ -39,7 +40,7 @@ def is_planar(g: Graph) -> bool:
     return True
 
 
-def kuratowski_oracle(g: Graph, component_cap: int = KURATOWSKI_COMPONENT_CAP) -> bool:
+def kuratowski_oracle(g: Graph) -> bool:
     """True iff no K5 or K3,3 minor exists (so True means planar).
 
     Recursive deletion/contraction search over each component, with
@@ -48,8 +49,10 @@ def kuratowski_oracle(g: Graph, component_cap: int = KURATOWSKI_COMPONENT_CAP) -
     """
     for mask in g.component_masks():
         k = mask.bit_count()
-        if k > component_cap:
-            raise SkippedSizeCap(f"minor oracle capped at {component_cap} vertices per component")
+        if k > KURATOWSKI_COMPONENT_CAP:
+            raise SkippedSizeCap(
+                f"minor oracle capped at {KURATOWSKI_COMPONENT_CAP} vertices per component"
+            )
         comp = g.subgraph(list(bits(mask)))
         adj = {v: set(bits(comp.adj[v])) for v in range(comp.n)}
         if _has_forbidden_minor(adj):

@@ -13,6 +13,7 @@ from cycgraph.cli import (
     main,
 )
 from cycgraph.groups import dicyclic, write_cayley_file
+from cycgraph.theorems import default_catalog
 
 GOLDEN_Q8_DOT = """\
 graph "Dic(2)" {
@@ -226,6 +227,24 @@ class TestCatalog:
         lines = out.strip().splitlines()
         assert any(line.startswith("Dic(2)\torder=8") for line in lines)
         assert any(line.startswith("A(5)\torder=60") and "vertices=31" in line for line in lines)
+
+    def test_vertex_cap_skips_are_listed(self, capsys):
+        # every group still gets its line; one over the cap carries the skip
+        # message verify records for it, in place of its vertex count
+        rc, out = run(capsys, "catalog", "--max-order", "20", "--vertex-cap", "3")
+        assert rc == EXIT_OK
+        capped = out.splitlines()
+        _, out = run(capsys, "catalog", "--max-order", "20")
+        full = out.splitlines()
+        assert len(capped) == len(full) == len(default_catalog(20))
+        assert "D(3)\torder=6\tfamily=dihedral\tD(3): 4 vertices exceeds cap 3" in capped
+        skips = [line.split("\t")[3] for line in capped if "vertices=" not in line]
+        _, out = run(capsys, "verify", "cor-c1-girth", "--max-order", "20", "--vertex-cap", "3",
+                     "--format", "json")
+        assert skips == json.loads(out)["results"][0]["skipped"]
+        for c, f in zip(capped, full):
+            n = int(f.rsplit("vertices=", 1)[1])
+            assert c == f if n <= 3 else c.split("\t")[:3] == f.split("\t")[:3]
 
 
 class TestUsage:

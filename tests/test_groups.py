@@ -1,3 +1,4 @@
+import json
 import random
 import re
 import tracemalloc
@@ -95,20 +96,17 @@ class TestValidation:
         for group in (dihedral(6), dicyclic(3), symmetric(4), cyclic(9)):
             assert validate_table(group.cayley_table()) == group.identity
 
-    def test_group_needs_table_or_mul_with_array(self):
-        def mul(a, b):
-            return (a + b) % 2
+    def test_group_is_a_rule_and_an_array(self):
+        built = []
 
         def array():
+            built.append(1)
             return np.array([[0, 1], [1, 0]])
 
-        for kwargs in ({}, {"mul": mul}, {"array": array},
-                       {"table": [[0, 1], [1, 0]], "mul": mul},
-                       {"table": [[0, 1], [1, 0]], "array": array}):
-            with pytest.raises(ValueError):
-                FiniteGroup(2, kwargs.pop("mul", None), 0, "z2", **kwargs)
-        assert FiniteGroup(2, None, 0, "z2", table=[[0, 1], [1, 0]]).mul(1, 1) == 0
-        assert FiniteGroup(2, mul, 0, "z2", array=array).cayley_table() == [[0, 1], [1, 0]]
+        g = FiniteGroup(2, lambda a, b: (a + b) % 2, 0, "z2", array)
+        assert g.mul(1, 1) == 0 and not built
+        assert g.cayley_table() == g.cayley_table() == [[0, 1], [1, 0]]
+        assert len(built) == 2  # built on each call, never kept on the group
 
 
 class TestFamilies:
@@ -162,11 +160,16 @@ class TestFamilies:
         assert g.order == 9
         assert all(m in (1, 3) for m in element_orders(g))
 
-    def test_order_cap(self):
+    def test_order_cap(self, monkeypatch):
         with pytest.raises(OrderCapExceeded):
-            cyclic(100, order_cap=99)
-        with pytest.raises(OrderCapExceeded):
-            symmetric(8, order_cap=1000)
+            cyclic(groups.ORDER_CAP + 1)
+        monkeypatch.setattr(groups, "ORDER_CAP", 99)
+        assert cyclic(99).order == 99
+        for make in (lambda: cyclic(100), lambda: dihedral(50), lambda: dicyclic(25),
+                     lambda: direct_product(cyclic(10), cyclic(10)), lambda: symmetric(5),
+                     lambda: from_cayley_table(closed_form_table(parse_spec("Z(100)")))):
+            with pytest.raises(OrderCapExceeded):
+                make()
 
 
 class TestElementOrder:
@@ -196,10 +199,12 @@ class TestPermutationGroups:
         with pytest.raises(InvalidPermutation):
             from_permutation_generators(3, [(0, 0, 1)], "bad")
 
-    def test_closure_cap(self):
+    def test_closure_cap(self, monkeypatch):
+        # the closure stops as it passes the cap, before the group is made
+        monkeypatch.setattr(groups, "ORDER_CAP", 100)
         gens = [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]  # generate S5
-        with pytest.raises(OrderCapExceeded):
-            from_permutation_generators(5, gens, "s5", order_cap=100)
+        with pytest.raises(OrderCapExceeded, match="closure exceeds order cap 100"):
+            from_permutation_generators(5, gens, "s5")
 
     def test_parse_cycle_notation(self):
         assert parse_cycle_notation("(0 1 2)", 4) == (1, 2, 0, 3)
@@ -232,7 +237,10 @@ class TestRelabel:
             rng.shuffle(perm)
             h = relabel(group, perm)
             assert sorted(element_orders(h)) == sorted(element_orders(group))
-            assert validate_table(h.cayley_table()) == h.identity
+            t = h.cayley_table()
+            assert validate_table(t) == h.identity
+            n = group.order
+            assert [[h.mul(a, b) for b in range(n)] for a in range(n)] == t
 
     def test_rejects_non_permutation(self):
         with pytest.raises(InvalidPermutation):
@@ -498,6 +506,13 @@ class TestClosedForms:
             build(spec.realize())
         assert cli_main(["catalog", "--max-order", "240"]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 644
+        # thm13 relabels groups, and a relabeled copy multiplies by the source rule;
+        # the paper's counterexamples (thm14) make the run exit 1
+        assert cli_main(["verify", "all", "--max-order", "100", "--format", "json"]) == 1
+        results = {r["theorem_id"]: r for r in json.loads(capsys.readouterr().out)["results"]}
+        assert len(results) == 11
+        assert results["thm13-iso-invariance"]["passed"]
+        assert results["thm13-iso-invariance"]["groups_tested"] == 10
 
     @pytest.mark.parametrize("text", ["Z(12)", "Z(6)xZ(2)", "D(7)", "Dic(5)", "S(4)", "A(5)"])
     def test_relabel(self, text):
@@ -509,4 +524,6 @@ class TestClosedForms:
         for a, row in enumerate(base):
             for b, v in enumerate(row):
                 expected[perm[a]][perm[b]] = perm[v]
-        assert relabel(spec.realize(), perm).cayley_table() == expected
+        h = relabel(spec.realize(), perm)
+        assert h.cayley_table() == expected
+        assert [[h.mul(a, b) for b in range(len(base))] for a in range(len(base))] == expected

@@ -26,6 +26,7 @@ from cycgraph.specs import parse_spec
 from cycgraph.invariants import (
     DEFAULT_NODE_BUDGET,
     INFINITY,
+    ISO_SIZE_CAP,
     _two_packing,
     clique_cover_number,
     component_structure,
@@ -438,9 +439,10 @@ class TestIsomorphism:
         assert graph_isomorphic(g, h)
 
     def test_size_cap(self):
-        g = Graph(40)
+        assert graph_isomorphic(Graph(ISO_SIZE_CAP), Graph(ISO_SIZE_CAP))
+        g = Graph(ISO_SIZE_CAP + 1)
         with pytest.raises(SkippedSizeCap):
-            graph_isomorphic(g, g, size_cap=32)
+            graph_isomorphic(g, g)
 
 
 class TestReport:
