@@ -74,5 +74,4 @@ from .theorems import (
     VerificationResult,
     default_catalog,
     run_verifiers,
-    verify_iso_invariance,
 )

@@ -1,17 +1,15 @@
 """Concrete finite groups: multiplication rules, family constructors, file ingestion.
 
-Elements are dense integer indices 0..n-1.  A group is a multiplication rule
-plus a callable that builds its Cayley table on demand.  Every family (cyclic,
-direct product, dihedral, dicyclic, permutation closure) multiplies through
-its closed form, and builds its table only for ``cayley_table`` or
-``write_cayley_file``, with numpy index arithmetic from the same closed form (a
-permutation group composes its element array with itself).  A relabeled copy
-composes the source rule with the renaming and builds no table either.  Only a
-Cayley table given as input is stored, as the rows its rule looks up.  User
-tables are parsed into an int64 array and every group axiom is checked with
-numpy at every order; associativity exactly, by Light's test on a generating
-set (Clifford & Preston, *The Algebraic Theory of Semigroups* I, section 1.2).
-No group may exceed ``ORDER_CAP`` elements.
+Elements are dense integer indices 0..n-1.  A group is its multiplication
+rule.  Every family (cyclic, direct product, dihedral, dicyclic, permutation
+closure) multiplies through its closed form, and a relabeled copy composes
+the source rule with the renaming.  Only a Cayley table given as input is
+stored, as the rows its rule looks up.  ``cayley_table`` derives the table
+from the rule, for every group alike.  User tables are parsed into an int64
+array and every group axiom is checked with numpy at every order;
+associativity exactly, by Light's test on a generating set (Clifford &
+Preston, *The Algebraic Theory of Semigroups* I, section 1.2).  No group may
+exceed ``ORDER_CAP`` elements.
 """
 
 from __future__ import annotations
@@ -36,100 +34,54 @@ ORDER_CAP = 20000
 
 
 class FiniteGroup:
-    """An immutable finite group on element indices 0..order-1.
+    """An immutable finite group on element indices 0..order-1, given by its rule.
 
     ``mul`` is a plain callable attribute so hot loops can bind it locally.
-    ``array`` is a zero-argument callable that builds the same multiplication
-    table as an int64 array on demand; the table is never kept on the group.
+    The rule must be associative: every family is by construction, an input
+    table is checked by Light's test, and a relabeled copy keeps it.
     """
 
-    __slots__ = ("order", "identity", "descriptor", "mul", "_array")
+    __slots__ = ("order", "identity", "descriptor", "mul")
 
-    def __init__(
-        self,
-        order: int,
-        mul: Callable[[int, int], int],
-        identity: int,
-        descriptor: str,
-        array: Callable[[], np.ndarray],
-    ):
+    def __init__(self, order: int, mul: Callable[[int, int], int], identity: int, descriptor: str):
         if order > ORDER_CAP:
             raise OrderCapExceeded(f"{descriptor}: order {order} exceeds cap {ORDER_CAP}")
         self.order = order
         self.identity = identity
         self.descriptor = descriptor
         self.mul = mul
-        self._array = array
 
     def __repr__(self):
         return f"FiniteGroup({self.descriptor}, order={self.order})"
 
     def cayley_table(self) -> list[list[int]]:
-        """A freshly built copy of the full multiplication table, so changing it
-        leaves the group as it was."""
-        return self._array().tolist()
+        """The full multiplication table, derived from the rule on each call.
 
-
-def _cyclic_array(n: int) -> np.ndarray:
-    a = np.arange(n)
-    return np.add.outer(a, a) % n
-
-
-def _product_array(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
-    """Table of G x H on index g*|H| + h, from the tables of G and H."""
-    m = len(t2)
-    n = len(t1) * m
-    return (t1[:, None, :, None] * m + t2[None, :, None, :]).reshape(n, n)
-
-
-def _dihedral_array(n: int) -> np.ndarray:
-    a = np.arange(2 * n)
-    i, s = a % n, a // n
-    k = np.where(s[:, None] == 0, i[:, None] + i, i[:, None] - i) % n
-    return k + (s[:, None] ^ s) * n
-
-
-def _dicyclic_array(m: int) -> np.ndarray:
-    n2 = 2 * m
-    a = np.arange(4 * m)
-    i, s = (a % n2)[:, None], (a // n2)[:, None]
-    j, t = a % n2, a // n2
-    return np.where(
-        s == 0, (i + j) % n2 + t * n2,
-        np.where(t == 0, (i - j) % n2 + n2, (i - j + m) % n2),
-    )
-
-
-#: entries of the product array composed at once by _composition_array
-_COMPOSE_BLOCK = 1 << 22
-
-
-def _composition_array(elems: Sequence[tuple[int, ...]], degree: int) -> np.ndarray:
-    """Table of a permutation group: entry [a, b] is the index of elems[a] o elems[b].
-
-    Each product is looked up by its bytes among the sorted element codes, a
-    block of rows at a time, so scratch memory stays near _COMPOSE_BLOCK
-    entries whatever the degree and never depends on degree ** degree.
-    """
-    n = len(elems)
-    if n == 1:  # the trivial group, possibly of degree 0, which has no bytes to compare
-        return np.zeros((1, 1), dtype=np.int64)
-    perms = np.array(elems, dtype=np.min_scalar_type(degree - 1))
-    code = np.dtype((np.void, perms.itemsize * degree))
-
-    def codes(p):
-        return np.ascontiguousarray(p).view(code).ravel()
-
-    keys = codes(perms)
-    ranked = np.argsort(keys)
-    sorted_keys = keys[ranked]
-    table = np.empty((n, n), dtype=np.int64)
-    rows = max(1, _COMPOSE_BLOCK // (n * degree))
-    for a0 in range(0, n, rows):
-        products = perms[a0:a0 + rows][:, perms]    # [a - a0, b, i] = elems[a][elems[b][i]]
-        found = np.searchsorted(sorted_keys, codes(products.reshape(-1, degree)))
-        table[a0:a0 + rows] = ranked[found].reshape(-1, n)
-    return table
+        Row a is left multiplication by a.  Generators are picked greedily, each
+        the least element not yet reached, and their rows cost n calls to
+        ``mul`` each; every other row follows by associativity, which the rule
+        must have: row[s*a] = row[s][row[a]], walking breadth-first from the
+        identity.  Each new generator at least doubles the reached subgroup,
+        so ``mul`` is called at most n * floor(log2 n) times.  The table is a
+        fresh copy, so changing it leaves the group as it was.
+        """
+        n, mul = self.order, self.mul
+        rows = np.empty((n, n), dtype=np.int64)
+        rows[self.identity] = np.arange(n)
+        reached, seen, gens = [self.identity], [False] * n, []
+        seen[self.identity] = True
+        while len(reached) < n:
+            g = seen.index(False)
+            rows[g] = [mul(g, b) for b in range(n)]
+            gens.append(g)
+            for a in reached:                   # grows while it is walked
+                for s in gens:
+                    x = int(rows[s, a])
+                    if not seen[x]:
+                        seen[x] = True
+                        rows[x] = rows[s][rows[a]]
+                        reached.append(x)
+        return rows.tolist()
 
 
 # --- validation -------------------------------------------------------------
@@ -141,7 +93,7 @@ def validate_table(table: Sequence[Sequence[int]]) -> int:
     associativity) and only the first failure is reported.  Associativity is
     exact at every order: see :func:`_check_associative`.
     """
-    t = _square_array(table)
+    t = _square_table(table)
     n = len(t)
     out = np.argwhere((t < 0) | (t >= n))
     if len(out):
@@ -169,7 +121,7 @@ def validate_table(table: Sequence[Sequence[int]]) -> int:
     return identity
 
 
-def _square_array(table: Sequence[Sequence[int]]) -> np.ndarray:
+def _square_table(table: Sequence[Sequence[int]]) -> np.ndarray:
     """The table as an n x n int64 array (no copy if it is one already)."""
     n = len(table)
     if n == 0:
@@ -217,13 +169,10 @@ def _check_associative(t: np.ndarray, identity: int) -> None:
 
 
 def from_cayley_table(table: Sequence[Sequence[int]], descriptor: str = "cayley-table") -> FiniteGroup:
-    t = _square_array(table)                    # converted once; validate_table reuses it
+    t = _square_table(table)                    # converted once; validate_table reuses it
     identity = validate_table(t)
     rows = t.tolist()
-    return FiniteGroup(
-        len(rows), lambda a, b: rows[a][b], identity, descriptor,
-        lambda: np.asarray(rows, dtype=np.int64),
-    )
+    return FiniteGroup(len(rows), lambda a, b: rows[a][b], identity, descriptor)
 
 
 # --- family constructors ----------------------------------------------------
@@ -231,7 +180,7 @@ def from_cayley_table(table: Sequence[Sequence[int]], descriptor: str = "cayley-
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("cyclic(n) needs n >= 1")
-    return FiniteGroup(n, lambda a, b: (a + b) % n, 0, f"Z({n})", lambda: _cyclic_array(n))
+    return FiniteGroup(n, lambda a, b: (a + b) % n, 0, f"Z({n})")
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
@@ -240,10 +189,7 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     def rule(a, b):
         return gmul(a // m, b // m) * m + hmul(a % m, b % m)
 
-    return FiniteGroup(
-        g.order * m, rule, g.identity * m + h.identity, f"{g.descriptor}x{h.descriptor}",
-        lambda: _product_array(g._array(), h._array()),
-    )
+    return FiniteGroup(g.order * m, rule, g.identity * m + h.identity, f"{g.descriptor}x{h.descriptor}")
 
 
 def dihedral(n: int) -> FiniteGroup:
@@ -257,7 +203,7 @@ def dihedral(n: int) -> FiniteGroup:
         k = (i + j) % n if s == 0 else (i - j) % n
         return k + ((s + t) % 2) * n
 
-    return FiniteGroup(2 * n, rule, 0, f"D({n})", lambda: _dihedral_array(n))
+    return FiniteGroup(2 * n, rule, 0, f"D({n})")
 
 
 def dicyclic(m: int) -> FiniteGroup:
@@ -278,7 +224,7 @@ def dicyclic(m: int) -> FiniteGroup:
             return (i - j) % n2 + n2
         return (i - j + m) % n2
 
-    return FiniteGroup(4 * m, rule, 0, f"Dic({m})", lambda: _dicyclic_array(m))
+    return FiniteGroup(4 * m, rule, 0, f"Dic({m})")
 
 
 def from_permutation_generators(
@@ -315,7 +261,7 @@ def from_permutation_generators(
         return _i[tuple(map(_e[a].__getitem__, _e[b]))]
 
     desc = descriptor or f"perm-group:deg{degree}:order{n}"
-    return FiniteGroup(n, rule, 0, desc, lambda: _composition_array(elems, degree))
+    return FiniteGroup(n, rule, 0, desc)
 
 
 def _cycle(points: Sequence[int], degree: int) -> tuple[int, ...]:
@@ -386,7 +332,7 @@ def relabel(group: FiniteGroup, perm: Sequence[int]) -> FiniteGroup:
     """Isomorphic copy of the group with elements renamed by ``perm``.
 
     perm maps old index -> new index.  The copy multiplies by the source rule,
-    new[mul(old[a], old[b])], and builds its table from the source's on demand.
+    new[mul(old[a], old[b])], which is associative when the source's is.
     """
     n = group.order
     if sorted(perm) != list(range(n)):
@@ -398,10 +344,7 @@ def relabel(group: FiniteGroup, perm: Sequence[int]) -> FiniteGroup:
     def rule(a, b):
         return new[mul(old[a], old[b])]
 
-    return FiniteGroup(
-        n, rule, new[group.identity], f"relabel:{group.descriptor}",
-        lambda: np.asarray(new, dtype=np.int64)[group._array()[np.ix_(old, old)]],
-    )
+    return FiniteGroup(n, rule, new[group.identity], f"relabel:{group.descriptor}")
 
 
 # --- file formats -----------------------------------------------------------
@@ -476,6 +419,8 @@ def read_permutation_file(path: str) -> FiniteGroup:
         degree = int(lines[0])
     except ValueError:
         raise InvalidPermutation(f"{path}: line 1 must be the degree, found {lines[0]!r}") from None
+    if degree < 0:
+        raise InvalidPermutation(f"{path}: degree must be >= 0, found {degree}")
     try:
         gens = [parse_cycle_notation(ln, degree) for ln in lines[1:]]
     except InvalidPermutation as exc:

@@ -28,7 +28,7 @@ class _Atom(NamedTuple):
     arg: str                                # the parameter's name in parse errors
     least: int                              # smallest parameter the parser accepts
     order: Callable[[int], int]             # group order from the parameter
-    construct: Callable[[int], FiniteGroup] # parameter -> group, under the constructor's order cap
+    construct: Callable[[int], FiniteGroup] # parameter -> group, under groups.ORDER_CAP
 
 
 _ATOMS = {

@@ -146,12 +146,6 @@ def _timed(verifier):
 
 # --- individual theorem checks ------------------------------------------------
 
-@_timed
-def verify_iso_invariance(group: FiniteGroup, trials: int, seed: int = 0) -> VerificationResult:
-    """Random relabelings of a group must yield isomorphic intersection graphs."""
-    return _relabelings_isomorphic(group, build(group), trials, seed)
-
-
 def _relabelings_isomorphic(
     group: FiniteGroup, base: IntersectionGraph, trials: int, seed: int
 ) -> VerificationResult:

@@ -143,6 +143,8 @@ class TestExport:
             ("cayley", "2\n0 x\n1 0\n"),       # non-integer table entry
             ("perm", "three\n(0 1)\n"),          # non-integer degree header
             ("perm", "3\n(0 a)\n"),              # non-integer point in cycle notation
+            ("perm", "-3\n()\n"),                # negative degree
+            ("perm", "-3\n"),
         ],
     )
     def test_malformed_file_is_usage_error(self, tmp_path, capsys, kind, text):

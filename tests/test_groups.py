@@ -3,7 +3,6 @@ import random
 import re
 import tracemalloc
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -96,17 +95,35 @@ class TestValidation:
         for group in (dihedral(6), dicyclic(3), symmetric(4), cyclic(9)):
             assert validate_table(group.cayley_table()) == group.identity
 
-    def test_group_is_a_rule_and_an_array(self):
-        built = []
+    def test_group_is_its_rule(self):
+        g = FiniteGroup(2, lambda a, b: (a + b) % 2, 0, "z2")
+        assert g.mul(1, 1) == 0
+        t = g.cayley_table()
+        t[0][0] = -1
+        assert g.cayley_table() == [[0, 1], [1, 0]]
+        assert g.__slots__ == ("order", "identity", "descriptor", "mul")  # no table is kept
 
-        def array():
-            built.append(1)
-            return np.array([[0, 1], [1, 0]])
+        calls = []
 
-        g = FiniteGroup(2, lambda a, b: (a + b) % 2, 0, "z2", array)
-        assert g.mul(1, 1) == 0 and not built
-        assert g.cayley_table() == g.cayley_table() == [[0, 1], [1, 0]]
-        assert len(built) == 2  # built on each call, never kept on the group
+        def counted(group):
+            mul = group.mul
+
+            def rule(a, b):
+                calls.append((a, b))
+                return mul(a, b)
+
+            return FiniteGroup(group.order, rule, group.identity, group.descriptor)
+
+        d = dihedral(450)
+        perm = list(range(d.order))
+        random.Random(5).shuffle(perm)
+        for group in (d, relabel(from_cayley_table(d.cayley_table()), perm)):
+            n, g = group.order, counted(group)
+            expected = group.cayley_table()
+            for _ in range(2):  # rebuilt from the rule on each call
+                calls.clear()
+                assert g.cayley_table() == expected
+                assert 0 < len(calls) <= n * (n.bit_length() - 1)  # n * floor(log2 n)
 
 
 class TestFamilies:
@@ -247,9 +264,13 @@ class TestRelabel:
             relabel(cyclic(3), [0, 0, 1])
 
     def test_cayley_table_is_a_copy(self):
+        perm = list(range(36))
+        random.Random(2).shuffle(perm)
         for g in (from_cayley_table([[0, 1, 2], [1, 2, 0], [2, 0, 1]]),
                   relabel(cyclic(3), [2, 0, 1]),
-                  dihedral(3)):
+                  dihedral(3),
+                  direct_product(symmetric(3), dicyclic(3)),
+                  relabel(from_cayley_table(closed_form_table(parse_spec("D(6)xZ(3)"))), perm)):
             def products():
                 return [[g.mul(a, b) for b in range(g.order)] for a in range(g.order)]
 
@@ -295,8 +316,9 @@ class TestFiles:
 
     def test_high_degree_permutation_file(self, tmp_path):
         # D(16) on points 0..15 times Z(8) on 16..23: order 256.  On 1000 points
-        # the extra ones are fixed, so the table must not change; composing all
-        # 256^2 products at once would take 131 MB at degree 1000.
+        # the extra ones are fixed, so the table must not change.  The closure
+        # keeps 256 permutations of 1000 points (~2 MB), never a product of
+        # every pair, which would take 256^2 of them.
         gens = ["(" + " ".join(map(str, range(16))) + ")",
                 "".join(f"({i} {16 - i})" for i in range(1, 8)),
                 "(" + " ".join(map(str, range(16, 24))) + ")"]
@@ -311,8 +333,10 @@ class TestFiles:
         finally:
             tracemalloc.stop()
         assert h.order == g.order == 256
-        assert h.cayley_table() == g.cayley_table()
-        assert validate_table(h.cayley_table()) == h.identity == 0
+        t = h.cayley_table()
+        assert t == g.cayley_table()
+        assert t == [[h.mul(a, b) for b in range(256)] for a in range(256)]
+        assert validate_table(t) == h.identity == 0
         assert peak < 32 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
     def test_permutation_file_identity_only(self, tmp_path):
@@ -497,9 +521,7 @@ class TestClosedForms:
         def refuse(*args):
             raise AssertionError("a family table was built")
 
-        for name in ("_cyclic_array", "_product_array", "_dihedral_array",
-                     "_dicyclic_array", "_composition_array"):
-            monkeypatch.setattr(groups, name, refuse)
+        monkeypatch.setattr(FiniteGroup, "cayley_table", refuse)
         specs = default_catalog(240)
         assert len(specs) == 644
         for spec in specs:
