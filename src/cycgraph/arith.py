@@ -25,7 +25,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
 
 def is_prime(n: int) -> bool:
-    return n >= 2 and len(factorize(n)) == 1 and factorize(n)[0][1] == 1
+    return n >= 2 and factorize(n) == [(n, 1)]
 
 
 def prime_power(n: int) -> tuple[int, int] | None:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Iterator
 
-from .arith import divisors
+from .arith import divisors, is_prime
 from .errors import VertexCapExceeded
 from .groups import FiniteGroup
 from .subgroups import CyclicSubgroup, cyclic_subgroups
@@ -150,21 +150,23 @@ class IntersectionGraph:
 
 def build(group: FiniteGroup, vertex_cap: int = DEFAULT_VERTEX_CAP) -> IntersectionGraph:
     """Vertices are the proper nontrivial cyclic subgroups in canonical order;
-    two are adjacent iff their element sets share more than the identity."""
+    two are adjacent iff they share a subgroup P of prime order (any nontrivial
+    intersection holds one), so the graph is the union of the cliques
+    C_P = {H : P <= H}.  P <= H iff H holds P's canonical generator, since that
+    one element generates P."""
     subs = cyclic_subgroups(group)
     if len(subs) > vertex_cap:
         raise VertexCapExceeded(
             f"{group.descriptor}: {len(subs)} vertices exceeds cap {vertex_cap}"
         )
-    k = len(subs)
-    g = Graph(k)
-    masks = [s.mask for s in subs]
-    for i in range(k):
-        mi = masks[i]
-        for j in range(i + 1, k):
-            inter = mi & masks[j]
-            if inter & (inter - 1):  # at least 2 common elements
-                g.add_edge(i, j)
+    cliques = {s.generator: 0 for s in subs if is_prime(s.order)}
+    for v, s in enumerate(subs):
+        for p in cliques.keys() & s.elements:
+            cliques[p] |= 1 << v
+    g = Graph(len(subs))
+    for clique in cliques.values():
+        for v in bits(clique):
+            g.adj[v] |= clique & ~(1 << v)
     return IntersectionGraph(tuple(subs), g, group.descriptor)
 
 

@@ -240,8 +240,12 @@ def from_permutation_generators(
     for g in gens:
         if sorted(g) != list(range(degree)):
             raise InvalidPermutation(f"{tuple(g)} is not a permutation of 0..{degree - 1}")
-    gens = sorted(tuple(g) for g in gens)
-    ident = tuple(range(degree))
+    # Points no generator moves are fixed by the group and never decide a sort:
+    # dropping them keeps the generator order, the BFS order and every index.
+    support = [i for i in range(degree) if any(g[i] != i for g in gens)]
+    pos = {p: k for k, p in enumerate(support)}
+    gens = sorted(tuple(pos[g[i]] for i in support) for g in gens)
+    ident = tuple(range(len(support)))
     elems = [ident]
     index = {ident: 0}
     head = 0

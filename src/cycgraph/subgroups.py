@@ -11,19 +11,15 @@ from .groups import FiniteGroup
 
 @dataclass(frozen=True)
 class CyclicSubgroup:
-    """One cyclic subgroup <g>, with its canonical (smallest) generator.
-
-    ``mask`` is the element set as a bitmask over group element indices; it is
-    what the graph builder intersects.
-    """
+    """One cyclic subgroup <g>: its canonical (smallest) generator, its
+    element indices in ascending order, and its order."""
 
     generator: int
     elements: tuple[int, ...]
     order: int
-    mask: int
 
     def contains(self, other: "CyclicSubgroup") -> bool:
-        return self.mask | other.mask == self.mask
+        return set(other.elements) <= set(self.elements)
 
 
 def cyclic_subgroups(group: FiniteGroup) -> list[CyclicSubgroup]:
@@ -52,11 +48,7 @@ def cyclic_subgroups(group: FiniteGroup) -> list[CyclicSubgroup]:
             done[h] = 1
         if m == n:  # <g> = G: not a proper subgroup
             continue
-        elements = tuple(sorted(powers))
-        mask = 0
-        for v in elements:
-            mask |= 1 << v
-        subs.append(CyclicSubgroup(min(gens), elements, m, mask))
+        subs.append(CyclicSubgroup(min(gens), tuple(sorted(powers)), m))
     subs.sort(key=lambda s: (s.order, s.elements))
     return subs
 

@@ -5,7 +5,9 @@ domination number, a bounded search behind one).  The oracles here
 deliberately avoid all of that: they enumerate subsets (or colourings)
 directly, so agreement between the two is meaningful evidence of
 correctness.  Likewise the number-theoretic
-oracle uses plain trial division rather than cycgraph.arith.
+oracle uses plain trial division rather than cycgraph.arith, and the
+intersection graph oracle intersects element sets pair by pair rather than
+using prime-order subgroups.
 """
 
 from itertools import combinations
@@ -14,7 +16,14 @@ from math import isqrt
 import pytest
 
 from cycgraph.graphs import Graph, build
+from cycgraph.specs import parse_spec
 from cycgraph.theorems import default_catalog
+
+#: non-abelian products outside the default catalog
+PRODUCTS = (
+    "D(4)xZ(2)", "S(3)xS(3)", "Dic(3)xZ(3)", "A(4)xZ(2)",
+    "Q(16)xZ(3)", "D(6)xD(3)", "S(4)xZ(3)", "A(5)xZ(2)",
+)
 
 
 def distinct_prime_pairs(limit: int) -> set[int]:
@@ -33,6 +42,18 @@ def distinct_prime_pairs(limit: int) -> set[int]:
         if q != p and q > 1 and smallest_factor(q) == q:
             out.add(n)
     return out
+
+
+def pairwise_adjacency(vertices) -> Graph:
+    """Intersection graph of subgroups given by their element sets: H and K are
+    adjacent iff they share at least two elements, tested for every pair."""
+    sets = [set(h.elements) for h in vertices]
+    g = Graph(len(sets))
+    for i, h in enumerate(sets):
+        for j in range(i + 1, len(sets)):
+            if len(h & sets[j]) >= 2:
+                g.add_edge(i, j)
+    return g
 
 
 def brute_independence_number(g: Graph) -> int:
@@ -139,4 +160,14 @@ def small_catalog_graphs():
     for spec in default_catalog(64):
         ig = build(spec.realize())
         out.append((spec.descriptor, ig))
+    return out
+
+
+@pytest.fixture(scope="session")
+def catalog_240_and_products():
+    """(descriptor, group, graph) for default_catalog(240) plus PRODUCTS."""
+    out = []
+    for spec in [*default_catalog(240), *map(parse_spec, PRODUCTS)]:
+        group = spec.realize()
+        out.append((spec.descriptor, group, build(group)))
     return out

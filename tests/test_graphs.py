@@ -2,6 +2,7 @@ from math import gcd
 
 import pytest
 
+from conftest import pairwise_adjacency
 from cycgraph.errors import VertexCapExceeded
 from cycgraph.graphs import (
     Graph,
@@ -14,7 +15,7 @@ from cycgraph.graphs import (
     path_graph,
     zn_divisor_graph,
 )
-from cycgraph.groups import cyclic, dicyclic, elementary_abelian
+from cycgraph.groups import cyclic, dicyclic, elementary_abelian, symmetric
 
 
 class TestGraph:
@@ -104,6 +105,12 @@ class TestBuild:
 
     def test_source_descriptor(self):
         assert build(dicyclic(2)).source_descriptor == "Dic(2)"
+
+    def test_matches_pairwise_oracle(self, catalog_240_and_products):
+        graphs = [(desc, ig) for desc, _, ig in catalog_240_and_products]
+        graphs += [("S(6)", build(symmetric(6))), ("Z(2)^9", build(elementary_abelian(2, 9)))]
+        for desc, ig in graphs:
+            assert ig.graph == pairwise_adjacency(ig.vertices), desc
 
 
 class TestDivisorOracle:

@@ -54,12 +54,6 @@ from cycgraph.theorems import default_catalog
 
 INF = INFINITY
 
-#: non-abelian products outside the default catalog
-PRODUCTS = (
-    "D(4)xZ(2)", "S(3)xS(3)", "Dic(3)xZ(3)", "A(4)xZ(2)",
-    "Q(16)xZ(3)", "D(6)xD(3)", "S(4)xZ(3)", "A(5)xZ(2)",
-)
-
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
     rng = random.Random(seed)
@@ -96,16 +90,6 @@ def alpha_or_skip(g: Graph) -> int | None:
         return independence_number(g)
     except SkippedSizeCap:
         return None
-
-
-@pytest.fixture(scope="module")
-def catalog_240_and_products():
-    """(descriptor, group, graph) for default_catalog(240) plus PRODUCTS."""
-    out = []
-    for spec in [*default_catalog(240), *map(parse_spec, PRODUCTS)]:
-        group = spec.realize()
-        out.append((spec.descriptor, group, build(group)))
-    return out
 
 
 @st.composite
@@ -312,10 +296,10 @@ class TestSimplicialCover:
 
         for desc, _, ig in catalog_240_and_products:
             g = ig.graph
-            primes = [p.mask for p in ig.vertices if prime(p.order)]
+            primes = [frozenset(p.elements) for p in ig.vertices if prime(p.order)]
             for v, h in enumerate(ig.vertices):
                 simplicial = g.is_clique_mask(g.adj[v] | 1 << v)
-                below = sum(1 for p in primes if p | h.mask == h.mask)
+                below = sum(1 for p in primes if p <= set(h.elements))
                 assert simplicial == (below == 1), (desc, h.generator)
 
     @pytest.mark.parametrize(

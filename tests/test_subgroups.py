@@ -51,8 +51,7 @@ class TestEnumeration:
     def test_subgroups_are_closed_and_distinct(self):
         for group in (cyclic(24), dicyclic(3), elementary_abelian(3, 2)):
             subs = cyclic_subgroups(group)
-            masks = {s.mask for s in subs}
-            assert len(masks) == len(subs)
+            assert len({s.elements for s in subs}) == len(subs)
             for s in subs:
                 assert 1 < s.order < group.order
                 assert group.identity in s.elements
