@@ -4,12 +4,13 @@ Elements are dense integer indices 0..n-1.  A group is its multiplication
 rule.  Every family (cyclic, direct product, dihedral, dicyclic, permutation
 closure) multiplies through its closed form, and a relabeled copy composes
 the source rule with the renaming.  Only a Cayley table given as input is
-stored, as the rows its rule looks up.  ``cayley_table`` derives the table
-from the rule, for every group alike.  User tables are parsed into an int64
-array and every group axiom is checked with numpy at every order;
-associativity exactly, by Light's test on a generating set (Clifford &
-Preston, *The Algebraic Theory of Semigroups* I, section 1.2).  No group may
-exceed ``ORDER_CAP`` elements.
+stored: as a compact array of the least unsigned dtype that holds 0..n-1,
+each row turned into the list its rule looks up the first time it is read.
+``cayley_table`` derives the table from the rule, for every group alike.
+User tables are parsed into an int64 array and every group axiom is checked
+with numpy at every order; associativity exactly, by Light's test on a
+generating set (Clifford & Preston, *The Algebraic Theory of Semigroups* I,
+section 1.2).  No group may exceed ``ORDER_CAP`` elements.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import numpy as np
 from .errors import (
     InvalidPermutation,
     NoIdentity,
-    NoInverse,
     NotAssociative,
     NotLatinSquare,
     OrderCapExceeded,
@@ -89,36 +89,37 @@ class FiniteGroup:
 def validate_table(table: Sequence[Sequence[int]]) -> int:
     """Check the group axioms on a raw table; returns the identity index.
 
-    Check order is fixed (shape, Latin square, identity, inverses,
-    associativity) and only the first failure is reported.  Associativity is
-    exact at every order: see :func:`_check_associative`.
+    Check order is fixed (shape, Latin square, identity, associativity) and
+    only the first failure is reported.  Every element has an inverse once
+    each row is a permutation, since then every row holds the identity.
+    Past the range check, the checks run on a compact copy in the least
+    unsigned dtype that holds 0..n-1 (uint8 up to order 256, uint16 above).
+    Associativity is exact at every order: see :func:`_check_associative`.
     """
     t = _square_table(table)
     n = len(t)
-    out = np.argwhere((t < 0) | (t >= n))
-    if len(out):
-        i, j = map(int, out[0])
+    if t.min() < 0 or t.max() >= n:
+        i, j = map(int, np.argwhere((t < 0) | (t >= n))[0])
         raise NotLatinSquare(f"entry ({i},{j}) = {int(t[i, j])} out of range 0..{n - 1}")
-    ar = np.arange(n)
-    seen = np.zeros((n, n), dtype=bool)
-    seen[ar[:, None], t] = True                 # seen[i, v]: v occurs in row i
-    bad = np.flatnonzero(~seen.all(axis=1))
+    t = t.astype(_index_dtype(n))
+    ar = np.arange(n, dtype=t.dtype)
+    bad = np.flatnonzero((np.sort(t, axis=1) != ar).any(axis=1))
     if len(bad):
         raise NotLatinSquare(f"row {bad[0]} is not a permutation of 0..{n - 1}")
-    seen[:] = False
-    seen[t, ar] = True                          # seen[v, j]: v occurs in column j
-    bad = np.flatnonzero(~seen.all(axis=0))
+    bad = np.flatnonzero((np.sort(np.ascontiguousarray(t.T), axis=1) != ar).any(axis=1))
     if len(bad):
         raise NotLatinSquare(f"column {bad[0]} is not a permutation of 0..{n - 1}")
     two_sided = (t == ar).all(axis=1) & (t == ar[:, None]).all(axis=0)
     if not two_sided.any():
         raise NoIdentity("no two-sided identity element")
     identity = int(np.argmax(two_sided))
-    lacking = np.flatnonzero(~(t == identity).any(axis=1))
-    if len(lacking):
-        raise NoInverse(f"element {lacking[0]} has no inverse")
     _check_associative(t, identity)
     return identity
+
+
+def _index_dtype(n: int) -> np.dtype:
+    """The least unsigned dtype that holds every index 0..n-1."""
+    return np.min_scalar_type(n - 1)
 
 
 def _square_table(table: Sequence[Sequence[int]]) -> np.ndarray:
@@ -141,38 +142,57 @@ def _check_associative(t: np.ndarray, identity: int) -> None:
     Call ``a`` good when (x*a)*y = x*(a*y) for all x, y.  If a and b are good
     then so is a*b, so the good elements are closed under the product.  The
     test therefore checks a generating set, picked greedily as the least
-    element outside the closure of those picked so far, and is exact:
-    O(n^2) per generator, at most log2(n) generators for a group.
+    element not reached from the identity by right multiplication with those
+    picked so far, and is exact: O(n^2) per generator, at most log2(n)
+    generators for a group.  In a group, right multiplication from the
+    identity reaches the whole subgroup the generators generate, and each
+    new generator costs one list lookup per (reached element, generator)
+    pair, not another n^2 pass.  The first failing (x, a, y) in row-major
+    order is reported.
     """
     n = len(t)
-    closed = np.zeros(n, dtype=bool)
-    closed[identity] = True
-    while not closed.all():
-        a = int(np.argmin(closed))
-        left = t[t[:, a]]                       # left[x, y] = (x*a)*y
+    reached, seen, cols = [identity], bytearray(n), []
+    seen[identity] = 1
+    while len(reached) < n:
+        a = seen.index(0)
+        col = t[:, a]                           # col[x] = x*a
+        left = t[col]                           # left[x, y] = (x*a)*y
         right = t[:, t[a]]                      # right[x, y] = x*(a*y)
-        bad = np.argwhere(left != right)
-        if len(bad):
-            x, y = map(int, bad[0])
+        if not np.array_equal(left, right):
+            x, y = map(int, np.argwhere(left != right)[0])
             raise NotAssociative(
                 f"({x}*{a})*{y} = {int(left[x, y])} but {x}*({a}*{y}) = {int(right[x, y])}"
             )
-        # closure of closed + {a} under the product: each round multiplies the
-        # newly reached elements by every member, on both sides
-        closed[a] = True
-        fresh = np.array([a])
-        while len(fresh):
-            members = np.flatnonzero(closed)
-            prods = np.concatenate((t[np.ix_(fresh, members)].ravel(), t[np.ix_(members, fresh)].ravel()))
-            fresh = np.unique(prods[~closed[prods]])
-            closed[fresh] = True
+        cols.append(col.tolist())
+        for x in reached:                       # grows while it is walked
+            for col in cols:
+                y = col[x]
+                if not seen[y]:
+                    seen[y] = 1
+                    reached.append(y)
 
 
 def from_cayley_table(table: Sequence[Sequence[int]], descriptor: str = "cayley-table") -> FiniteGroup:
+    """The group of a Cayley table, once :func:`validate_table` accepts it.
+
+    The group keeps a compact copy of the table, never the caller's array, so
+    changing ``table`` later leaves the group as it was.  Its rule turns row a
+    into a list the first time it reads it: a caller that multiplies on the
+    left by few elements, as :func:`cycgraph.subgroups.cyclic_subgroups` does,
+    converts few of the n rows.
+    """
     t = _square_table(table)                    # converted once; validate_table reuses it
     identity = validate_table(t)
-    rows = t.tolist()
-    return FiniteGroup(len(rows), lambda a, b: rows[a][b], identity, descriptor)
+    compact = t.astype(_index_dtype(len(t)))
+    rows: list[list[int] | None] = [None] * len(t)
+
+    def rule(a, b):
+        row = rows[a]
+        if row is None:
+            row = rows[a] = compact[a].tolist()
+        return row[b]
+
+    return FiniteGroup(len(t), rule, identity, descriptor)
 
 
 # --- family constructors ----------------------------------------------------
@@ -354,7 +374,11 @@ def relabel(group: FiniteGroup, perm: Sequence[int]) -> FiniteGroup:
 # --- file formats -----------------------------------------------------------
 
 def read_cayley_file(path: str) -> FiniteGroup:
-    """Cayley-table file: line 1 is n, then n lines of n space-separated indices."""
+    """Cayley-table file: line 1 is n, then n lines of n space-separated indices.
+
+    An order above ``ORDER_CAP`` is refused before any row is read.
+    """
+    descriptor = f"cayley-file:{path}"
     with open(path) as fh:
         header = fh.readline()
         if not header:
@@ -365,6 +389,8 @@ def read_cayley_file(path: str) -> FiniteGroup:
             raise NotLatinSquare(f"{path}: line 1 must be the order n, found {header.strip()!r}") from None
         if n < 1:
             raise NotLatinSquare(f"{path}: order must be >= 1, found {n}")
+        if n > ORDER_CAP:
+            raise OrderCapExceeded(f"{descriptor}: order {n} exceeds cap {ORDER_CAP}")
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # no rows: reported below
@@ -373,7 +399,7 @@ def read_cayley_file(path: str) -> FiniteGroup:
             raise NotLatinSquare(f"{path}: rows must hold integers, equally many per line: {exc}") from None
     if table.size != n * n:
         raise NotLatinSquare(f"{path}: expected {n * n} entries, found {table.size}")
-    return from_cayley_table(table.reshape(n, n), descriptor=f"cayley-file:{path}")
+    return from_cayley_table(table.reshape(n, n), descriptor=descriptor)
 
 
 def write_cayley_file(group: FiniteGroup, path: str) -> None:

@@ -27,7 +27,10 @@ def cyclic_subgroups(group: FiniteGroup) -> list[CyclicSubgroup]:
 
     Walks every element once: generating <g> also identifies all phi(m) of its
     generators (the powers g^k with gcd(k, m) = 1), which are then skipped.
-    Total cost is the sum of |H| over distinct cyclic subgroups H.
+    Total cost is the sum of |H| over distinct cyclic subgroups H.  Powers
+    step as g * x, which equals x * g since powers of g commute with g: every
+    product is a left multiplication by a walk's start, so a group that turns
+    table rows into lists on first use converts one row per walk.
     """
     n = group.order
     mul, e = group.mul, group.identity
@@ -41,7 +44,7 @@ def cyclic_subgroups(group: FiniteGroup) -> list[CyclicSubgroup]:
         x = g
         while x != e:
             powers.append(x)
-            x = mul(x, g)
+            x = mul(g, x)
         m = len(powers)
         gens = [powers[k] for k in range(1, m) if gcd(k, m) == 1]
         for h in gens:

@@ -3,10 +3,12 @@ import random
 import re
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import pairwise_adjacency
 from cycgraph import groups
 from cycgraph.cli import main as cli_main
 from cycgraph.errors import (
@@ -39,6 +41,7 @@ from cycgraph.groups import (
 )
 from cycgraph.graphs import build
 from cycgraph.specs import parse_spec
+from cycgraph.subgroups import cyclic_subgroups
 from cycgraph.theorems import default_catalog
 
 # A Latin square with identity 0 that fails associativity: (1*1)*2 != 1*(1*2).
@@ -308,6 +311,19 @@ class TestFiles:
         with pytest.raises(NotLatinSquare, match=re.escape(str(path))):
             read_cayley_file(str(path))
 
+    def test_cayley_order_above_cap_is_refused_before_rows(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "big.txt"
+        path.write_text(f"{groups.ORDER_CAP + 1}\n0 1\n1 0\n")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("rows were read")
+
+        monkeypatch.setattr(groups.np, "loadtxt", refuse)
+        with pytest.raises(OrderCapExceeded, match=re.escape(f"cayley-file:{path}: order {groups.ORDER_CAP + 1} exceeds cap")):
+            read_cayley_file(str(path))
+        assert cli_main(["export", f"file:cayley:{path}"]) == 2
+        assert str(path) in capsys.readouterr().err
+
     def test_permutation_file(self, tmp_path):
         path = tmp_path / "s3.txt"
         path.write_text("3\n(0 1 2)\n(0 1)\n")
@@ -443,6 +459,114 @@ class TestLightAssociativity:
         random.Random(11).shuffle(perm)
         h = relabel(g, perm)
         assert validate_table(h.cayley_table()) == h.identity == perm[0]
+
+
+def relabeled(spec):
+    """The group of a spec with its elements renamed by a seeded random permutation."""
+    g = parse_spec(spec).realize()
+    perm = list(range(g.order))
+    random.Random(3).shuffle(perm)
+    return relabel(g, perm)
+
+
+def cycle_switch(group):
+    """The group's table with rows a and a*u exchanged on the columns u^k * a.
+
+    u is an element of least order > 1 and a the least element outside <u>.
+    Row a holds a*u^k*a there and row a*u holds a*u^(k+1)*a: the same values,
+    so the copy is a Latin square, and as a, a*u and every u^k * a differ from
+    the identity it keeps the identity.  For an involution u the switch swaps
+    an intercalate; a group of odd order has no involution, so no intercalate.
+    """
+    mul, e = group.mul, group.identity
+    u = min((g for g in range(group.order) if g != e), key=lambda g: (element_order(group, g), g))
+    powers = {e}
+    x = u
+    while x != e:
+        powers.add(x)
+        x = mul(u, x)
+    a = min(set(range(group.order)) - powers)
+    cols = [mul(p, a) for p in powers]
+    t = group.cayley_table()
+    y = mul(a, u)
+    for c in cols:
+        t[a][c], t[y][c] = t[y][c], t[a][c]
+    return t
+
+
+def prolongation_257():
+    """A loop of order 257 that is no group, built without a trade in Z(257).
+
+    Every row-cycle switch of Z(257) runs through the identity's column, so
+    this is the prolongation of Z(2)^8 along the transversal (x, phi(x)),
+    where phi doubles x in GF(2^8) and x xor phi(x) is a bijection: each
+    transversal cell gets the new symbol 256, and its old value moves to the
+    new row and column.  Permuting rows and columns so that row and column 0
+    read 0..256 turns the Latin square into a loop.
+    """
+    x = np.arange(256)
+    phi = np.array([(v << 1) ^ (0x11B if v & 0x80 else 0) for v in range(256)])
+    assert sorted(phi) == sorted(x ^ phi) == list(range(256))
+    p = np.empty((257, 257), dtype=np.int64)
+    p[:256, :256] = x[:, None] ^ x
+    p[x, phi] = 256
+    p[x, 256] = p[256, phi] = x ^ phi
+    p[256, 256] = 256
+    return p[np.ix_(np.argsort(p[:, 0]), np.argsort(p[0]))].tolist()
+
+
+class TestCompactTables:
+    """Tables are checked and kept as uint8 up to order 256 and as uint16 above."""
+
+    @pytest.mark.parametrize("spec", ["Z(255)", "D(128)", "Z(257)", "S(6)"])
+    def test_accepts_relabeled_tables_at_dtype_boundaries(self, spec):
+        h = relabeled(spec)
+        t = h.cayley_table()
+        assert groups._index_dtype(h.order) == (np.uint8 if h.order <= 256 else np.uint16)
+        assert validate_table(t) == h.identity
+
+    @pytest.mark.parametrize("spec, switched", [("Z(255)", 6), ("D(128)", 4), ("S(6)", 4)])
+    def test_rejects_cycle_switch_at_dtype_boundaries(self, spec, switched):
+        h = relabeled(spec)
+        t, bad = h.cayley_table(), cycle_switch(h)
+        assert sum(u != v for r, s in zip(t, bad) for u, v in zip(r, s)) == switched
+        with pytest.raises(NotAssociative) as exc:
+            validate_table(bad)
+        assert_named_triple_fails(bad, str(exc.value))
+
+    def test_rejects_loop_of_order_257(self):
+        bad = prolongation_257()
+        with pytest.raises(NotAssociative) as exc:
+            validate_table(bad)
+        assert_named_triple_fails(bad, str(exc.value))
+
+    def test_group_keeps_its_own_copy(self):
+        d = dihedral(150)
+        t = np.array(d.cayley_table(), dtype=np.int64)
+        g = from_cayley_table(t)
+        t[:] = 0
+        assert [[g.mul(a, b) for b in range(d.order)] for a in range(d.order)] == d.cayley_table()
+
+    def test_cyclic_subgroups_multiply_on_the_left_by_walk_starts(self):
+        for group in (dihedral(12), symmetric(4), cyclic(12), from_cayley_table(relabeled("D(150)").cayley_table())):
+            lefts = set()
+            mul = group.mul
+
+            def rule(a, b):
+                lefts.add(a)
+                return mul(a, b)
+
+            subs = cyclic_subgroups(FiniteGroup(group.order, rule, group.identity, group.descriptor))
+            assert subs == cyclic_subgroups(group)
+            assert len(lefts) <= len(subs) + 1, group
+
+    @pytest.mark.parametrize("spec", ["S(5)", "D(150)", "Z(30)xZ(30)"])
+    def test_file_table_builds_the_pairwise_graph(self, tmp_path, spec):
+        path = str(tmp_path / "table.txt")
+        write_cayley_file(relabeled(spec), path)
+        ig = build(read_cayley_file(path))
+        assert ig.graph == pairwise_adjacency(ig.vertices)
+        assert ig.graph.edge_count() == build(parse_spec(spec).realize()).graph.edge_count()
 
 
 # --- tables pinned to the family formulas ----------------------------------------
