@@ -67,7 +67,7 @@ from .invariants import (
     shape_checks,
     simplicial_cover,
 )
-from .planarity import is_planar, kuratowski_oracle
+from .planarity import is_planar
 from .theorems import (
     Catalog,
     THEOREM_IDS,

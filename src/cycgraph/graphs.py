@@ -52,12 +52,6 @@ class Graph:
     def degrees(self) -> list[int]:
         return [a.bit_count() for a in self.adj]
 
-    def complement(self) -> "Graph":
-        full = (1 << self.n) - 1
-        g = Graph(self.n)
-        g.adj = [(full ^ a) & ~(1 << v) for v, a in enumerate(self.adj)]
-        return g
-
     def component_masks(self) -> list[int]:
         """Connected components as vertex bitmasks, ordered by smallest vertex."""
         seen = 0
@@ -77,18 +71,6 @@ class Graph:
             out.append(comp)
         return out
 
-    def subgraph(self, vertices: list[int]) -> "Graph":
-        """Induced subgraph with vertices relabeled to 0..k-1 in the given order."""
-        pos = {v: i for i, v in enumerate(vertices)}
-        g = Graph(len(vertices))
-        for i, v in enumerate(vertices):
-            m = 0
-            for w in bits(self.adj[v]):
-                if w in pos:
-                    m |= 1 << pos[w]
-            g.adj[i] = m
-        return g
-
     def is_clique_mask(self, mask: int) -> bool:
         for v in bits(mask):
             if (self.adj[v] | 1 << v) & mask != mask:
@@ -103,36 +85,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edge_count()})"
-
-
-def complete_graph(n: int) -> Graph:
-    g = Graph(n)
-    full = (1 << n) - 1
-    g.adj = [full & ~(1 << v) for v in range(n)]
-    return g
-
-
-def complete_bipartite(a: int, b: int) -> Graph:
-    g = Graph(a + b)
-    left = (1 << a) - 1
-    right = ((1 << (a + b)) - 1) ^ left
-    g.adj = [right] * a + [left] * b
-    return g
-
-
-def cycle_graph(n: int) -> Graph:
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def path_graph(n: int) -> Graph:
-    return Graph(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def disjoint_union(g: Graph, h: Graph) -> Graph:
-    out = Graph(g.n + h.n)
-    out.adj[: g.n] = list(g.adj)
-    out.adj[g.n:] = [a << g.n for a in h.adj]
-    return out
 
 
 @dataclass(frozen=True)

@@ -239,14 +239,19 @@ def domination_certificate(g: Graph) -> int | None:
     has one subgroup of each prime order), so the bound is usually tight.
     """
     closed = [a | 1 << v for v, a in enumerate(g.adj)]
-    packed = _two_packing(closed)
+    return _packing_certificate(closed, _two_packing(closed))
+
+
+def _packing_certificate(closed: list[int], packed: list[int]) -> int | None:
+    """len(packed) when the best dominator picked in each packed N[v]
+    dominates every vertex, else None."""
     covered = 0
     for v in packed:
         covered |= max(
             (closed[w] for w in bits(closed[v])),
             key=lambda c: (c & ~covered).bit_count(),
         )
-    return len(packed) if covered == (1 << g.n) - 1 else None
+    return len(packed) if covered == (1 << len(closed)) - 1 else None
 
 
 def domination_number(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
@@ -255,11 +260,11 @@ def domination_number(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
     n = g.n
     if n == 0:
         raise EmptyGraphError("domination number is undefined on the empty graph")
-    cert = domination_certificate(g)
+    closed = [a | 1 << v for v, a in enumerate(g.adj)]
+    packed = _two_packing(closed)
+    cert = _packing_certificate(closed, packed)
     if cert is not None:
         return cert
-    adj = g.adj
-    closed = [adj[v] | 1 << v for v in range(n)]
     full = (1 << n) - 1
     budget = _Budget(node_budget)
 
@@ -280,7 +285,7 @@ def domination_number(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
                 return True
         return False
 
-    for k in range(len(_two_packing(closed)), n + 1):
+    for k in range(len(packed), n + 1):
         if feasible(0, k):
             return k
     return n  # unreachable: the full vertex set always dominates

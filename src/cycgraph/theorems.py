@@ -500,15 +500,12 @@ def verify_domination_zn(max_n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> 
         "t22-domination-zn",
         f"Z(n) for composite n <= {max_n}",
     )
-    for n in range(4, max_n + 1):
-        fact = factorize(n)
-        if len(fact) == 1 and fact[0][1] == 1:
-            continue  # prime: empty graph
+    for n in range(2, max_n + 1):
         ds, g = zn_divisor_graph(n)
         if g.n == 0:
-            continue
+            continue  # n prime
         res.groups_tested += 1
-        expect = 1 if any(a > 1 for _, a in fact) else 2
+        expect = 1 if any(a > 1 for _, a in factorize(n)) else 2
         try:
             gamma = domination_number(g, node_budget)
         except SkippedSizeCap as exc:

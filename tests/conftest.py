@@ -1,13 +1,14 @@
-"""Shared fixtures and independent brute-force oracles for the test suite.
+"""Shared fixtures, named graphs and independent oracles for the test suite.
 
 The solvers in cycgraph.invariants are greedy certificates (and, for the
 domination number, a bounded search behind one).  The oracles here
 deliberately avoid all of that: they enumerate subsets (or colourings)
 directly, so agreement between the two is meaningful evidence of
 correctness.  Likewise the number-theoretic
-oracle uses plain trial division rather than cycgraph.arith, and the
+oracle uses plain trial division rather than cycgraph.arith, the
 intersection graph oracle intersects element sets pair by pair rather than
-using prime-order subgroups.
+using prime-order subgroups, and the planarity oracle searches for a K5 or
+K3,3 minor rather than running networkx's embedding test.
 """
 
 from itertools import combinations
@@ -15,7 +16,8 @@ from math import isqrt
 
 import pytest
 
-from cycgraph.graphs import Graph, build
+from cycgraph.errors import SkippedSizeCap
+from cycgraph.graphs import Graph, bits, build
 from cycgraph.specs import parse_spec
 from cycgraph.theorems import default_catalog
 
@@ -25,6 +27,55 @@ PRODUCTS = (
     "Q(16)xZ(3)", "D(6)xD(3)", "S(4)xZ(3)", "A(5)xZ(2)",
 )
 
+
+
+# --- named graphs ---------------------------------------------------------------
+
+def complete_graph(n: int) -> Graph:
+    g = Graph(n)
+    full = (1 << n) - 1
+    g.adj = [full & ~(1 << v) for v in range(n)]
+    return g
+
+
+def complete_bipartite(a: int, b: int) -> Graph:
+    g = Graph(a + b)
+    left = (1 << a) - 1
+    right = ((1 << (a + b)) - 1) ^ left
+    g.adj = [right] * a + [left] * b
+    return g
+
+
+def cycle_graph(n: int) -> Graph:
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def path_graph(n: int) -> Graph:
+    return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def petersen() -> Graph:
+    outer = [(i, (i + 1) % 5) for i in range(5)]
+    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+    spokes = [(i, i + 5) for i in range(5)]
+    return Graph(10, outer + inner + spokes)
+
+
+def disjoint_union(g: Graph, h: Graph) -> Graph:
+    out = Graph(g.n + h.n)
+    out.adj[: g.n] = list(g.adj)
+    out.adj[g.n:] = [a << g.n for a in h.adj]
+    return out
+
+
+def complement(g: Graph) -> Graph:
+    full = (1 << g.n) - 1
+    out = Graph(g.n)
+    out.adj = [(full ^ a) & ~(1 << v) for v, a in enumerate(g.adj)]
+    return out
+
+
+# --- oracles --------------------------------------------------------------------
 
 def distinct_prime_pairs(limit: int) -> set[int]:
     """Every n <= limit of the form p*q with p != q prime, by trial division.
@@ -96,7 +147,7 @@ def brute_clique_cover_number(g: Graph) -> int:
     plain backtracking over colour assignments in index order."""
     if g.n == 0:
         return 0
-    comp = g.complement()
+    comp = complement(g)
 
     def colourable(k: int) -> bool:
         colours = [-1] * comp.n
@@ -152,6 +203,115 @@ def brute_girth(g: Graph) -> float:
                 best = min(best, dist[v] + 1)
     return best
 
+
+
+#: most vertices per component kuratowski_oracle searches; a larger one is skipped
+KURATOWSKI_COMPONENT_CAP = 12
+
+
+def kuratowski_oracle(g: Graph) -> bool:
+    """True iff no K5 or K3,3 minor exists (so True means planar).
+
+    Recursive contraction search over each component, with degree-<=2
+    reduction, Euler-bound pruning, and direct subgraph hits.  Small graphs
+    only: a component past KURATOWSKI_COMPONENT_CAP vertices is skipped.
+    """
+    for mask in g.component_masks():
+        if mask.bit_count() > KURATOWSKI_COMPONENT_CAP:
+            raise SkippedSizeCap(
+                f"minor oracle capped at {KURATOWSKI_COMPONENT_CAP} vertices per component"
+            )
+        adj = {v: set(bits(g.adj[v])) for v in bits(mask)}
+        if _has_forbidden_minor(adj):
+            return False
+    return True
+
+
+def _reduce(adj: dict[int, set[int]]) -> None:
+    """Strip degree-0/1 vertices and suppress degree-2 vertices in place.
+
+    These operations change neither planarity nor the existence of a
+    K5/K3,3 minor.
+    """
+    changed = True
+    while changed:
+        changed = False
+        for v in list(adj):
+            deg = len(adj[v])
+            if deg <= 1:
+                for w in adj[v]:
+                    adj[w].discard(v)
+                del adj[v]
+                changed = True
+            elif deg == 2:
+                a, b = adj[v]
+                adj[a].discard(v)
+                adj[b].discard(v)
+                if a != b:
+                    adj[a].add(b)
+                    adj[b].add(a)
+                del adj[v]
+                changed = True
+
+
+def _has_k5_subgraph(adj: dict[int, set[int]]) -> bool:
+    hi = [v for v in adj if len(adj[v]) >= 4]
+    for quint in combinations(hi, 5):
+        if all(b in adj[a] for a, b in combinations(quint, 2)):
+            return True
+    return False
+
+
+def _has_k33_subgraph(adj: dict[int, set[int]]) -> bool:
+    hi = [v for v in adj if len(adj[v]) >= 3]
+    for left in combinations(hi, 3):
+        common = adj[left[0]] & adj[left[1]] & adj[left[2]]
+        common -= set(left)
+        if len(common) >= 3:
+            return True
+    return False
+
+
+def _contract(adj: dict[int, set[int]], u: int, v: int) -> dict[int, set[int]]:
+    """New adjacency dict with edge uv contracted into u."""
+    out = {x: set(s) for x, s in adj.items() if x != v}
+    for w in adj[v]:
+        if w != u:
+            out[w].discard(v)
+            out[w].add(u)
+            out[u].add(w)
+    out[u].discard(v)
+    out[u].discard(u)
+    return out
+
+
+def _has_forbidden_minor(adj: dict[int, set[int]], _seen: set | None = None) -> bool:
+    """Minor search by contraction only.
+
+    The subgraph checks ignore extra edges, so any K5/K3,3 minor model shows
+    up as a plain subgraph once the branch sets are contracted; edge and
+    vertex deletions never need their own branch.
+    """
+    if _seen is None:
+        _seen = set()
+    _reduce(adj)
+    n = len(adj)
+    e = sum(len(s) for s in adj.values()) // 2
+    if n < 5 or e < 9:
+        return False
+    key = frozenset(frozenset((v, w)) for v in adj for w in adj[v])
+    if key in _seen:
+        return False
+    _seen.add(key)
+    if e > 3 * n - 6:
+        return True  # non-planar by Euler's bound, hence has a forbidden minor
+    if _has_k5_subgraph(adj) or _has_k33_subgraph(adj):
+        return True
+    for u in adj:
+        for v in adj[u]:
+            if u < v and _has_forbidden_minor(_contract(adj, u, v), _seen):
+                return True
+    return False
 
 @pytest.fixture(scope="session")
 def small_catalog_graphs():

@@ -21,6 +21,7 @@ from conftest import (
     brute_domination_number,
     brute_independence_number,
     distinct_prime_pairs,
+    kuratowski_oracle,
 )
 from cycgraph.graphs import build, zn_divisor_graph
 from cycgraph.groups import alternating, cyclic, dicyclic
@@ -30,7 +31,7 @@ from cycgraph.invariants import (
     domination_number,
     independence_number,
 )
-from cycgraph.planarity import is_planar, kuratowski_oracle
+from cycgraph.planarity import is_planar
 from cycgraph.specs import Zs
 from cycgraph.theorems import (
     default_catalog,

@@ -10,17 +10,17 @@ from conftest import (
     brute_domination_number,
     brute_girth,
     brute_independence_number,
-)
-from cycgraph.errors import EmptyGraphError, SkippedSizeCap
-from cycgraph.graphs import (
-    Graph,
-    build,
+    complement,
     complete_bipartite,
     complete_graph,
     cycle_graph,
     disjoint_union,
     path_graph,
+    petersen,
 )
+from cycgraph import invariants
+from cycgraph.errors import EmptyGraphError, SkippedSizeCap
+from cycgraph.graphs import Graph, build
 from cycgraph.groups import cyclic, dicyclic, direct_product
 from cycgraph.specs import parse_spec
 from cycgraph.invariants import (
@@ -63,13 +63,6 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
             if rng.random() < p:
                 g.add_edge(u, v)
     return g
-
-
-def petersen() -> Graph:
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    spokes = [(i, i + 5) for i in range(5)]
-    return Graph(10, outer + inner + spokes)
 
 
 def assert_alpha_theta_exact_or_skip(g: Graph, msg=None) -> bool:
@@ -222,10 +215,10 @@ class TestSolvers:
         assert domination_number(Graph(7)) == 7
         assert domination_number(cycle_graph(7)) == 3
         # theta of a complement is the chromatic number: 5, 2, and C5 skipped
-        assert clique_cover_number(complete_graph(5).complement()) == 5
-        assert clique_cover_number(complete_bipartite(4, 4).complement()) == 2
+        assert clique_cover_number(complement(complete_graph(5))) == 5
+        assert clique_cover_number(complement(complete_bipartite(4, 4))) == 2
         with pytest.raises(SkippedSizeCap):
-            clique_cover_number(cycle_graph(5).complement())
+            clique_cover_number(complement(cycle_graph(5)))
 
     def test_group_values(self):
         g = build(cyclic(30)).graph
@@ -366,6 +359,19 @@ class TestDominationCertificate:
         assert len(_two_packing(closed)) == 2
         assert domination_certificate(g) is None
         assert domination_number(g) == brute_domination_number(g) == 3
+
+    def test_search_packs_once(self, monkeypatch):
+        # Z(30): the certificate fails and the search finds gamma = 2; both
+        # start from the one packing
+        g = build(cyclic(30)).graph
+        assert domination_certificate(g) is None
+        calls = []
+        monkeypatch.setattr(
+            invariants, "_two_packing",
+            lambda closed, pack=_two_packing: calls.append(1) or pack(closed),
+        )
+        assert domination_number(g) == brute_domination_number(g) == 2
+        assert len(calls) == 1
 
     def test_search_keeps_its_budget(self):
         g = random_graph(40, 0.5, seed=1)

@@ -4,25 +4,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cycgraph.errors import SkippedSizeCap
-from cycgraph.graphs import (
-    Graph,
-    build,
+from conftest import (
     complete_bipartite,
     complete_graph,
     cycle_graph,
     disjoint_union,
+    kuratowski_oracle,
     path_graph,
+    petersen,
 )
+from cycgraph.errors import SkippedSizeCap
+from cycgraph.graphs import Graph, build
 from cycgraph.groups import cyclic, direct_product
-from cycgraph.planarity import is_planar, kuratowski_oracle
-
-
-def petersen() -> Graph:
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    spokes = [(i, i + 5) for i in range(5)]
-    return Graph(10, outer + inner + spokes)
+from cycgraph.planarity import is_planar
 
 
 def octahedron() -> Graph:
@@ -35,6 +29,17 @@ def octahedron() -> Graph:
     return h
 
 
+def wheel_on_odd_labels(with_k33: bool) -> Graph:
+    """A 5-vertex wheel on the odd labels 1..9 (hub 1), beside a K3,3 on the
+    even labels 0..10 when asked; vertex 11 is isolated.  Both components
+    pass the Euler bound, so the embedding test sees their interleaved labels."""
+    rim = [3, 5, 7, 9]
+    edges = [(1, r) for r in rim] + [(r, rim[i - 1]) for i, r in enumerate(rim)]
+    if with_k33:
+        edges += [(u, v) for u in (0, 2, 4) for v in (6, 8, 10)]
+    return Graph(12, edges)
+
+
 PLANAR = [
     Graph(0),
     Graph(1),
@@ -44,6 +49,7 @@ PLANAR = [
     path_graph(8),
     octahedron(),
     disjoint_union(complete_graph(4), complete_graph(4)),
+    wheel_on_odd_labels(with_k33=False),
 ]
 NONPLANAR = [
     complete_graph(5),
@@ -51,6 +57,7 @@ NONPLANAR = [
     petersen(),
     disjoint_union(complete_graph(5), path_graph(3)),
     complete_graph(6),
+    wheel_on_odd_labels(with_k33=True),
 ]
 
 
