@@ -39,6 +39,12 @@ def _build_from_spec(text: str, vertex_cap: int) -> IntersectionGraph:
 
 # --- analyze ----------------------------------------------------------------
 
+def _vertex_records(ig: IntersectionGraph) -> list[dict]:
+    """The vertex list of analyze's and export's JSON output."""
+    return [{"generator": v.generator, "order": v.order, "elements": list(v.elements)}
+            for v in ig.vertices]
+
+
 def _render_report_text(ig: IntersectionGraph, report) -> str:
     lines = [f"group: {ig.source_descriptor}"]
     d = report.to_dict()
@@ -67,10 +73,7 @@ def cmd_analyze(args) -> int:
         payload = {
             "group": ig.source_descriptor,
             "report": report.to_dict(),
-            "vertices": [
-                {"generator": v.generator, "order": v.order, "elements": list(v.elements)}
-                for v in ig.vertices
-            ],
+            "vertices": _vertex_records(ig),
         }
         _write_out(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     else:
@@ -98,10 +101,7 @@ def render_csv(ig: IntersectionGraph) -> str:
 def render_json(ig: IntersectionGraph) -> str:
     payload = {
         "descriptor": ig.source_descriptor,
-        "vertices": [
-            {"generator": v.generator, "order": v.order, "elements": list(v.elements)}
-            for v in ig.vertices
-        ],
+        "vertices": _vertex_records(ig),
         "edges": [list(e) for e in ig.graph.edges()],
     }
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"

@@ -14,15 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from typing import Any
+
+import networkx as nx
 
 from .errors import EmptyGraphError, SkippedSizeCap
 from .graphs import Graph, bits
 from .planarity import is_planar
 
 DEFAULT_NODE_BUDGET = 2_000_000
-#: most vertices graph_isomorphic searches; a larger graph is skipped
-ISO_SIZE_CAP = 32
 
 INFINITY = math.inf
 
@@ -293,66 +292,10 @@ def domination_number(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
 
 # --- graph isomorphism --------------------------------------------------------
 
-def _refine_labels(g: Graph) -> list[int]:
-    labels = g.degrees()
-    for _ in range(g.n):
-        sig = [
-            (labels[v], tuple(sorted(labels[w] for w in bits(g.adj[v]))))
-            for v in range(g.n)
-        ]
-        canon: dict[Any, int] = {}
-        new = []
-        for s in sorted(set(sig)):
-            canon[s] = len(canon)
-        new = [canon[s] for s in sig]
-        if new == labels:
-            break
-        labels = new
-    return labels
-
-
 def graph_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Backtracking isomorphism test with degree/neighborhood refinement."""
-    if g1.n != g2.n:
-        return False
-    if g1.n > ISO_SIZE_CAP:
-        raise SkippedSizeCap(f"isomorphism test capped at {ISO_SIZE_CAP} vertices")
-    if g1.edge_count() != g2.edge_count():
-        return False
-    l1, l2 = _refine_labels(g1), _refine_labels(g2)
-    if sorted(l1) != sorted(l2):
-        return False
-    n = g1.n
-    # map most-constrained (rarest label) vertices first
-    freq: dict[int, int] = {}
-    for x in l1:
-        freq[x] = freq.get(x, 0) + 1
-    order = sorted(range(n), key=lambda v: (freq[l1[v]], l1[v], v))
-    mapping = [-1] * n
-    used = [False] * n
-
-    def place(i: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        for w in range(n):
-            if used[w] or l2[w] != l1[v]:
-                continue
-            ok = True
-            for u in order[:i]:
-                if (g1.adj[v] >> u & 1) != (g2.adj[w] >> mapping[u] & 1):
-                    ok = False
-                    break
-            if ok:
-                mapping[v] = w
-                used[w] = True
-                if place(i + 1):
-                    return True
-                mapping[v] = -1
-                used[w] = False
-        return False
-
-    return place(0)
+    """Exact isomorphism test at any size: networkx's VF2 on every vertex, isolated ones included."""
+    h1, h2 = (nx.Graph({v: list(bits(a)) for v, a in enumerate(g.adj)}) for g in (g1, g2))
+    return nx.is_isomorphic(h1, h2)
 
 
 # --- full report ---------------------------------------------------------------

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 from . import groups
 from .arith import factorize, partitions, prime_power
-from .errors import SpecParseError
+from .errors import OrderCapExceeded, SpecParseError
 from .groups import FiniteGroup
 
 
@@ -91,19 +91,26 @@ def Zs(*orders: int) -> GroupSpec:
     return GroupSpec("product", tuple(GroupSpec("cyclic", (n,)) for n in orders))
 
 
-_ATOM_RE = re.compile(r"^(Z|D|Dic|Q|S|A)\(([0-9^]+)\)$")
+_ATOM_RE = re.compile(r"^(Z|D|Dic|Q|S|A)\(([0-9]+)(?:\^([0-9]+))?\)$")
+
+
+def _saturated(digits: str) -> int:
+    """int(digits) when it has no more digits than groups.ORDER_CAP, else ORDER_CAP + 1
+    without converting the long string."""
+    digits = digits.lstrip("0") or "0"
+    return int(digits) if len(digits) <= len(str(groups.ORDER_CAP)) else groups.ORDER_CAP + 1
 
 
 def _parse_atom(text: str) -> GroupSpec:
     m = _ATOM_RE.match(text)
     if not m:
         raise SpecParseError(f"cannot parse group atom {text!r}")
-    name, arg = m.groups()
-    if "^" in arg:
-        base, exp = arg.split("^", 1)
-        val = int(base) ** int(exp)
-    else:
-        val = int(arg)
+    name, base, exp = m.groups()
+    val, e = _saturated(base), _saturated(exp or "1")
+    # 2^e > ORDER_CAP from e = its bit length on, so no large power is computed
+    val = val**e if val <= 1 or e <= groups.ORDER_CAP.bit_length() else groups.ORDER_CAP + 1
+    if val > groups.ORDER_CAP:  # every atom's order is at least its argument
+        raise OrderCapExceeded(f"{text}: argument exceeds order cap {groups.ORDER_CAP}")
     if name == "Q":
         pp = prime_power(val)
         if pp is None or pp[0] != 2 or val < 8:
@@ -113,6 +120,8 @@ def _parse_atom(text: str) -> GroupSpec:
     atom = _ATOMS[kind]
     if val < atom.least:
         raise SpecParseError(f"{name}({atom.arg}) needs {atom.arg} >= {atom.least}, got {val}")
+    if atom.order(val) > groups.ORDER_CAP:  # else S(n) and A(n) enumerate up to the cap first
+        raise OrderCapExceeded(f"{text}: order exceeds cap {groups.ORDER_CAP}")
     return GroupSpec(kind, (val,))
 
 

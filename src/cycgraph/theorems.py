@@ -16,7 +16,7 @@ from typing import Callable
 from .arith import factorize, is_prime, prime_power, tau
 from .errors import SkippedSizeCap, UnknownTheoremId, VertexCapExceeded
 from .graphs import DEFAULT_VERTEX_CAP, IntersectionGraph, bits, build, zn_divisor_graph
-from .groups import FiniteGroup, element_order, relabel
+from .groups import FiniteGroup, relabel
 from .invariants import (
     DEFAULT_NODE_BUDGET,
     INFINITY,
@@ -40,8 +40,10 @@ from .specs import (
 )
 from .subgroups import maximal_among
 
-#: thm13 relabels the first catalog groups whose graphs have 2..this many vertices
+#: thm13 relabels ISO_TRIALS times the first ISO_GROUPS catalog groups with 2..this many vertices
 ISO_PICK_MAX_VERTICES = 32
+ISO_GROUPS = 10
+ISO_TRIALS = 20
 
 
 @dataclass
@@ -148,8 +150,9 @@ def _timed(verifier):
 
 def _relabelings_isomorphic(
     group: FiniteGroup, base: IntersectionGraph, trials: int, seed: int
-) -> VerificationResult:
-    """Each seeded relabeling ``perm`` must induce an isomorphism of the graphs.
+) -> list[tuple[str, str, str]]:
+    """Each seeded relabeling ``perm`` must induce an isomorphism of the graphs;
+    returns one counterexample per trial where it does not.
 
     sigma sends each vertex of ``base`` to the relabeled graph's vertex whose
     element set is its image under ``perm``.  Defined on every vertex, with
@@ -157,11 +160,7 @@ def _relabelings_isomorphic(
     onto the matching row.  Exact at any size, and stricter than "some
     isomorphism exists"; there is no search and so no cap.
     """
-    res = VerificationResult(
-        "thm13-iso-invariance",
-        f"{group.descriptor}, {trials} seeded relabelings",
-        groups_tested=trials,
-    )
+    counterexamples = []
     rng = random.Random(seed)
     n = group.order
     for t in range(trials):
@@ -175,32 +174,26 @@ def _relabelings_isomorphic(
             for v, row in enumerate(base.graph.adj)
         )
         if not ok:
-            res.counterexamples.append(
+            counterexamples.append(
                 (group.descriptor, "isomorphic graphs", f"trial {t} not isomorphic")
             )
-    return res
+    return counterexamples
 
 
 @_timed
-def verify_iso_invariance_catalog(
-    catalog: Catalog,
-    trials: int = 20,
-    groups: int = 10,
-    seed: int = 0,
-) -> VerificationResult:
+def verify_iso_invariance_catalog(catalog: Catalog, seed: int = 0) -> VerificationResult:
     res = VerificationResult(
         "thm13-iso-invariance",
-        f"first {groups} catalog groups with 2..{ISO_PICK_MAX_VERTICES} vertices, "
-        f"{trials} relabelings each (catalog max order {catalog.max_order})",
+        f"first {ISO_GROUPS} catalog groups with 2..{ISO_PICK_MAX_VERTICES} vertices, "
+        f"{ISO_TRIALS} relabelings each (catalog max order {catalog.max_order})",
     )
     # stop at the last pick: the lazy pass builds nothing beyond it
-    for spec, group, ig in catalog.graphs(res) if groups > 0 else ():
+    for spec, group, ig in catalog.graphs(res):
         if not (2 <= ig.n <= ISO_PICK_MAX_VERTICES):
             continue
         res.groups_tested += 1
-        sub = _relabelings_isomorphic(group, ig, trials, seed + res.groups_tested)
-        res.counterexamples.extend(sub.counterexamples)
-        if res.groups_tested == groups:
+        res.counterexamples += _relabelings_isomorphic(group, ig, ISO_TRIALS, seed + res.groups_tested)
+        if res.groups_tested == ISO_GROUPS:
             break
     return res
 
@@ -223,11 +216,11 @@ def verify_totally_disconnected(catalog: Catalog) -> VerificationResult:
             continue
         res.groups_tested += 1
         disconnected = ig.graph.edge_count() == 0
-        all_prime = all(
-            is_prime(element_order(group, g))
-            for g in range(group.order)
-            if g != group.identity
-        )
+        # x != 1 generates a vertex, or G itself when G is cyclic (of composite order, as it
+        # has vertices); prime-order vertices meet trivially, so they hold every x != 1
+        # exactly when their non-identity elements number |G| - 1
+        orders = [v.order for v in ig.vertices]
+        all_prime = all(map(is_prime, orders)) and 1 + sum(orders) - len(orders) == group.order
         if disconnected != all_prime:
             res.counterexamples.append(
                 (

@@ -34,6 +34,8 @@ from cycgraph.invariants import (
 from cycgraph.planarity import is_planar
 from cycgraph.specs import Zs
 from cycgraph.theorems import (
+    ISO_GROUPS,
+    ISO_TRIALS,
     default_catalog,
     verify_alpha_theta,
     verify_degree_formula_zn,
@@ -266,9 +268,10 @@ def test_criterion_11c_solver_brute_force(small_catalog_graphs):
 
 def test_criterion_12_isomorphism_invariance():
     t0 = time.perf_counter()
-    res = verify_iso_invariance_catalog(default_catalog(100), trials=20, groups=10, seed=0)
+    res = verify_iso_invariance_catalog(default_catalog(100), seed=0)
     elapsed = time.perf_counter() - t0
-    ok = res.passed and res.groups_tested == 10 and not res.skipped and elapsed < 10
+    ok = (ISO_TRIALS == 20 and ISO_GROUPS == 10
+          and res.passed and res.groups_tested == 10 and not res.skipped and elapsed < 10)
     report(12, ok, f"20 seeded relabelings of {res.groups_tested} groups give "
                    f"isomorphic graphs, {elapsed:.1f}s",
            "; ".join(f"{g}: {o}" for g, _, o in res.counterexamples[:3]))

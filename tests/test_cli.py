@@ -156,6 +156,32 @@ class TestExport:
         assert err.startswith("error: ") and str(path) in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("Z(^3)", "cannot parse group atom 'Z(^3)'"),
+            ("Z(2^^3)", "cannot parse group atom 'Z(2^^3)'"),
+            ("Z(2^3^2)", "cannot parse group atom 'Z(2^3^2)'"),
+            ("Z(2^)", "cannot parse group atom 'Z(2^)'"),
+            ("Q(^4)", "cannot parse group atom 'Q(^4)'"),
+            ("Z(10^5000)", "Z(10^5000): argument exceeds order cap"),
+            ("Z(2)xD(10^4400)", "D(10^4400): argument exceeds order cap"),
+            ("Z(2^99999999)", "Z(2^99999999): argument exceeds order cap"),
+            ("S(9)", "S(9): order exceeds cap"),
+            ("Z(2)xA(8)", "A(8): order exceeds cap"),
+            ("D(10001)", "D(10001): order exceeds cap"),
+            pytest.param("Z(" + "7" * 5000 + ")", "7777777): argument exceeds order cap",
+                         id="5000-digit-literal"),
+        ],
+    )
+    def test_bad_spec_argument_is_usage_error(self, capsys, spec, message):
+        # refused while parsing: no power is computed and no long number converted
+        rc = main(["export", spec])
+        err = capsys.readouterr().err
+        assert rc == EXIT_USAGE
+        assert err.startswith("error: ") and message in err
+        assert "Traceback" not in err
+
 
 class TestVerify:
     def test_passing_subset(self, capsys):

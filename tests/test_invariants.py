@@ -21,12 +21,11 @@ from conftest import (
 from cycgraph import invariants
 from cycgraph.errors import EmptyGraphError, SkippedSizeCap
 from cycgraph.graphs import Graph, build
-from cycgraph.groups import cyclic, dicyclic, direct_product
+from cycgraph.groups import cyclic, dicyclic, direct_product, relabel
 from cycgraph.specs import parse_spec
 from cycgraph.invariants import (
     DEFAULT_NODE_BUDGET,
     INFINITY,
-    ISO_SIZE_CAP,
     _two_packing,
     clique_cover_number,
     component_structure,
@@ -428,11 +427,17 @@ class TestIsomorphism:
         h = Graph(9, [(perm[u], perm[v]) for u, v in g.edges()])
         assert graph_isomorphic(g, h)
 
-    def test_size_cap(self):
-        assert graph_isomorphic(Graph(ISO_SIZE_CAP), Graph(ISO_SIZE_CAP))
-        g = Graph(ISO_SIZE_CAP + 1)
-        with pytest.raises(SkippedSizeCap):
-            graph_isomorphic(g, g)
+    def test_no_size_cap(self):
+        # D(40) has 47 vertices and S(5) 66, both past the 32 the old search took
+        for text, n in (("D(40)", 47), ("S(5)", 66)):
+            group = parse_spec(text).realize()
+            perm = list(range(group.order))
+            random.Random(7).shuffle(perm)
+            g, h = build(group).graph, build(relabel(group, perm)).graph
+            assert g.n == n and graph_isomorphic(g, h)
+        g = build(parse_spec("D(40)").realize()).graph
+        assert not graph_isomorphic(g, Graph(g.n, g.edges()[1:]))  # one edge removed
+        assert graph_isomorphic(Graph(40), Graph(40)) and not graph_isomorphic(Graph(40), Graph(41))
 
 
 class TestReport:

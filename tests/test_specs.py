@@ -1,6 +1,7 @@
 import pytest
 
-from cycgraph.errors import SpecParseError
+from cycgraph import groups
+from cycgraph.errors import OrderCapExceeded, SpecParseError
 from cycgraph.groups import element_orders
 from cycgraph.specs import (
     GroupSpec,
@@ -40,6 +41,24 @@ class TestParsing:
     def test_rejects(self, bad):
         with pytest.raises(SpecParseError):
             parse_spec(bad)
+
+    def test_argument_order_cap(self):
+        cap = groups.ORDER_CAP
+        assert parse_spec(f"Z({cap})") == GroupSpec("cyclic", (cap,))
+        bits = cap.bit_length()  # 2^(bits - 1) <= cap < 2^bits
+        assert parse_spec(f"Z(2^{bits - 1})") == GroupSpec("cyclic", (2 ** (bits - 1),))
+        assert parse_spec("Z(0007)") == GroupSpec("cyclic", (7,))
+        assert parse_spec("Z(1^" + "9" * 5000 + ")") == GroupSpec("cyclic", (1,))
+        assert parse_spec("Z(7^0)") == GroupSpec("cyclic", (1,))
+        for bad in (f"Z({cap + 1})", f"Z(2^{bits})", f"D(3^{bits})",
+                    "S(0" + "9" * 5000 + ")", "Dic(2^" + "9" * 5000 + ")"):
+            with pytest.raises(OrderCapExceeded, match=r"argument exceeds order cap"):
+                parse_spec(bad)
+        # an argument under the cap whose group order is over it
+        assert parse_spec("A(7)").order() == 2520
+        for bad in ("S(8)", "A(8)", f"S({cap})", f"D({cap // 2 + 1})", f"Dic({cap // 4 + 1})"):
+            with pytest.raises(OrderCapExceeded, match=r"order exceeds cap"):
+                parse_spec(bad)
 
     def test_descriptor_round_trip(self):
         for text in ("Z(12)", "Z(4)xZ(2)", "D(5)", "Dic(4)", "S(4)", "A(5)"):
