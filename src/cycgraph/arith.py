@@ -1,12 +1,23 @@
-"""Small number-theoretic helpers (trial division scale)."""
+"""Small number-theoretic helpers (trial division scale).
+
+Sweeps meet the same integers over and over, so ``factorize`` and
+``coprime_mask`` are cached: each cache is bounded by a constant and holds
+immutable values (tuples, bytes) that no caller can change.
+"""
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+#: distinct integers whose factorization is kept: a --max-n 2000 sweep meets under 2000
+FACTOR_CACHE_SIZE = 4096
+#: distinct orders whose coprime mask is kept: at most this many times groups.ORDER_CAP bytes
+COPRIME_CACHE_SIZE = 1024
 
-def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization of n >= 1 as a list of (prime, exponent), primes ascending."""
+
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def factorize(n: int) -> tuple[tuple[int, int], ...]:
+    """Prime factorization of n >= 1 as a tuple of (prime, exponent), primes ascending."""
     if n < 1:
         raise ValueError(f"cannot factorize {n}")
     out = []
@@ -21,16 +32,25 @@ def factorize(n: int) -> list[tuple[int, int]]:
         d += 1 if d == 2 else 2
     if n > 1:
         out.append((n, 1))
-    return out
+    return tuple(out)
+
+
+@lru_cache(maxsize=COPRIME_CACHE_SIZE)
+def coprime_mask(m: int) -> bytes:
+    """m bytes, the k-th 1 iff gcd(k, m) = 1: multiples of each prime p | m are cleared."""
+    mask = bytearray(b"\x01") * m
+    for p, _ in factorize(m):
+        mask[::p] = bytes(len(range(0, m, p)))
+    return bytes(mask)
 
 
 def is_prime(n: int) -> bool:
-    return n >= 2 and factorize(n) == [(n, 1)]
+    return n >= 2 and factorize(n) == ((n, 1),)
 
 
 def prime_power(n: int) -> tuple[int, int] | None:
     """(p, a) if n = p^a with a >= 1, else None."""
-    f = factorize(n) if n >= 2 else []
+    f = factorize(n) if n >= 2 else ()
     if len(f) == 1:
         return f[0]
     return None
@@ -52,7 +72,7 @@ def tau(n: int) -> int:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)  # read at prime exponents, all below 15 under groups.ORDER_CAP
 def partitions(n: int) -> tuple[tuple[int, ...], ...]:
     """All partitions of n as non-increasing tuples, in lexicographic order."""
     if n == 0:

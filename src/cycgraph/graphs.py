@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterable, Iterator
 
-from .arith import divisors, is_prime
+from .arith import divisors, factorize, is_prime
 from .errors import VertexCapExceeded
 from .groups import FiniteGroup
 from .subgroups import CyclicSubgroup, cyclic_subgroups
@@ -115,10 +114,7 @@ def build(group: FiniteGroup, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Intersect
     for v, s in enumerate(subs):
         for p in cliques.keys() & s.elements:
             cliques[p] |= 1 << v
-    g = Graph(len(subs))
-    for clique in cliques.values():
-        for v in bits(clique):
-            g.adj[v] |= clique & ~(1 << v)
+    g = _clique_union(len(subs), cliques.values())
     return IntersectionGraph(tuple(subs), g, group.descriptor)
 
 
@@ -126,13 +122,20 @@ def zn_divisor_graph(n: int) -> tuple[list[int], Graph]:
     """Intersection graph of Z_n in its divisor representation.
 
     Vertices are the divisors d of n with 1 < d < n (one cyclic subgroup per
-    divisor); adjacency is gcd(d, e) > 1.  This is the fast oracle form used
-    for large-n sweeps.
+    divisor, of order d), ascending; d and e are adjacent iff gcd(d, e) > 1,
+    that is iff some prime p | n divides both.  So, as in :func:`build`, the
+    graph is the union over p | n of the cliques of divisors divisible by p
+    (the subgroups holding the one subgroup of order p), and no pair is tested.
     """
     ds = [d for d in divisors(n) if 1 < d < n]
-    g = Graph(len(ds))
-    for i, d in enumerate(ds):
-        for j in range(i + 1, len(ds)):
-            if gcd(d, ds[j]) > 1:
-                g.add_edge(i, j)
-    return ds, g
+    cliques = (sum(1 << v for v, d in enumerate(ds) if d % p == 0) for p, _ in factorize(n))
+    return ds, _clique_union(len(ds), cliques)
+
+
+def _clique_union(n: int, cliques: Iterable[int]) -> Graph:
+    """The graph on n vertices whose edges are those of the given cliques (vertex bitmasks)."""
+    g = Graph(n)
+    for clique in cliques:
+        for v in bits(clique):
+            g.adj[v] |= clique & ~(1 << v)
+    return g

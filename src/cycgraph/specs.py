@@ -101,16 +101,21 @@ def _saturated(digits: str) -> int:
     return int(digits) if len(digits) <= len(str(groups.ORDER_CAP)) else groups.ORDER_CAP + 1
 
 
+def _echo(text: str, keep: int = 24) -> str:
+    """text for an error line: its first and last ``keep`` characters when longer."""
+    return text if len(text) <= 2 * keep + 3 else f"{text[:keep]}...{text[-keep:]}"
+
+
 def _parse_atom(text: str) -> GroupSpec:
     m = _ATOM_RE.match(text)
     if not m:
-        raise SpecParseError(f"cannot parse group atom {text!r}")
+        raise SpecParseError(f"cannot parse group atom {_echo(text)!r}")
     name, base, exp = m.groups()
     val, e = _saturated(base), _saturated(exp or "1")
     # 2^e > ORDER_CAP from e = its bit length on, so no large power is computed
     val = val**e if val <= 1 or e <= groups.ORDER_CAP.bit_length() else groups.ORDER_CAP + 1
     if val > groups.ORDER_CAP:  # every atom's order is at least its argument
-        raise OrderCapExceeded(f"{text}: argument exceeds order cap {groups.ORDER_CAP}")
+        raise OrderCapExceeded(f"{_echo(text)}: argument exceeds order cap {groups.ORDER_CAP}")
     if name == "Q":
         pp = prime_power(val)
         if pp is None or pp[0] != 2 or val < 8:
@@ -121,7 +126,7 @@ def _parse_atom(text: str) -> GroupSpec:
     if val < atom.least:
         raise SpecParseError(f"{name}({atom.arg}) needs {atom.arg} >= {atom.least}, got {val}")
     if atom.order(val) > groups.ORDER_CAP:  # else S(n) and A(n) enumerate up to the cap first
-        raise OrderCapExceeded(f"{text}: order exceeds cap {groups.ORDER_CAP}")
+        raise OrderCapExceeded(f"{_echo(text)}: order exceeds cap {groups.ORDER_CAP}")
     return GroupSpec(kind, (val,))
 
 

@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from itertools import compress
 
-from .arith import is_prime
+from .arith import coprime_mask, is_prime
 from .groups import FiniteGroup
 
 
@@ -26,7 +26,8 @@ def cyclic_subgroups(group: FiniteGroup) -> list[CyclicSubgroup]:
     """All proper nontrivial cyclic subgroups, deduplicated and canonically ordered.
 
     Walks every element once: generating <g> also identifies all phi(m) of its
-    generators (the powers g^k with gcd(k, m) = 1), which are then skipped.
+    generators (the powers g^k with gcd(k, m) = 1, read off the cached
+    ``coprime_mask(m)``), which are then skipped.
     Total cost is the sum of |H| over distinct cyclic subgroups H.  Powers
     step as g * x, which equals x * g since powers of g commute with g: every
     product is a left multiplication by a walk's start, so a group that turns
@@ -46,7 +47,7 @@ def cyclic_subgroups(group: FiniteGroup) -> list[CyclicSubgroup]:
             powers.append(x)
             x = mul(g, x)
         m = len(powers)
-        gens = [powers[k] for k in range(1, m) if gcd(k, m) == 1]
+        gens = list(compress(powers, coprime_mask(m)))
         for h in gens:
             done[h] = 1
         if m == n:  # <g> = G: not a proper subgroup

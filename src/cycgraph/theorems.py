@@ -333,7 +333,7 @@ def verify_girth(catalog: Catalog) -> VerificationResult:
 
 def _order_in_small_set(m: int) -> bool:
     """Order is p, p^2, or pq for primes p != q."""
-    f = factorize(m) if m >= 2 else []
+    f = factorize(m) if m >= 2 else ()
     if len(f) == 1:
         return f[0][1] <= 2
     if len(f) == 2:
@@ -432,7 +432,7 @@ def verify_alpha_theta(catalog: Catalog) -> VerificationResult:
 def verify_regular_zn(max_n: int) -> VerificationResult:
     """Regular graph <-> n is p^alpha with alpha >= 2, over nonempty Z_n graphs.
 
-    Uses the divisor-gcd representation of the Z_n graph (validated against
+    Uses the divisor representation of the Z_n graph (validated against
     the element-level build elsewhere in the suite).
     """
     res = VerificationResult(

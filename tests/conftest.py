@@ -7,12 +7,14 @@ directly, so agreement between the two is meaningful evidence of
 correctness.  Likewise the number-theoretic
 oracle uses plain trial division rather than cycgraph.arith, the
 intersection graph oracle intersects element sets pair by pair rather than
-using prime-order subgroups, and the planarity oracle searches for a K5 or
-K3,3 minor rather than running networkx's embedding test.
+using prime-order subgroups, the Z_n divisor graph oracle tests gcd(d, e)
+for every pair of divisors rather than taking prime cliques, and the
+planarity oracle searches for a K5 or K3,3 minor rather than running
+networkx's embedding test.
 """
 
 from itertools import combinations
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
@@ -93,6 +95,19 @@ def distinct_prime_pairs(limit: int) -> set[int]:
         if q != p and q > 1 and smallest_factor(q) == q:
             out.add(n)
     return out
+
+
+def divisor_gcd_graph(n: int) -> tuple[list[int], Graph]:
+    """The Z_n graph by its definition: the divisors 1 < d < n ascending, found
+    by trial division, with d and e adjacent iff gcd(d, e) > 1, tested for
+    every pair."""
+    ds = [d for d in range(2, n) if n % d == 0]
+    g = Graph(len(ds))
+    for i, d in enumerate(ds):
+        for j in range(i + 1, len(ds)):
+            if gcd(d, ds[j]) > 1:
+                g.add_edge(i, j)
+    return ds, g
 
 
 def pairwise_adjacency(vertices) -> Graph:

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 from math import gcd
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import cycgraph
 from cycgraph.cli import (
     EXIT_OK,
     EXIT_SKIP_ONLY,
@@ -35,6 +40,14 @@ def run(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr().out
     return rc, out
+
+
+def without_timings(text):
+    """A JSON verify report with each result's elapsed_s removed."""
+    payload = json.loads(text)
+    for r in payload["results"]:
+        r.pop("elapsed_s")
+    return payload
 
 
 class TestAnalyze:
@@ -172,6 +185,7 @@ class TestExport:
             ("D(10001)", "D(10001): order exceeds cap"),
             pytest.param("Z(" + "7" * 5000 + ")", "7777777): argument exceeds order cap",
                          id="5000-digit-literal"),
+            pytest.param("Z(" + "a" * 5000 + ")", "aaaaaaa)'", id="5000-char-unparseable"),
         ],
     )
     def test_bad_spec_argument_is_usage_error(self, capsys, spec, message):
@@ -181,6 +195,8 @@ class TestExport:
         assert rc == EXIT_USAGE
         assert err.startswith("error: ") and message in err
         assert "Traceback" not in err
+        # a long atom is echoed as a bounded head...tail
+        assert all(len(line) <= 200 for line in err.splitlines())
 
 
 class TestVerify:
@@ -235,17 +251,25 @@ class TestVerify:
         ]
 
     def test_json_deterministic(self, capsys):
-        def strip(text):
-            payload = json.loads(text)
-            for r in payload["results"]:
-                r.pop("elapsed_s")
-            return payload
-
         _, a = run(capsys, "verify", "thm345-star-path-cycle",
                    "--max-order", "40", "--format", "json", "--seed", "3")
         _, b = run(capsys, "verify", "thm345-star-path-cycle",
                    "--max-order", "40", "--format", "json", "--seed", "3")
-        assert strip(a) == strip(b)
+        assert without_timings(a) == without_timings(b)
+
+    def test_warm_caches_change_no_output(self, capsys):
+        # arith's caches outlive a call: the second in-process run starts warm,
+        # a fresh interpreter starts cold, and all three reports agree
+        argv = ["verify", "all", "--max-order", "60", "--format", "json"]
+        first, second = run(capsys, *argv), run(capsys, *argv)
+        env = dict(os.environ)
+        src = str(Path(cycgraph.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        fresh = subprocess.run([sys.executable, "-m", "cycgraph.cli", *argv],
+                               capture_output=True, text=True, env=env, timeout=120)
+        assert first[0] == second[0] == fresh.returncode == EXIT_THEOREM_FAILURE
+        assert without_timings(first[1]) == without_timings(second[1])
+        assert without_timings(first[1]) == without_timings(fresh.stdout)
 
 
 class TestCatalog:

@@ -1,5 +1,3 @@
-from math import gcd
-
 import pytest
 
 from conftest import (
@@ -8,6 +6,7 @@ from conftest import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    divisor_gcd_graph,
     pairwise_adjacency,
     path_graph,
 )
@@ -115,11 +114,11 @@ class TestDivisorOracle:
         assert divs == [2, 3, 4, 6]
         assert g.n == 4
 
-    def test_adjacency_is_gcd(self):
-        divs, g = zn_divisor_graph(60)
-        for i in range(g.n):
-            for j in range(i + 1, g.n):
-                assert bool(g.adj[i] >> j & 1) == (gcd(divs[i], divs[j]) > 1)
+    @pytest.mark.parametrize("n", range(1, 3001))
+    def test_adjacency_is_gcd(self, n):
+        # divisors in order and every row, against the pairwise gcd definition
+        divs, g = zn_divisor_graph(n)
+        assert (divs, g) == divisor_gcd_graph(n)
 
     @pytest.mark.parametrize("n", list(range(2, 200)) + [512, 1024, 1800])
     def test_matches_element_level_build(self, n):
