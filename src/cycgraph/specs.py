@@ -101,9 +101,15 @@ def _saturated(digits: str) -> int:
     return int(digits) if len(digits) <= len(str(groups.ORDER_CAP)) else groups.ORDER_CAP + 1
 
 
-def _echo(text: str, keep: int = 24) -> str:
-    """text for an error line: its first and last ``keep`` characters when longer."""
-    return text if len(text) <= 2 * keep + 3 else f"{text[:keep]}...{text[-keep:]}"
+#: characters kept from each end of an over-long atom echoed in an error line
+ECHO_KEEP = 24
+
+
+def _echo(text: str) -> str:
+    """text for an error line: its first and last ECHO_KEEP characters when longer."""
+    if len(text) <= 2 * ECHO_KEEP + 3:
+        return text
+    return f"{text[:ECHO_KEEP]}...{text[-ECHO_KEEP:]}"
 
 
 def _parse_atom(text: str) -> GroupSpec:

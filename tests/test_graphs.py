@@ -114,11 +114,10 @@ class TestDivisorOracle:
         assert divs == [2, 3, 4, 6]
         assert g.n == 4
 
-    @pytest.mark.parametrize("n", range(1, 3001))
-    def test_adjacency_is_gcd(self, n):
+    def test_adjacency_is_gcd(self):
         # divisors in order and every row, against the pairwise gcd definition
-        divs, g = zn_divisor_graph(n)
-        assert (divs, g) == divisor_gcd_graph(n)
+        for n in range(1, 3001):
+            assert zn_divisor_graph(n) == divisor_gcd_graph(n), n
 
     @pytest.mark.parametrize("n", list(range(2, 200)) + [512, 1024, 1800])
     def test_matches_element_level_build(self, n):
