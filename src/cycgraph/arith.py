@@ -10,8 +10,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 #: distinct integers whose factorization is kept: a --max-n 2000 sweep meets under 2000.
-#: Past --max-n 4096 each of the three Z_n sweeps factors every n once more, since
-#: an LRU cache scanned in order keeps none of what the next sweep reads first.
+#: A run builds each Z(n) divisor graph once, whatever --max-n; past 4096 the Z_n
+#: verifiers' own formulas factor each n once more per verifier, since an LRU cache
+#: scanned in order keeps none of what the next verifier reads first.
 FACTOR_CACHE_SIZE = 4096
 #: distinct orders whose coprime mask is kept: at most this many times groups.ORDER_CAP bytes
 COPRIME_CACHE_SIZE = 1024

@@ -3,9 +3,14 @@
 Elements are dense integer indices 0..n-1.  A group is its multiplication
 rule.  Every family (cyclic, direct product, dihedral, dicyclic, permutation
 closure) multiplies through its closed form, and a relabeled copy composes
-the source rule with the renaming.  Only a Cayley table given as input is
-stored: as a compact array of the least unsigned dtype that holds 0..n-1,
-each row turned into the list its rule looks up the first time it is read.
+the source rule with the renaming.  ``cyclic``, ``dihedral`` and
+``dicyclic`` also record their ``family``, ``(kind, param)``, from which
+:func:`cycgraph.subgroups.cyclic_subgroups` lists the cyclic subgroups in
+closed form; every other group, a product or relabeled copy of one
+included, has none and is walked, and the walk is the closed forms' test
+oracle.  Only a Cayley table given as input is stored: as a compact array
+of the least unsigned dtype that holds 0..n-1, each row turned into the
+list its rule looks up the first time it is read.
 ``cayley_table`` derives the table from the rule, for every group alike.
 User tables are parsed into an int64 array and every group axiom is checked
 with numpy at every order; associativity exactly, by Light's test on a
@@ -39,17 +44,29 @@ class FiniteGroup:
     ``mul`` is a plain callable attribute so hot loops can bind it locally.
     The rule must be associative: every family is by construction, an input
     table is checked by Light's test, and a relabeled copy keeps it.
+    ``family`` is ``(kind, param)`` for a group built by :func:`cyclic`,
+    :func:`dihedral` or :func:`dicyclic`, on whose own element labels
+    :func:`cycgraph.subgroups.cyclic_subgroups` has a closed form; it is None
+    for every other group, relabeled copies and products included.
     """
 
-    __slots__ = ("order", "identity", "descriptor", "mul")
+    __slots__ = ("order", "identity", "descriptor", "mul", "family")
 
-    def __init__(self, order: int, mul: Callable[[int, int], int], identity: int, descriptor: str):
+    def __init__(
+        self,
+        order: int,
+        mul: Callable[[int, int], int],
+        identity: int,
+        descriptor: str,
+        family: tuple[str, int] | None = None,
+    ):
         if order > ORDER_CAP:
             raise OrderCapExceeded(f"{descriptor}: order {order} exceeds cap {ORDER_CAP}")
         self.order = order
         self.identity = identity
         self.descriptor = descriptor
         self.mul = mul
+        self.family = family
 
     def __repr__(self):
         return f"FiniteGroup({self.descriptor}, order={self.order})"
@@ -200,7 +217,7 @@ def from_cayley_table(table: Sequence[Sequence[int]], descriptor: str = "cayley-
 def cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("cyclic(n) needs n >= 1")
-    return FiniteGroup(n, lambda a, b: (a + b) % n, 0, f"Z({n})")
+    return FiniteGroup(n, lambda a, b: (a + b) % n, 0, f"Z({n})", ("cyclic", n))
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
@@ -223,7 +240,7 @@ def dihedral(n: int) -> FiniteGroup:
         k = (i + j) % n if s == 0 else (i - j) % n
         return k + ((s + t) % 2) * n
 
-    return FiniteGroup(2 * n, rule, 0, f"D({n})")
+    return FiniteGroup(2 * n, rule, 0, f"D({n})", ("dihedral", n))
 
 
 def dicyclic(m: int) -> FiniteGroup:
@@ -244,7 +261,7 @@ def dicyclic(m: int) -> FiniteGroup:
             return (i - j) % n2 + n2
         return (i - j + m) % n2
 
-    return FiniteGroup(4 * m, rule, 0, f"Dic({m})")
+    return FiniteGroup(4 * m, rule, 0, f"Dic({m})", ("dicyclic", m))
 
 
 def from_permutation_generators(

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 
-from .arith import coprime_mask, is_prime
+from .arith import coprime_mask, divisors, is_prime
 from .groups import FiniteGroup
 
 
@@ -23,7 +23,23 @@ class CyclicSubgroup:
 
 
 def cyclic_subgroups(group: FiniteGroup) -> list[CyclicSubgroup]:
-    """All proper nontrivial cyclic subgroups, deduplicated and canonically ordered.
+    """All proper nontrivial cyclic subgroups, deduplicated and canonically
+    ordered by (order, elements).
+
+    A group built by ``groups.cyclic``, ``groups.dihedral`` or
+    ``groups.dicyclic`` carries its ``family``, and its list is written down
+    in closed form on that constructor's element labels; every other group is
+    walked element by element (:func:`_walk_subgroups`, which the tests hold
+    the closed forms equal to).
+    """
+    if group.family is not None:
+        kind, param = group.family
+        return _CLOSED_FORMS[kind](param)
+    return _walk_subgroups(group)
+
+
+def _walk_subgroups(group: FiniteGroup) -> list[CyclicSubgroup]:
+    """:func:`cyclic_subgroups` of any group, by walking the powers of its elements.
 
     Walks every element once: generating <g> also identifies all phi(m) of its
     generators (the powers g^k with gcd(k, m) = 1, read off the cached
@@ -55,6 +71,57 @@ def cyclic_subgroups(group: FiniteGroup) -> list[CyclicSubgroup]:
         subs.append(CyclicSubgroup(min(gens), tuple(sorted(powers)), m))
     subs.sort(key=lambda s: (s.order, s.elements))
     return subs
+
+
+# --- closed forms, on the element labels of the family constructors -----------
+
+def _rotation_subgroups(n: int, orders: list[int]) -> list[CyclicSubgroup]:
+    """The subgroups of the given orders d | n of a cyclic group on 0..n-1 (a + b mod n).
+
+    The subgroup of order d is {0, n/d, 2n/d, ...}; its least generator is n/d.
+    """
+    return [CyclicSubgroup(n // d, tuple(range(0, n, n // d)), d) for d in orders]
+
+
+def _after_order(
+    rotations: list[CyclicSubgroup], others: list[CyclicSubgroup], order: int
+) -> list[CyclicSubgroup]:
+    """``rotations`` with ``others``, all of one order, placed after every rotation
+    subgroup of at most that order.  Within their order they sort last: the rotation
+    subgroup of order d in Z(k) has second-least element k/d, and each of ``others``
+    has a larger one (n + i > n/2 in D(n), m > m/2 in Dic(m))."""
+    k = sum(1 for s in rotations if s.order <= order)
+    return rotations[:k] + others + rotations[k:]
+
+
+def _cyclic_closed_form(n: int) -> list[CyclicSubgroup]:
+    """Z(n): one subgroup per divisor 1 < d < n."""
+    return _rotation_subgroups(n, divisors(n)[1:-1])
+
+
+def _dihedral_closed_form(n: int) -> list[CyclicSubgroup]:
+    """D(n), element i + s*n = r^i s: the subgroups of <r>, all proper, and the
+    n reflection subgroups {e, r^i s}."""
+    if n == 1:  # D(1) is of order 2, generated by its one reflection
+        return []
+    reflections = [CyclicSubgroup(n + i, (0, n + i), 2) for i in range(n)]
+    return _after_order(_rotation_subgroups(n, divisors(n)[1:]), reflections, 2)
+
+
+def _dicyclic_closed_form(m: int) -> list[CyclicSubgroup]:
+    """Dic(m), element i + s*2m = a^i b^s: the subgroups of <a>, all proper, and
+    the m subgroups <a^i b> = {e, a^m, a^i b, a^(i+m) b} of order 4, i < m."""
+    n2 = 2 * m
+    quaternions = [CyclicSubgroup(n2 + i, (0, m, n2 + i, n2 + m + i), 4) for i in range(m)]
+    return _after_order(_rotation_subgroups(n2, divisors(n2)[1:]), quaternions, 4)
+
+
+#: FiniteGroup.family kind -> its closed-form cyclic_subgroups
+_CLOSED_FORMS = {
+    "cyclic": _cyclic_closed_form,
+    "dihedral": _dihedral_closed_form,
+    "dicyclic": _dicyclic_closed_form,
+}
 
 
 def prime_order_subgroup_count(group: FiniteGroup) -> int:

@@ -107,6 +107,21 @@ class Catalog:
                 yield (spec, *entry)
 
 
+@dataclass
+class ZnGraphs:
+    """The Z(n) graphs for 2 <= n <= max_n in divisor representation, as
+    (n, divisors, graph) in ascending n, built by ``zn_divisor_graph`` on the
+    first read, so that every Z_n verifier of a run reads one list."""
+
+    max_n: int
+    _built: list | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __iter__(self):
+        if self._built is None:
+            self._built = [(n, *zn_divisor_graph(n)) for n in range(2, self.max_n + 1)]
+        return iter(self._built)
+
+
 def default_catalog(max_order: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Catalog:
     """All abelian groups plus the dihedral/dicyclic/symmetric/alternating
     families up to the order bound, each spec once; builds obey ``vertex_cap``."""
@@ -429,7 +444,7 @@ def verify_alpha_theta(catalog: Catalog) -> VerificationResult:
 
 
 @_timed
-def verify_regular_zn(max_n: int) -> VerificationResult:
+def verify_regular_zn(zn: ZnGraphs) -> VerificationResult:
     """Regular graph <-> n is p^alpha with alpha >= 2, over nonempty Z_n graphs.
 
     Uses the divisor representation of the Z_n graph (validated against
@@ -437,10 +452,9 @@ def verify_regular_zn(max_n: int) -> VerificationResult:
     """
     res = VerificationResult(
         "t24-regular-zn",
-        f"Z(n) for n <= {max_n} with nonempty graph",
+        f"Z(n) for n <= {zn.max_n} with nonempty graph",
     )
-    for n in range(2, max_n + 1):
-        ds, g = zn_divisor_graph(n)
+    for n, ds, g in zn:
         if g.n == 0:
             continue
         res.groups_tested += 1
@@ -465,13 +479,12 @@ def zn_expected_degree(n: int, d: int) -> int:
 
 
 @_timed
-def verify_degree_formula_zn(max_n: int) -> VerificationResult:
+def verify_degree_formula_zn(zn: ZnGraphs) -> VerificationResult:
     res = VerificationResult(
         "t24-degree-formula-zn",
-        f"Z(n) for n <= {max_n}, every vertex",
+        f"Z(n) for n <= {zn.max_n}, every vertex",
     )
-    for n in range(2, max_n + 1):
-        ds, g = zn_divisor_graph(n)
+    for n, ds, g in zn:
         if g.n == 0:
             continue
         res.groups_tested += 1
@@ -486,15 +499,14 @@ def verify_degree_formula_zn(max_n: int) -> VerificationResult:
 
 
 @_timed
-def verify_domination_zn(max_n: int, node_budget: int = DEFAULT_NODE_BUDGET) -> VerificationResult:
+def verify_domination_zn(zn: ZnGraphs, node_budget: int = DEFAULT_NODE_BUDGET) -> VerificationResult:
     """Domination number of the Z_n graph: 1 when some exponent exceeds 1,
     2 when n is squarefree with >= 2 prime factors; primes are skipped."""
     res = VerificationResult(
         "t22-domination-zn",
-        f"Z(n) for composite n <= {max_n}",
+        f"Z(n) for composite n <= {zn.max_n}",
     )
-    for n in range(2, max_n + 1):
-        ds, g = zn_divisor_graph(n)
+    for n, ds, g in zn:
         if g.n == 0:
             continue  # n prime
         res.groups_tested += 1
@@ -521,9 +533,9 @@ VERIFIERS: dict[str, tuple[Callable[..., VerificationResult], tuple[str, ...]]] 
     "cor-c1-girth": (verify_girth, ("catalog",)),
     "thm7-acyclic-equivalences": (verify_acyclic_equivalences, ("catalog",)),
     "thm8-300-alpha-theta": (verify_alpha_theta, ("catalog",)),
-    "t24-regular-zn": (verify_regular_zn, ("max_n",)),
-    "t24-degree-formula-zn": (verify_degree_formula_zn, ("max_n",)),
-    "t22-domination-zn": (verify_domination_zn, ("max_n", "node_budget")),
+    "t24-regular-zn": (verify_regular_zn, ("zn",)),
+    "t24-degree-formula-zn": (verify_degree_formula_zn, ("zn",)),
+    "t22-domination-zn": (verify_domination_zn, ("zn", "node_budget")),
 }
 THEOREM_IDS = tuple(VERIFIERS)
 
@@ -543,10 +555,11 @@ def run_verifiers(
         for tid in ids:
             if tid not in THEOREM_IDS:
                 raise UnknownTheoremId(tid)
-    # one catalog, and so one memo of builds, is shared by every verifier of the run
+    # one catalog and one list of Z_n graphs, each a memo of builds, are shared
+    # by every verifier of the run
     inputs = {
         "catalog": default_catalog(max_order, vertex_cap),
-        "max_n": max_n,
+        "zn": ZnGraphs(max_n),
         "seed": seed,
         "node_budget": node_budget,
     }

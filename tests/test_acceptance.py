@@ -36,6 +36,7 @@ from cycgraph.specs import Zs
 from cycgraph.theorems import (
     ISO_GROUPS,
     ISO_TRIALS,
+    ZnGraphs,
     default_catalog,
     verify_alpha_theta,
     verify_degree_formula_zn,
@@ -155,7 +156,7 @@ def test_criterion_05_alpha_theta_m():
 
 def test_criterion_06_regularity_zn():
     t0 = time.perf_counter()
-    res = verify_regular_zn(5000)
+    res = verify_regular_zn(ZnGraphs(5000))
     elapsed = time.perf_counter() - t0
     # deg(d) = tau(n) - 2 - prod_{p not dividing d}(a_p + 1) (criterion 07):
     # if some a_i >= 2, deg(n/p_i) = tau(n) - 3 differs from deg(p_j); if n
@@ -170,7 +171,7 @@ def test_criterion_06_regularity_zn():
 
 def test_criterion_07_degree_formula_zn():
     t0 = time.perf_counter()
-    res = verify_degree_formula_zn(2000)
+    res = verify_degree_formula_zn(ZnGraphs(2000))
     elapsed = time.perf_counter() - t0
     ok = res.passed and elapsed < 30
     report(7, ok, f"degree formula for Z_n, n <= 2000, "
@@ -180,7 +181,7 @@ def test_criterion_07_degree_formula_zn():
 
 def test_criterion_08_domination_zn():
     t0 = time.perf_counter()
-    res = verify_domination_zn(2000)
+    res = verify_domination_zn(ZnGraphs(2000))
     elapsed = time.perf_counter() - t0
     ok = res.passed and elapsed < 60
     report(8, ok, f"domination number of Z_n, composite n <= 2000, "

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -114,6 +115,19 @@ class TestExport:
             for fmt in ("dot", "csv", "json"):
                 outs.add(run(capsys, "export", "Z(36)", "--format", fmt))
         assert len(outs) == 3
+
+    @pytest.mark.parametrize("spec, sha256", [
+        ("D(6)", "484138464fb36d02ccf445a52eb123ff93a034761b9951fcf90ce0a884e35767"),
+        ("D(12)", "a29657535ac0868d6f75d469c40ea81ce31111db8055cb4123e28d3d8044c4a2"),
+        ("Dic(6)", "3f2e24263c958f5225a7bb69efce659fd2dd8fac802c05bdcd4813fb4672c5c6"),
+        ("Z(60)", "e939ae193342ba6ad55583765e881cc8c9f00a9bc84b1e323fc68e8be001a2f0"),
+    ])
+    def test_family_json_golden(self, capsys, spec, sha256):
+        # hashes of the output of the element power walk: the family closed forms
+        # must give the same vertex order, generators and edges byte for byte
+        rc, out = run(capsys, "export", spec, "--format", "json")
+        assert rc == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
     def test_empty_graph(self, capsys):
         rc, out = run(capsys, "export", "Z(2)", "--format", "dot")

@@ -104,7 +104,11 @@ class TestValidation:
         t = g.cayley_table()
         t[0][0] = -1
         assert g.cayley_table() == [[0, 1], [1, 0]]
-        assert g.__slots__ == ("order", "identity", "descriptor", "mul")  # no table is kept
+        assert g.__slots__ == ("order", "identity", "descriptor", "mul", "family")  # no table is kept
+        # family is at most a (kind, param) pair, never a table
+        assert g.family is None
+        assert [h.family for h in (cyclic(6), dihedral(6), dicyclic(6))] == [
+            ("cyclic", 6), ("dihedral", 6), ("dicyclic", 6)]
 
         calls = []
 

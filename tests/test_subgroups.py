@@ -1,15 +1,22 @@
+import random
+
 import pytest
 
+from cycgraph import subgroups
 from cycgraph.arith import tau
 from cycgraph.groups import (
+    FiniteGroup,
     alternating,
     cyclic,
     dicyclic,
+    dihedral,
     direct_product,
     elementary_abelian,
+    relabel,
 )
 from cycgraph.graphs import build
 from cycgraph.subgroups import (
+    _walk_subgroups,
     cyclic_subgroups,
     maximal_among,
     maximal_cyclic_subgroups,
@@ -77,6 +84,53 @@ class TestEnumeration:
         by_order = {s.order: s for s in subs}
         assert by_order[8].contains(by_order[2])
         assert not by_order[2].contains(by_order[8])
+
+
+class TestClosedForms:
+    """The family closed forms against the power walk, which shares none of their code."""
+
+    def test_catalog_families_match_the_walk(self):
+        families = 0
+        for spec in default_catalog(400):
+            if spec.kind in ("cyclic", "dihedral", "dicyclic"):
+                group = spec.realize()
+                assert group.family == (spec.kind, spec.params[0]), spec.descriptor
+                assert cyclic_subgroups(group) == _walk_subgroups(group), spec.descriptor
+                families += 1
+        assert families == 696  # 399 Z(n), 198 D(n), 99 Dic(m)
+
+    @pytest.mark.parametrize("group", [
+        cyclic(1), cyclic(2), cyclic(13), cyclic(64), cyclic(81),
+        dihedral(1), dihedral(2), dicyclic(2), dicyclic(3),
+    ], ids=repr)
+    def test_edge_parameters_match_the_walk(self, group):
+        assert cyclic_subgroups(group) == _walk_subgroups(group)
+
+    def test_edge_parameter_counts(self):
+        assert cyclic_subgroups(dihedral(1)) == []             # D(1) = Z(2)
+        assert [s.elements for s in cyclic_subgroups(dihedral(2))] == [(0, 1), (0, 2), (0, 3)]
+        assert len(cyclic_subgroups(dicyclic(3))) == 3 + 3     # <a> of order 2, 3, 6; three <a^i b>
+
+    def test_other_groups_take_the_walk(self, monkeypatch):
+        walked = []
+
+        def walk(group):
+            walked.append(group)
+            return _walk_subgroups(group)
+
+        monkeypatch.setattr(subgroups, "_walk_subgroups", walk)
+        perm = list(range(12))
+        random.Random(6).shuffle(perm)
+        others = [
+            relabel(dihedral(6), perm),
+            direct_product(cyclic(4), cyclic(2)),
+            # a descriptor string never picks a closed form
+            FiniteGroup(12, lambda a, b: (a + b) % 12, 0, "Z(12)"),
+        ]
+        for group in others:
+            assert group.family is None
+            cyclic_subgroups(group)
+        assert walked == others
 
 
 class TestPrimeOrderCount:

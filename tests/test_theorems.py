@@ -12,6 +12,7 @@ from cycgraph.groups import alternating, cyclic, relabel
 from cycgraph.specs import GroupSpec, abelian_groups_of_order, is_cyclic_spec, parse_spec
 from cycgraph.theorems import (
     THEOREM_IDS,
+    ZnGraphs,
     default_catalog,
     run_verifiers,
     subgroup_condition,
@@ -27,7 +28,7 @@ from cycgraph.theorems import (
     verify_totally_disconnected,
     zn_expected_degree,
 )
-from cycgraph.graphs import IntersectionGraph, build
+from cycgraph.graphs import IntersectionGraph, build, zn_divisor_graph
 
 # squarefree products of exactly two primes: the graphs are K̄2 yet the group
 # has an element of composite order, so several statements break on them
@@ -140,13 +141,13 @@ class TestVerifiers:
         assert [c[0] for c in res.counterexamples] == ["Z(9)xZ(9)"]
 
     def test_regular_zn_counterexamples_are_semiprimes(self):
-        res = verify_regular_zn(60)
+        res = verify_regular_zn(ZnGraphs(60))
         assert not res.passed
         bad = {c[0] for c in res.counterexamples}
         assert bad == {f"Z({n})" for n in SEMIPRIMES_60}
 
     def test_degree_formula(self):
-        res = verify_degree_formula_zn(300)
+        res = verify_degree_formula_zn(ZnGraphs(300))
         assert res.passed, res.counterexamples
 
     def test_degree_formula_values(self):
@@ -156,7 +157,7 @@ class TestVerifiers:
         assert zn_expected_degree(30, 2) == 8 - 2 - 4
 
     def test_domination(self):
-        res = verify_domination_zn(300)
+        res = verify_domination_zn(ZnGraphs(300))
         assert res.passed, res.counterexamples
 
 
@@ -178,6 +179,23 @@ class TestRunVerifiers:
         a = _without_timings(run_verifiers("all", max_order=30, max_n=200, seed=4))
         b = _without_timings(run_verifiers("all", max_order=30, max_n=200, seed=4))
         assert a == b
+
+    def test_zn_graphs_are_built_once_per_run(self, monkeypatch):
+        built = []
+
+        def counted(n):
+            built.append(n)
+            return zn_divisor_graph(n)
+
+        monkeypatch.setattr(theorems, "zn_divisor_graph", counted)
+        zn_ids = ["t24-regular-zn", "t24-degree-formula-zn", "t22-domination-zn"]
+        shared = _without_timings(run_verifiers(zn_ids, max_n=300))
+        assert built == list(range(2, 301))
+        built.clear()
+        run_verifiers(["cor-c1-girth"], max_order=20, max_n=300)
+        assert built == []
+        alone = [_without_timings(run_verifiers([tid], max_n=300))[0] for tid in zn_ids]
+        assert shared == alone
 
     def test_counterexamples_are_realizable(self):
         for r in run_verifiers(["thm14-totally-disconnected"], max_order=40):
