@@ -1,5 +1,9 @@
 """Command-line front end: analyze one group, verify theorems, export graphs.
 
+The JSON of ``export`` and ``analyze`` is rendered as text straight from the
+graph, not built as a payload of records first; its bytes are exactly those
+of ``json.dumps(payload, indent=2, sort_keys=True) + "\n"``.
+
 Exit codes: 0 everything passed; 1 at least one theorem check failed;
 2 usage error; 3 nothing was verified (all work skipped by caps).
 """
@@ -9,12 +13,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Iterable
 
 from . import __version__
 from .errors import CycgraphError, SpecParseError, UnknownTheoremId, VertexCapExceeded
 from .graphs import DEFAULT_VERTEX_CAP, IntersectionGraph, build
 from .invariants import DEFAULT_NODE_BUDGET, compute_report
 from .specs import parse_spec
+from .subgroups import CyclicSubgroup
 from .theorems import THEOREM_IDS, default_catalog, run_verifiers
 
 EXIT_OK = 0
@@ -27,7 +33,7 @@ def _write_out(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w") as fh:
+        with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 
@@ -39,10 +45,35 @@ def _build_from_spec(text: str, vertex_cap: int) -> IntersectionGraph:
 
 # --- analyze ----------------------------------------------------------------
 
-def _vertex_records(ig: IntersectionGraph) -> list[dict]:
+# JSON is laid out as json.dumps(indent=2, sort_keys=True) lays it out.  `pad` is
+# a newline plus the indent of the line that closes a container; a nested dump
+# is re-indented by replacing its newlines, which JSON strings never hold raw.
+
+def _json_array(items: Iterable[str], pad: str) -> str:
+    """A JSON list of items already rendered, closing at indent ``pad``."""
+    inner = pad + "  "
+    body = ("," + inner).join(items)
+    return f"[{inner}{body}{pad}]" if body else "[]"
+
+
+def _vertices_json(vertices: Iterable[CyclicSubgroup], pad: str) -> str:
     """The vertex list of analyze's and export's JSON output."""
-    return [{"generator": v.generator, "order": v.order, "elements": list(v.elements)}
-            for v in ig.vertices]
+    obj = pad + "  "
+    key = obj + "  "
+    elem = key + "  "
+    sep = "," + elem
+    return _json_array(
+        (f'{{{key}"elements": [{elem}{sep.join(map(str, v.elements))}{key}],'
+         f'{key}"generator": {v.generator},{key}"order": {v.order}{obj}}}'
+         for v in vertices),
+        pad,
+    )
+
+
+def _edges_json(edges: Iterable[tuple[int, int]], pad: str) -> str:
+    item = pad + "  "
+    num = item + "  "
+    return _json_array((f"[{num}{u},{num}{v}{item}]" for u, v in edges), pad)
 
 
 def _render_report_text(ig: IntersectionGraph, report) -> str:
@@ -70,12 +101,13 @@ def cmd_analyze(args) -> int:
     ig = _build_from_spec(args.spec, args.vertex_cap)
     report = compute_report(ig.graph, args.node_budget)
     if args.format == "json":
-        payload = {
-            "group": ig.source_descriptor,
-            "report": report.to_dict(),
-            "vertices": _vertex_records(ig),
-        }
-        _write_out(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+        pad = "\n  "
+        fields = json.dumps(report.to_dict(), indent=2, sort_keys=True).replace("\n", pad)
+        _write_out(
+            f'{{{pad}"group": {json.dumps(ig.source_descriptor)},{pad}"report": {fields},'
+            f'{pad}"vertices": {_vertices_json(ig.vertices, pad)}\n}}\n',
+            args.out,
+        )
     else:
         _write_out(_render_report_text(ig, report), args.out)
     return EXIT_OK
@@ -84,7 +116,8 @@ def cmd_analyze(args) -> int:
 # --- export -----------------------------------------------------------------
 
 def render_dot(ig: IntersectionGraph) -> str:
-    lines = [f'graph "{ig.source_descriptor}" {{']
+    name = ig.source_descriptor.replace('"', '\\"')
+    lines = [f'graph "{name}" {{']
     for i, v in enumerate(ig.vertices):
         lines.append(f'  {i} [label="⟨{v.generator}⟩ ord={v.order}"];')
     for u, v in ig.graph.edges():
@@ -99,12 +132,12 @@ def render_csv(ig: IntersectionGraph) -> str:
 
 
 def render_json(ig: IntersectionGraph) -> str:
-    payload = {
-        "descriptor": ig.source_descriptor,
-        "vertices": _vertex_records(ig),
-        "edges": [list(e) for e in ig.graph.edges()],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    pad = "\n  "
+    return (
+        f'{{{pad}"descriptor": {json.dumps(ig.source_descriptor)},'
+        f'{pad}"edges": {_edges_json(ig.graph.edges(), pad)},'
+        f'{pad}"vertices": {_vertices_json(ig.vertices, pad)}\n}}\n'
+    )
 
 
 def cmd_export(args) -> int:

@@ -46,7 +46,8 @@ class Graph:
         return sum(a.bit_count() for a in self.adj) // 2
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u in range(self.n) for v in bits(self.adj[u]) if u < v]
+        """Each edge once as (u, v) with u < v, in order of u, then v."""
+        return [(u, v) for u, a in enumerate(self.adj) for v in bits(a >> (u + 1) << (u + 1))]
 
     def degrees(self) -> list[int]:
         return [a.bit_count() for a in self.adj]

@@ -110,15 +110,21 @@ class Catalog:
 @dataclass
 class ZnGraphs:
     """The Z(n) graphs for 2 <= n <= max_n in divisor representation, as
-    (n, divisors, graph) in ascending n, built by ``zn_divisor_graph`` on the
-    first read, so that every Z_n verifier of a run reads one list."""
+    (n, divisors, graph) in ascending n, built by ``zn_divisor_graph``.  With
+    ``keep`` the first read stores them, so that every Z_n verifier of a run
+    reads one list; without it each read builds them one at a time and keeps none."""
 
     max_n: int
+    keep: bool = False
     _built: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def __iter__(self):
-        if self._built is None:
-            self._built = [(n, *zn_divisor_graph(n)) for n in range(2, self.max_n + 1)]
+        if self._built is not None:
+            return iter(self._built)
+        graphs = ((n, *zn_divisor_graph(n)) for n in range(2, self.max_n + 1))
+        if not self.keep:
+            return graphs
+        self._built = list(graphs)
         return iter(self._built)
 
 
@@ -555,11 +561,12 @@ def run_verifiers(
         for tid in ids:
             if tid not in THEOREM_IDS:
                 raise UnknownTheoremId(tid)
-    # one catalog and one list of Z_n graphs, each a memo of builds, are shared
-    # by every verifier of the run
+    # one catalog and one source of Z_n graphs are shared by every verifier of
+    # the run; the Z_n graphs are kept only when more than one verifier reads them
+    zn_readers = sum("zn" in VERIFIERS[tid][1] for tid in ids)
     inputs = {
         "catalog": default_catalog(max_order, vertex_cap),
-        "zn": ZnGraphs(max_n),
+        "zn": ZnGraphs(max_n, keep=zn_readers > 1),
         "seed": seed,
         "node_budget": node_budget,
     }

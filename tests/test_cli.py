@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from importlib import resources
@@ -18,7 +19,11 @@ from cycgraph.cli import (
     EXIT_USAGE,
     main,
 )
+from cycgraph.cli import render_json
+from cycgraph.graphs import bits, build
 from cycgraph.groups import dicyclic, write_cayley_file
+from cycgraph.invariants import DEFAULT_NODE_BUDGET, compute_report
+from cycgraph.specs import parse_spec
 from cycgraph.theorems import default_catalog
 
 GOLDEN_Q8_DOT = """\
@@ -41,6 +46,29 @@ def run(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr().out
     return rc, out
+
+
+def vertex_records(ig):
+    return [{"generator": v.generator, "order": v.order, "elements": list(v.elements)}
+            for v in ig.vertices]
+
+
+def dumped(payload):
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def export_oracle(ig):
+    """export's JSON as a payload of records passed through json.dumps."""
+    g = ig.graph
+    edges = [[u, v] for u in range(g.n) for v in bits(g.adj[u]) if u < v]
+    return dumped({"descriptor": ig.source_descriptor, "vertices": vertex_records(ig),
+                   "edges": edges})
+
+
+def analyze_oracle(ig, node_budget):
+    report = compute_report(ig.graph, node_budget).to_dict()
+    return dumped({"group": ig.source_descriptor, "report": report,
+                   "vertices": vertex_records(ig)})
 
 
 def without_timings(text):
@@ -108,6 +136,33 @@ class TestExport:
         rc, out = run(capsys, "export", "Q(8)", "--format", "dot")
         assert rc == EXIT_OK
         assert out == GOLDEN_Q8_DOT
+
+    def test_out_file_is_utf8_under_an_ascii_locale(self, tmp_path):
+        # the DOT labels hold ⟨ ⟩, which the C locale's default encoding cannot write
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        src = str(Path(cycgraph.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        path = tmp_path / "q8.dot"
+        proc = subprocess.run(
+            [sys.executable, "-m", "cycgraph.cli", "export", "Q(8)", "--format", "dot",
+             "--out", str(path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert path.read_text(encoding="utf-8") == GOLDEN_Q8_DOT
+
+    def test_dot_graph_name_escapes_quotes(self, tmp_path, capsys):
+        folder = tmp_path / 'q"d'
+        folder.mkdir()
+        path = str(folder / "q8.txt")
+        write_cayley_file(dicyclic(2), path)
+        rc, out = run(capsys, "export", f"file:cayley:{path}", "--format", "dot")
+        assert rc == EXIT_OK
+        header, *body = out.splitlines(keepends=True)
+        # one DOT quoted ID: no quote inside it except as \"
+        m = re.fullmatch(r'graph "((?:[^"\\]|\\")*)" \{\n', header)
+        assert m and m.group(1).replace('\\"', '"') == f"cayley-file:{path}"
+        assert "".join(body) == GOLDEN_Q8_DOT.split("\n", 1)[1]
 
     def test_byte_stable(self, capsys):
         outs = set()
@@ -211,6 +266,49 @@ class TestExport:
         assert "Traceback" not in err
         # a long atom is echoed as a bounded head...tail
         assert all(len(line) <= 200 for line in err.splitlines())
+
+
+class TestJsonBytes:
+    """export and analyze render their JSON directly; the bytes must be those
+    of the payload of records dumped with indent=2 and sorted keys."""
+
+    def test_export_every_catalog_group(self):
+        for spec in default_catalog(120):
+            ig = build(spec.realize())
+            assert render_json(ig) == export_oracle(ig), spec.descriptor
+
+    def test_analyze_catalog_subset(self, capsys):
+        specs = list(default_catalog(120))[::9] + [parse_spec("Q(8)"), parse_spec("S(4)")]
+        for spec in specs:
+            rc, out = run(capsys, "analyze", spec.descriptor, "--format", "json",
+                          "--node-budget", "2000")
+            assert rc == EXIT_OK
+            assert out == analyze_oracle(build(spec.realize()), 2000), spec.descriptor
+
+    @pytest.mark.parametrize("spec, n, edges", [("Z(2)", 0, 0), ("Z(6)", 2, 0), ("Q(8)", 4, 6)])
+    def test_small_graphs(self, capsys, spec, n, edges):
+        ig = build(parse_spec(spec).realize())
+        assert (ig.n, ig.graph.edge_count()) == (n, edges)
+        rc, out = run(capsys, "export", spec, "--format", "json")
+        assert rc == EXIT_OK and out == export_oracle(ig)
+        rc, out = run(capsys, "analyze", spec, "--format", "json")
+        assert rc == EXIT_OK and out == analyze_oracle(ig, DEFAULT_NODE_BUDGET)
+
+    def test_descriptor_escaping(self, tmp_path, capsys):
+        # a file table's descriptor holds its path: quote, backslash and a
+        # non-ASCII character must be escaped as json.dumps escapes them
+        folder = tmp_path / 'q"\\é'
+        folder.mkdir()
+        path = str(folder / "q8.txt")
+        write_cayley_file(dicyclic(2), path)
+        spec = f"file:cayley:{path}"
+        ig = build(parse_spec(spec).realize())
+        assert '"' in ig.source_descriptor and "\\" in ig.source_descriptor
+        rc, out = run(capsys, "export", spec, "--format", "json")
+        assert rc == EXIT_OK and out == export_oracle(ig)
+        assert out.isascii() and json.loads(out)["descriptor"] == ig.source_descriptor
+        rc, out = run(capsys, "analyze", spec, "--format", "json")
+        assert rc == EXIT_OK and out == analyze_oracle(ig, DEFAULT_NODE_BUDGET)
 
 
 class TestVerify:

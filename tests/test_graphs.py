@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from conftest import (
@@ -9,10 +11,12 @@ from conftest import (
     divisor_gcd_graph,
     pairwise_adjacency,
     path_graph,
+    petersen,
 )
 from cycgraph.errors import VertexCapExceeded
 from cycgraph.graphs import Graph, bits, build, zn_divisor_graph
 from cycgraph.groups import cyclic, dicyclic, elementary_abelian, symmetric
+from cycgraph.theorems import default_catalog
 
 
 class TestGraph:
@@ -25,6 +29,22 @@ class TestGraph:
         assert g.edge_count() == 2
         assert g.edges() == [(0, 1), (1, 2)]
         assert g.degrees() == [1, 2, 1, 0]
+
+    def test_edges_match_the_filtered_walk(self):
+        # the upper-triangle walk lists the same pairs in the same order as
+        # walking every row and keeping u < v
+        def filtered(g):
+            return [(u, v) for u in range(g.n) for v in bits(g.adj[u]) if u < v]
+
+        rng = random.Random(7)
+        graphs = [Graph(0), Graph(1), complete_graph(9), petersen()]
+        for n in (2, 5, 17, 64, 65, 130):
+            for p in (0.05, 0.3, 0.9):
+                pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+                graphs.append(Graph(n, pairs))
+        graphs += [build(spec.realize()).graph for spec in default_catalog(60)]
+        for g in graphs:
+            assert g.edges() == filtered(g)
 
     def test_no_self_loops(self):
         with pytest.raises(ValueError):

@@ -197,6 +197,38 @@ class TestRunVerifiers:
         alone = [_without_timings(run_verifiers([tid], max_n=300))[0] for tid in zn_ids]
         assert shared == alone
 
+    def test_one_zn_reader_keeps_no_list(self, monkeypatch):
+        made = []
+
+        def recorded(*args, **kwargs):
+            made.append(ZnGraphs(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(theorems, "ZnGraphs", recorded)
+        run_verifiers(["t24-regular-zn"], max_n=200)
+        run_verifiers(["t24-regular-zn", "cor-c1-girth"], max_order=20, max_n=200)
+        assert [zn._built for zn in made] == [None, None]
+        run_verifiers(["t24-regular-zn", "t22-domination-zn"], max_n=200)
+        assert len(made[-1]._built) == 199
+
+    def test_verify_all_builds_each_zn_graph_once(self, monkeypatch):
+        built = []
+
+        def counted(n):
+            built.append(n)
+            return zn_divisor_graph(n)
+
+        monkeypatch.setattr(theorems, "zn_divisor_graph", counted)
+        run_verifiers("all", max_order=20, max_n=200)
+        assert built == list(range(2, 201))
+
+    def test_kept_and_streamed_zn_graphs_give_one_report(self):
+        for verifier in (verify_regular_zn, verify_degree_formula_zn, verify_domination_zn):
+            kept, streamed = ZnGraphs(200, keep=True), ZnGraphs(200)
+            assert _without_timings([verifier(kept), verifier(kept)]) == \
+                _without_timings([verifier(streamed), verifier(streamed)])
+            assert kept._built is not None and streamed._built is None
+
     def test_counterexamples_are_realizable(self):
         for r in run_verifiers(["thm14-totally-disconnected"], max_order=40):
             for desc, _, _ in r.counterexamples:
