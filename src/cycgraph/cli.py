@@ -16,12 +16,12 @@ import sys
 from typing import Iterable
 
 from . import __version__
-from .errors import CycgraphError, SpecParseError, UnknownTheoremId, VertexCapExceeded
+from .errors import CycgraphError, UnknownTheoremId
 from .graphs import DEFAULT_VERTEX_CAP, IntersectionGraph, build
 from .invariants import DEFAULT_NODE_BUDGET, compute_report
 from .specs import parse_spec
 from .subgroups import CyclicSubgroup
-from .theorems import THEOREM_IDS, default_catalog, run_verifiers
+from .theorems import THEOREM_IDS, build_or_skip, default_catalog, run_verifiers
 
 EXIT_OK = 0
 EXIT_THEOREM_FAILURE = 1
@@ -30,11 +30,18 @@ EXIT_SKIP_ONLY = 3
 
 
 def _write_out(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
+    """Write UTF-8, to ``out`` or to stdout whatever the locale's encoding; a
+    stdout with no byte buffer (an ``io.StringIO``) takes the text as it is."""
+    if out is not None:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
+        return
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
+        sys.stdout.write(text)
+    else:
+        sys.stdout.flush()  # text already written goes first
+        buffer.write(text.encode("utf-8"))
 
 
 def _build_from_spec(text: str, vertex_cap: int) -> IntersectionGraph:
@@ -195,15 +202,11 @@ def cmd_verify(args) -> int:
 def cmd_catalog(args) -> int:
     """One line per catalog group; a group over the vertex cap gets the skip
     message ``verify`` records in place of its vertex count."""
-    catalog = default_catalog(args.max_order)
     lines = []
-    for spec in catalog:
-        group = spec.realize()
-        try:
-            size = f"vertices={build(group, args.vertex_cap).n}"
-        except VertexCapExceeded as exc:
-            size = str(exc)
-        lines.append(f"{spec.descriptor}\torder={group.order}\tfamily={spec.kind}\t{size}")
+    for spec in default_catalog(args.max_order):
+        built = build_or_skip(spec, args.vertex_cap)
+        size = built if isinstance(built, str) else f"vertices={built[1].n}"
+        lines.append(f"{spec.descriptor}\torder={spec.order()}\tfamily={spec.kind}\t{size}")
     _write_out("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -276,9 +279,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except UnknownTheoremId as exc:
         print(f"error: unknown theorem id {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SpecParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

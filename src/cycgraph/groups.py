@@ -36,6 +36,10 @@ from .errors import (
 
 #: the largest group order any constructor accepts
 ORDER_CAP = 20000
+#: the most entries a permutation closure stores, moved points times elements: each
+#: element is a tuple over the moved points, 8 bytes an entry on 64-bit CPython, so
+#: ~34 MB at the cap (S(7) stores 35,280; a 20,000-cycle would store 4e8, ~3.2 GB)
+PERM_ENTRY_CAP = 2**22
 
 
 class FiniteGroup:
@@ -273,6 +277,8 @@ def from_permutation_generators(
 
     Generators are sorted lexicographically first so runs are reproducible.
     The result is associative by construction and skips table validation.
+    The closure stops before it stores more than ``ORDER_CAP`` elements or
+    ``PERM_ENTRY_CAP`` entries.
     """
     for g in gens:
         if sorted(g) != list(range(degree)):
@@ -283,6 +289,7 @@ def from_permutation_generators(
     pos = {p: k for k, p in enumerate(support)}
     gens = sorted(tuple(pos[g[i]] for i in support) for g in gens)
     ident = tuple(range(len(support)))
+    name = descriptor or f"perm-group:deg{degree}"
     elems = [ident]
     index = {ident: 0}
     head = 0
@@ -293,7 +300,12 @@ def from_permutation_generators(
             y = tuple(map(x.__getitem__, g))    # y(i) = x(g(i))
             if y not in index:
                 if len(elems) >= ORDER_CAP:
-                    raise OrderCapExceeded(f"closure exceeds order cap {ORDER_CAP}")
+                    raise OrderCapExceeded(f"{name}: closure exceeds order cap {ORDER_CAP}")
+                if (len(elems) + 1) * len(support) > PERM_ENTRY_CAP:
+                    raise OrderCapExceeded(
+                        f"{name}: closure exceeds {PERM_ENTRY_CAP} stored entries "
+                        f"({len(support)} moved points per element)"
+                    )
                 index[y] = len(elems)
                 elems.append(y)
     n = len(elems)

@@ -8,6 +8,7 @@ reproduced in isolation with the CLI ``analyze`` command.
 from __future__ import annotations
 
 import functools
+import inspect
 import random
 import time
 from dataclasses import dataclass, field
@@ -95,11 +96,7 @@ class Catalog:
         building on first use; vertex-cap hits go to ``result.skipped``."""
         for spec in self.specs if specs is None else specs:
             if spec not in self._built:
-                group = spec.realize()
-                try:
-                    self._built[spec] = (group, build(group, self.vertex_cap))
-                except VertexCapExceeded as exc:
-                    self._built[spec] = str(exc)
+                self._built[spec] = build_or_skip(spec, self.vertex_cap)
             entry = self._built[spec]
             if isinstance(entry, str):
                 result.skipped.append(entry)
@@ -153,18 +150,47 @@ def default_catalog(max_order: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Cat
     return Catalog(specs, max_order, vertex_cap)
 
 
-def _timed(verifier):
-    """Time a verifier and mark its result passed iff it found no counterexample."""
+def build_or_skip(spec: GroupSpec, vertex_cap: int) -> tuple[FiniteGroup, IntersectionGraph] | str:
+    """Realize and build ``spec``: (group, graph), or the message of the vertex-cap skip."""
+    group = spec.realize()
+    try:
+        return group, build(group, vertex_cap)
+    except VertexCapExceeded as exc:
+        return str(exc)
 
-    @functools.wraps(verifier)
-    def run(*args, **kwargs) -> VerificationResult:
-        t0 = time.perf_counter()
-        result = verifier(*args, **kwargs)
-        result.elapsed = time.perf_counter() - t0
-        result.passed = not result.counterexamples
-        return result
 
-    return run
+#: theorem id -> (verifier, the run inputs it takes by name), in report order;
+#: filled in by ``_verifier`` as each check is defined
+VERIFIERS: dict[str, tuple[Callable[..., VerificationResult], tuple[str, ...]]] = {}
+
+
+def _verifier(theorem_id: str):
+    """Register a check as the verifier of ``theorem_id``.
+
+    The check takes a fresh result for that id, then the run inputs it reads by
+    name; it sets the domain and fills in the result.  The registered verifier
+    takes the inputs alone, times the check and marks the result passed iff it
+    found no counterexample.
+    """
+
+    def register(check):
+        sig = inspect.signature(check)
+        params = list(sig.parameters.values())[1:]
+
+        @functools.wraps(check)
+        def run(*args, **kwargs) -> VerificationResult:
+            t0 = time.perf_counter()
+            res = VerificationResult(theorem_id, "")
+            check(res, *args, **kwargs)
+            res.elapsed = time.perf_counter() - t0
+            res.passed = not res.counterexamples
+            return res
+
+        run.__signature__ = sig.replace(parameters=params, return_annotation=VerificationResult)
+        VERIFIERS[theorem_id] = (run, tuple(p.name for p in params))
+        return run
+
+    return register
 
 
 # --- individual theorem checks ------------------------------------------------
@@ -201,12 +227,11 @@ def _relabelings_isomorphic(
     return counterexamples
 
 
-@_timed
-def verify_iso_invariance_catalog(catalog: Catalog, seed: int = 0) -> VerificationResult:
-    res = VerificationResult(
-        "thm13-iso-invariance",
+@_verifier("thm13-iso-invariance")
+def verify_iso_invariance_catalog(res: VerificationResult, catalog: Catalog, seed: int = 0) -> None:
+    res.domain = (
         f"first {ISO_GROUPS} catalog groups with 2..{ISO_PICK_MAX_VERTICES} vertices, "
-        f"{ISO_TRIALS} relabelings each (catalog max order {catalog.max_order})",
+        f"{ISO_TRIALS} relabelings each (catalog max order {catalog.max_order})"
     )
     # stop at the last pick: the lazy pass builds nothing beyond it
     for spec, group, ig in catalog.graphs(res):
@@ -216,20 +241,16 @@ def verify_iso_invariance_catalog(catalog: Catalog, seed: int = 0) -> Verificati
         res.counterexamples += _relabelings_isomorphic(group, ig, ISO_TRIALS, seed + res.groups_tested)
         if res.groups_tested == ISO_GROUPS:
             break
-    return res
 
 
-@_timed
-def verify_totally_disconnected(catalog: Catalog) -> VerificationResult:
+@_verifier("thm14-totally-disconnected")
+def verify_totally_disconnected(res: VerificationResult, catalog: Catalog) -> None:
     """Edge-free graph <-> every non-identity element has prime order.
 
     Groups whose graph has fewer than 2 vertices are excluded (the forward
     direction silently assumes two subgroups exist); exclusions are counted.
     """
-    res = VerificationResult(
-        "thm14-totally-disconnected",
-        f"default catalog, order <= {catalog.max_order}, graphs with >= 2 vertices",
-    )
+    res.domain = f"default catalog, order <= {catalog.max_order}, graphs with >= 2 vertices"
     excluded = 0
     for spec, group, ig in catalog.graphs(res):
         if ig.n < 2:
@@ -251,17 +272,13 @@ def verify_totally_disconnected(catalog: Catalog) -> VerificationResult:
                 )
             )
     res.notes = f"excluded {excluded} groups with < 2 vertices"
-    return res
 
 
-@_timed
-def verify_complete(catalog: Catalog) -> VerificationResult:
+@_verifier("thm15-complete")
+def verify_complete(res: VerificationResult, catalog: Catalog) -> None:
     """Complete graph <-> unique proper subgroup of prime order (nonempty graphs);
     plus the exact vertex-count formulas for cyclic p-power and quaternion groups."""
-    res = VerificationResult(
-        "thm15-complete",
-        f"default catalog, order <= {catalog.max_order}, nonempty graphs",
-    )
+    res.domain = f"default catalog, order <= {catalog.max_order}, nonempty graphs"
     for spec, group, ig in catalog.graphs(res):
         if ig.n == 0:
             continue
@@ -291,17 +308,13 @@ def verify_complete(catalog: Catalog) -> VerificationResult:
                         (spec.descriptor, f"complete K_{want}",
                          f"complete={complete}, vertices={ig.n}")
                     )
-    return res
 
 
-@_timed
-def verify_planarity_classification(catalog: Catalog) -> VerificationResult:
+@_verifier("thm16-planarity")
+def verify_planarity_classification(res: VerificationResult, catalog: Catalog) -> None:
     """Planar graph <-> the group is one of the five listed abelian families,
     over every non-cyclic abelian group of the catalog."""
-    res = VerificationResult(
-        "thm16-planarity",
-        f"all non-cyclic abelian groups of order <= {catalog.max_order}",
-    )
+    res.domain = f"all non-cyclic abelian groups of order <= {catalog.max_order}"
     specs = [
         s for s in catalog if abelian_prime_signature(s) is not None and not is_cyclic_spec(s)
     ]
@@ -313,16 +326,12 @@ def verify_planarity_classification(catalog: Catalog) -> VerificationResult:
             res.counterexamples.append(
                 (spec.descriptor, f"planar <-> in classification ({listed})", f"planar={planar}")
             )
-    return res
 
 
-@_timed
-def verify_star_path_cycle(catalog: Catalog) -> VerificationResult:
+@_verifier("thm345-star-path-cycle")
+def verify_star_path_cycle(res: VerificationResult, catalog: Catalog) -> None:
     """Star and path graphs occur exactly for cyclic p^3; a cycle exactly for cyclic p^4."""
-    res = VerificationResult(
-        "thm345-star-path-cycle",
-        f"default catalog, order <= {catalog.max_order}",
-    )
+    res.domain = f"default catalog, order <= {catalog.max_order}"
     for spec, group, ig in catalog.graphs(res):
         res.groups_tested += 1
         shapes = shape_checks(ig.graph)
@@ -334,22 +343,17 @@ def verify_star_path_cycle(catalog: Catalog) -> VerificationResult:
                 res.counterexamples.append(
                     (spec.descriptor, f"{shape}={expect}", f"{shape}={shapes[shape]}")
                 )
-    return res
 
 
-@_timed
-def verify_girth(catalog: Catalog) -> VerificationResult:
+@_verifier("cor-c1-girth")
+def verify_girth(res: VerificationResult, catalog: Catalog) -> None:
     """girth is always 3 or infinity."""
-    res = VerificationResult(
-        "cor-c1-girth",
-        f"default catalog, order <= {catalog.max_order}",
-    )
+    res.domain = f"default catalog, order <= {catalog.max_order}"
     for spec, group, ig in catalog.graphs(res):
         res.groups_tested += 1
         gv = girth(ig.graph)
         if gv != 3 and gv != INFINITY:
             res.counterexamples.append((spec.descriptor, "girth in {3, inf}", f"girth={gv}"))
-    return res
 
 
 def _order_in_small_set(m: int) -> bool:
@@ -386,17 +390,14 @@ def subgroup_condition(ig: IntersectionGraph, reading: str) -> bool:
     return clause_a and clause_b
 
 
-@_timed
-def verify_acyclic_equivalences(catalog: Catalog) -> VerificationResult:
+@_verifier("thm7-acyclic-equivalences")
+def verify_acyclic_equivalences(res: VerificationResult, catalog: Catalog) -> None:
     """acyclic <-> bipartite <-> triangle-free on every catalog graph.
 
     The subgroup-side condition is reported under both quantifier readings
     (notes field) without being part of the pass criterion.
     """
-    res = VerificationResult(
-        "thm7-acyclic-equivalences",
-        f"default catalog, order <= {catalog.max_order}",
-    )
+    res.domain = f"default catalog, order <= {catalog.max_order}"
     match = {"some": 0, "every": 0}
     mismatch_examples = {"some": [], "every": []}
     for spec, _, ig in catalog.graphs(res):
@@ -424,16 +425,12 @@ def verify_acyclic_equivalences(catalog: Catalog) -> VerificationResult:
             s += f" (first mismatches: {', '.join(mismatch_examples[reading])})"
         parts.append(s)
     res.notes = "; ".join(parts)
-    return res
 
 
-@_timed
-def verify_alpha_theta(catalog: Catalog) -> VerificationResult:
+@_verifier("thm8-300-alpha-theta")
+def verify_alpha_theta(res: VerificationResult, catalog: Catalog) -> None:
     """independence number = clique cover number = number of prime-order subgroups."""
-    res = VerificationResult(
-        "thm8-300-alpha-theta",
-        f"default catalog, order <= {catalog.max_order}, within solver caps",
-    )
+    res.domain = f"default catalog, order <= {catalog.max_order}, within solver caps"
     for spec, group, ig in catalog.graphs(res):
         m = sum(1 for v in ig.vertices if is_prime(v.order))
         # one certificate gives alpha = theta = k
@@ -446,20 +443,16 @@ def verify_alpha_theta(catalog: Catalog) -> VerificationResult:
             res.counterexamples.append(
                 (spec.descriptor, f"alpha == theta == m ({m})", f"alpha={k}, theta={k}")
             )
-    return res
 
 
-@_timed
-def verify_regular_zn(zn: ZnGraphs) -> VerificationResult:
+@_verifier("t24-regular-zn")
+def verify_regular_zn(res: VerificationResult, zn: ZnGraphs) -> None:
     """Regular graph <-> n is p^alpha with alpha >= 2, over nonempty Z_n graphs.
 
     Uses the divisor representation of the Z_n graph (validated against
     the element-level build elsewhere in the suite).
     """
-    res = VerificationResult(
-        "t24-regular-zn",
-        f"Z(n) for n <= {zn.max_n} with nonempty graph",
-    )
+    res.domain = f"Z(n) for n <= {zn.max_n} with nonempty graph"
     for n, ds, g in zn:
         if g.n == 0:
             continue
@@ -471,7 +464,6 @@ def verify_regular_zn(zn: ZnGraphs) -> VerificationResult:
             res.counterexamples.append(
                 (f"Z({n})", f"regular <-> prime power ({expect})", f"regular={regular}")
             )
-    return res
 
 
 def zn_expected_degree(n: int, d: int) -> int:
@@ -484,12 +476,9 @@ def zn_expected_degree(n: int, d: int) -> int:
     return tau(n) - 2 - coprime
 
 
-@_timed
-def verify_degree_formula_zn(zn: ZnGraphs) -> VerificationResult:
-    res = VerificationResult(
-        "t24-degree-formula-zn",
-        f"Z(n) for n <= {zn.max_n}, every vertex",
-    )
+@_verifier("t24-degree-formula-zn")
+def verify_degree_formula_zn(res: VerificationResult, zn: ZnGraphs) -> None:
+    res.domain = f"Z(n) for n <= {zn.max_n}, every vertex"
     for n, ds, g in zn:
         if g.n == 0:
             continue
@@ -501,17 +490,15 @@ def verify_degree_formula_zn(zn: ZnGraphs) -> VerificationResult:
                 res.counterexamples.append(
                     (f"Z({n})", f"deg(order-{d} vertex) = {want}", f"deg={got}")
                 )
-    return res
 
 
-@_timed
-def verify_domination_zn(zn: ZnGraphs, node_budget: int = DEFAULT_NODE_BUDGET) -> VerificationResult:
+@_verifier("t22-domination-zn")
+def verify_domination_zn(
+    res: VerificationResult, zn: ZnGraphs, node_budget: int = DEFAULT_NODE_BUDGET
+) -> None:
     """Domination number of the Z_n graph: 1 when some exponent exceeds 1,
     2 when n is squarefree with >= 2 prime factors; primes are skipped."""
-    res = VerificationResult(
-        "t22-domination-zn",
-        f"Z(n) for composite n <= {zn.max_n}",
-    )
+    res.domain = f"Z(n) for composite n <= {zn.max_n}"
     for n, ds, g in zn:
         if g.n == 0:
             continue  # n prime
@@ -524,25 +511,10 @@ def verify_domination_zn(zn: ZnGraphs, node_budget: int = DEFAULT_NODE_BUDGET) -
             continue
         if gamma != expect:
             res.counterexamples.append((f"Z({n})", f"gamma={expect}", f"gamma={gamma}"))
-    return res
 
 
 # --- registry -------------------------------------------------------------------
 
-#: theorem id -> (verifier, the run inputs it takes by name), in report order
-VERIFIERS: dict[str, tuple[Callable[..., VerificationResult], tuple[str, ...]]] = {
-    "thm13-iso-invariance": (verify_iso_invariance_catalog, ("catalog", "seed")),
-    "thm14-totally-disconnected": (verify_totally_disconnected, ("catalog",)),
-    "thm15-complete": (verify_complete, ("catalog",)),
-    "thm16-planarity": (verify_planarity_classification, ("catalog",)),
-    "thm345-star-path-cycle": (verify_star_path_cycle, ("catalog",)),
-    "cor-c1-girth": (verify_girth, ("catalog",)),
-    "thm7-acyclic-equivalences": (verify_acyclic_equivalences, ("catalog",)),
-    "thm8-300-alpha-theta": (verify_alpha_theta, ("catalog",)),
-    "t24-regular-zn": (verify_regular_zn, ("zn",)),
-    "t24-degree-formula-zn": (verify_degree_formula_zn, ("zn",)),
-    "t22-domination-zn": (verify_domination_zn, ("zn", "node_budget")),
-}
 THEOREM_IDS = tuple(VERIFIERS)
 
 

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -150,6 +152,22 @@ class TestExport:
         )
         assert proc.returncode == EXIT_OK, proc.stderr
         assert path.read_text(encoding="utf-8") == GOLDEN_Q8_DOT
+
+    def test_stdout_is_utf8_under_an_ascii_locale(self, tmp_path):
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        src = str(Path(cycgraph.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        path = tmp_path / "q8.dot"
+        argv = [sys.executable, "-m", "cycgraph.cli", "export", "Q(8)", "--format", "dot"]
+        proc = subprocess.run(argv, capture_output=True, env=env, timeout=120)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        assert subprocess.run([*argv, "--out", str(path)], env=env, timeout=120).returncode == EXIT_OK
+        assert proc.stdout == path.read_bytes() == GOLDEN_Q8_DOT.encode("utf-8")
+
+    def test_stdout_without_a_byte_buffer_takes_text(self):
+        with contextlib.redirect_stdout(io.StringIO()) as buf:
+            assert main(["export", "Q(8)", "--format", "dot"]) == EXIT_OK
+        assert buf.getvalue() == GOLDEN_Q8_DOT
 
     def test_dot_graph_name_escapes_quotes(self, tmp_path, capsys):
         folder = tmp_path / 'q"d'

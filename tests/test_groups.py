@@ -1,6 +1,7 @@
 import json
 import random
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -363,6 +364,27 @@ class TestFiles:
         path = tmp_path / "t.txt"
         path.write_text("4\n()\n")
         assert read_permutation_file(str(path)).order == 1
+
+    def test_long_cycle_file_is_refused_at_the_entry_cap(self, tmp_path, capsys):
+        # a 20,000-cycle is a legal Z(20000) but would store 20,000 x 20,000 entries
+        path = tmp_path / "cycle.txt"
+        path.write_text("20000\n(" + " ".join(map(str, range(20000))) + ")\n")
+        t0 = time.perf_counter()
+        with pytest.raises(OrderCapExceeded, match=re.escape(f"perm-file:{path}: closure exceeds")):
+            read_permutation_file(str(path))
+        assert time.perf_counter() - t0 < 1.0
+        assert cli_main(["export", f"file:perm:{path}"]) == 2
+        err = capsys.readouterr().err
+        assert f"perm-file:{path}: closure exceeds {groups.PERM_ENTRY_CAP} stored entries" in err
+
+    def test_entry_cap_bound(self, monkeypatch):
+        # S(4) stores 24 elements of 4 moved points: 96 entries fit a cap of 96, not of 95
+        assert symmetric(7).order == 5040 and alternating(7).order == 2520
+        monkeypatch.setattr(groups, "PERM_ENTRY_CAP", 96)
+        assert symmetric(4).order == 24
+        monkeypatch.setattr(groups, "PERM_ENTRY_CAP", 95)
+        with pytest.raises(OrderCapExceeded, match="S\\(4\\): closure exceeds 95 stored entries"):
+            symmetric(4)
 
 
 # --- associativity: Light's test against brute force ---------------------------

@@ -1,3 +1,4 @@
+import inspect
 import json
 from collections import Counter
 from pathlib import Path
@@ -241,6 +242,63 @@ class TestRunVerifiers:
             "theorem_id", "domain", "groups_tested", "passed",
             "counterexamples", "skipped", "elapsed_s", "notes",
         }
+
+
+class TestRegistry:
+    def test_theorem_ids_in_report_order(self):
+        assert THEOREM_IDS == (
+            "thm13-iso-invariance",
+            "thm14-totally-disconnected",
+            "thm15-complete",
+            "thm16-planarity",
+            "thm345-star-path-cycle",
+            "cor-c1-girth",
+            "thm7-acyclic-equivalences",
+            "thm8-300-alpha-theta",
+            "t24-regular-zn",
+            "t24-degree-formula-zn",
+            "t22-domination-zn",
+        )
+
+    def test_every_verifier_is_registered_once(self):
+        defined = {
+            name: obj for name, obj in vars(theorems).items()
+            if name.startswith("verify_") and callable(obj)
+        }
+        registered = [run.__name__ for run, _ in theorems.VERIFIERS.values()]
+        assert sorted(registered) == sorted(defined)  # each name once, none missing
+        assert all(defined[run.__name__] is run for run, _ in theorems.VERIFIERS.values())
+
+    def test_inputs_are_the_run_inputs(self, monkeypatch):
+        registry = dict(theorems.VERIFIERS)
+        for tid, (run, names) in registry.items():
+            assert set(names) <= {"catalog", "zn", "seed", "node_budget"}
+            assert tuple(inspect.signature(run).parameters) == names
+        got = {}
+
+        def stub(tid):
+            def run(**kwargs):
+                got[tid] = kwargs
+                return theorems.VerificationResult(tid, "")
+            return run
+
+        monkeypatch.setattr(
+            theorems, "VERIFIERS", {tid: (stub(tid), names) for tid, (_, names) in registry.items()}
+        )
+        run_verifiers("all", max_order=10, max_n=20, seed=3, node_budget=7)
+        assert {tid: tuple(kw) for tid, kw in got.items()} == {
+            tid: names for tid, (_, names) in registry.items()
+        }
+        supplied = {k: v for kw in got.values() for k, v in kw.items()}
+        assert supplied["catalog"].max_order == 10 and supplied["zn"].max_n == 20
+        assert (supplied["seed"], supplied["node_budget"]) == (3, 7)
+
+    def test_direct_call_reports_its_own_id(self):
+        inputs = {"catalog": default_catalog(12), "zn": ZnGraphs(30), "seed": 0, "node_budget": 1000}
+        for tid, (run, names) in theorems.VERIFIERS.items():
+            res = run(*(inputs[name] for name in names))
+            assert res.theorem_id == tid and res.domain
+            assert res.elapsed > 0 and res.passed == (not res.counterexamples)
 
 
 def _without_timings(results):
