@@ -11,6 +11,7 @@ Exit codes: 0 everything passed; 1 at least one theorem check failed;
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from typing import Iterable
@@ -22,6 +23,12 @@ from .invariants import DEFAULT_NODE_BUDGET, compute_report
 from .specs import parse_spec
 from .subgroups import CyclicSubgroup
 from .theorems import THEOREM_IDS, build_or_skip, default_catalog, run_verifiers
+
+# What the imports made (numpy, networkx, argparse, this package) lives as long as
+# the process: move it out of the collector's view once, here, so that no full
+# collection walks it again.  Not per ``main`` call, which would freeze what each
+# call leaves behind.
+gc.freeze()
 
 EXIT_OK = 0
 EXIT_THEOREM_FAILURE = 1
@@ -123,7 +130,8 @@ def cmd_analyze(args) -> int:
 # --- export -----------------------------------------------------------------
 
 def render_dot(ig: IntersectionGraph) -> str:
-    name = ig.source_descriptor.replace('"', '\\"')
+    # in a quoted DOT ID a backslash escapes what follows it: double each one, then escape '"'
+    name = ig.source_descriptor.replace("\\", "\\\\").replace('"', '\\"')
     lines = [f'graph "{name}" {{']
     for i, v in enumerate(ig.vertices):
         lines.append(f'  {i} [label="⟨{v.generator}⟩ ord={v.order}"];')

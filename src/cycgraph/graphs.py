@@ -111,10 +111,10 @@ def build(group: FiniteGroup, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Intersect
         raise VertexCapExceeded(
             f"{group.descriptor}: {len(subs)} vertices exceeds cap {vertex_cap}"
         )
-    cliques = {s.generator: 0 for s in subs if is_prime(s.order)}
+    cliques: dict[int, list[int]] = {s.generator: [] for s in subs if is_prime(s.order)}
     for v, s in enumerate(subs):
         for p in cliques.keys() & s.elements:
-            cliques[p] |= 1 << v
+            cliques[p].append(v)
     g = _clique_union(len(subs), cliques.values())
     return IntersectionGraph(tuple(subs), g, group.descriptor)
 
@@ -128,15 +128,25 @@ def zn_divisor_graph(n: int) -> tuple[list[int], Graph]:
     graph is the union over p | n of the cliques of divisors divisible by p
     (the subgroups holding the one subgroup of order p), and no pair is tested.
     """
-    ds = [d for d in divisors(n) if 1 < d < n]
-    cliques = (sum(1 << v for v, d in enumerate(ds) if d % p == 0) for p, _ in factorize(n))
+    ds = divisors(n)[1:-1]
+    cliques = ([v for v, d in enumerate(ds) if d % p == 0] for p, _ in factorize(n))
     return ds, _clique_union(len(ds), cliques)
 
 
-def _clique_union(n: int, cliques: Iterable[int]) -> Graph:
-    """The graph on n vertices whose edges are those of the given cliques (vertex bitmasks)."""
+def _clique_union(n: int, cliques: Iterable[list[int]]) -> Graph:
+    """The graph on n vertices whose edges are those of the given cliques, each
+    given as the list of its member vertices.
+
+    Each clique's mask is ORed into the row of each member, self bit included;
+    the self bits are cleared once, at the end, so no mask is walked bit by bit.
+    """
+    adj = [0] * n
+    for members in cliques:
+        mask = 0
+        for v in members:
+            mask |= 1 << v
+        for v in members:
+            adj[v] |= mask
     g = Graph(n)
-    for clique in cliques:
-        for v in bits(clique):
-            g.adj[v] |= clique & ~(1 << v)
+    g.adj = [a & ~(1 << v) for v, a in enumerate(adj)]
     return g

@@ -6,17 +6,20 @@ walked, and the walk is the closed forms' test oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
+from typing import NamedTuple
 
 from .arith import coprime_mask, divisors, is_prime
 from .groups import FiniteGroup
 
 
-@dataclass(frozen=True)
-class CyclicSubgroup:
+class CyclicSubgroup(NamedTuple):
     """One cyclic subgroup <g>: its canonical (smallest) generator, its
-    element indices in ascending order, and its order."""
+    element indices in ascending order, and its order.
+
+    A named tuple, so immutable and hashable, and cheap to make: a graph
+    holds one per vertex, and a sweep makes tens of thousands.
+    """
 
     generator: int
     elements: tuple[int, ...]

@@ -370,14 +370,16 @@ def subgroup_condition(ig: IntersectionGraph, reading: str) -> bool:
     """The subgroup-side condition of the acyclicity equivalence, under one
     quantifier reading ('some' or 'every' maximal proper cyclic subgroup has
     order p, p^2 or pq), plus the pairwise-trivial-intersection clause."""
-    maximals = maximal_among(ig.vertices)
-    orders = [s.order for s in maximals]
-    if reading == "some":
-        clause_a = any(_order_in_small_set(m) for m in orders)
-    elif reading == "every":
-        clause_a = all(_order_in_small_set(m) for m in orders)
-    else:
+    conditions = _subgroup_conditions(ig)
+    if reading not in conditions:
         raise ValueError(f"unknown reading {reading!r}")
+    return conditions[reading]
+
+
+def _subgroup_conditions(ig: IntersectionGraph) -> dict[str, bool]:
+    """:func:`subgroup_condition` under both readings, from one pass over the
+    maximal subgroups and one over the special vertices."""
+    small = [_order_in_small_set(s.order) for s in maximal_among(ig.vertices)]
     special = [
         v for v, s in enumerate(ig.vertices)
         if _order_in_small_set(s.order) and not is_prime(s.order)
@@ -387,7 +389,7 @@ def subgroup_condition(ig: IntersectionGraph, reading: str) -> bool:
         for i, u in enumerate(special)
         for v in special[i + 1:]
     )
-    return clause_a and clause_b
+    return {"some": any(small) and clause_b, "every": all(small) and clause_b}
 
 
 @_verifier("thm7-acyclic-equivalences")
@@ -413,8 +415,8 @@ def verify_acyclic_equivalences(res: VerificationResult, catalog: Catalog) -> No
                     f"acyclic={acyclic}, bipartite={bipartite}, triangle_free={tri_free}",
                 )
             )
-        for reading in ("some", "every"):
-            if subgroup_condition(ig, reading) == acyclic:
+        for reading, holds in _subgroup_conditions(ig).items():
+            if holds == acyclic:
                 match[reading] += 1
             elif len(mismatch_examples[reading]) < 5:
                 mismatch_examples[reading].append(spec.descriptor)
@@ -534,14 +536,14 @@ def run_verifiers(
             if tid not in THEOREM_IDS:
                 raise UnknownTheoremId(tid)
     # one catalog and one source of Z_n graphs are shared by every verifier of
-    # the run; the Z_n graphs are kept only when more than one verifier reads them
-    zn_readers = sum("zn" in VERIFIERS[tid][1] for tid in ids)
-    inputs = {
-        "catalog": default_catalog(max_order, vertex_cap),
-        "zn": ZnGraphs(max_n, keep=zn_readers > 1),
-        "seed": seed,
-        "node_budget": node_budget,
-    }
+    # the run, each made only when a verifier reads it; the Z_n graphs are kept
+    # only when more than one verifier reads them
+    readers = [name for tid in ids for name in VERIFIERS[tid][1]]
+    inputs = {"seed": seed, "node_budget": node_budget}
+    if "catalog" in readers:
+        inputs["catalog"] = default_catalog(max_order, vertex_cap)
+    if "zn" in readers:
+        inputs["zn"] = ZnGraphs(max_n, keep=readers.count("zn") > 1)
     return [
         verifier(**{name: inputs[name] for name in names})
         for verifier, names in (VERIFIERS[tid] for tid in ids)

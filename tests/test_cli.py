@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -170,17 +171,21 @@ class TestExport:
         assert buf.getvalue() == GOLDEN_Q8_DOT
 
     def test_dot_graph_name_escapes_quotes(self, tmp_path, capsys):
-        folder = tmp_path / 'q"d'
-        folder.mkdir()
-        path = str(folder / "q8.txt")
-        write_cayley_file(dicyclic(2), path)
-        rc, out = run(capsys, "export", f"file:cayley:{path}", "--format", "dot")
-        assert rc == EXIT_OK
-        header, *body = out.splitlines(keepends=True)
-        # one DOT quoted ID: no quote inside it except as \"
-        m = re.fullmatch(r'graph "((?:[^"\\]|\\")*)" \{\n', header)
-        assert m and m.group(1).replace('\\"', '"') == f"cayley-file:{path}"
-        assert "".join(body) == GOLDEN_Q8_DOT.split("\n", 1)[1]
+        for folder, name in [
+            ('q"d', "q8.txt"),
+            ("b\\", "q8.txt"),
+            ("b\\", 'q8"\\'),  # the descriptor ends in a backslash
+        ]:
+            (tmp_path / folder).mkdir(exist_ok=True)
+            path = str(tmp_path / folder / name)
+            write_cayley_file(dicyclic(2), path)
+            rc, out = run(capsys, "export", f"file:cayley:{path}", "--format", "dot")
+            assert rc == EXIT_OK
+            header, *body = out.splitlines(keepends=True)
+            # one DOT quoted ID: no quote or backslash inside it except as \" or \\
+            m = re.fullmatch(r'graph "((?:[^"\\]|\\["\\])*)" \{\n', header)
+            assert m and re.sub(r"\\(.)", r"\1", m.group(1)) == f"cayley-file:{path}"
+            assert "".join(body) == GOLDEN_Q8_DOT.split("\n", 1)[1]
 
     def test_byte_stable(self, capsys):
         outs = set()
@@ -472,3 +477,14 @@ class TestUsage:
             main([*command.split(), "--node-budget", "5"])
         assert exc.value.code == EXIT_USAGE
         assert "unrecognized arguments: --node-budget 5" in capsys.readouterr().err
+
+
+class TestFrozenImports:
+    def test_main_calls_freeze_nothing(self, capsys):
+        """The objects the imports made are frozen once, at import; the objects a
+        ``main`` call leaves behind are not frozen after it."""
+        before = gc.get_freeze_count()
+        assert before > 0
+        assert run(capsys, "analyze", "Z(12)")[0] == EXIT_OK
+        assert run(capsys, "verify", "t24-degree-formula-zn", "--max-n", "30")[0] == EXIT_OK
+        assert gc.get_freeze_count() == before

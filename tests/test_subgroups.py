@@ -16,6 +16,7 @@ from cycgraph.groups import (
 )
 from cycgraph.graphs import build
 from cycgraph.subgroups import (
+    CyclicSubgroup,
     _walk_subgroups,
     cyclic_subgroups,
     maximal_among,
@@ -84,6 +85,28 @@ class TestEnumeration:
         by_order = {s.order: s for s in subs}
         assert by_order[8].contains(by_order[2])
         assert not by_order[2].contains(by_order[8])
+
+
+class TestVertexRecord:
+    """A vertex is an immutable value: its fields are fixed, and equality, hash
+    and repr are those of (generator, elements, order)."""
+
+    def test_fields_cannot_be_assigned(self):
+        s = CyclicSubgroup(1, (0, 1), 2)
+        for name in ("generator", "elements", "order"):
+            with pytest.raises(AttributeError):
+                setattr(s, name, 0)
+        with pytest.raises(AttributeError):
+            s.extra = 0  # no per-instance attributes either
+        assert s == CyclicSubgroup(1, (0, 1), 2)
+
+    def test_repr_eq_and_hash(self):
+        s = cyclic_subgroups(cyclic(12))[1]
+        assert repr(s) == "CyclicSubgroup(generator=4, elements=(0, 4, 8), order=3)"
+        assert s == CyclicSubgroup(generator=4, elements=(0, 4, 8), order=3)
+        assert s != CyclicSubgroup(4, (0, 4, 8), 6)
+        assert hash(s) == hash(CyclicSubgroup(4, (0, 4, 8), 3)) == hash((4, (0, 4, 8), 3))
+        assert len({s, CyclicSubgroup(4, (0, 4, 8), 3)}) == 1
 
 
 class TestClosedForms:

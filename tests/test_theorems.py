@@ -293,6 +293,17 @@ class TestRegistry:
         assert supplied["catalog"].max_order == 10 and supplied["zn"].max_n == 20
         assert (supplied["seed"], supplied["node_budget"]) == (3, 7)
 
+    def test_inputs_are_made_only_for_their_readers(self, monkeypatch):
+        def no_catalog(*args):
+            raise AssertionError("a Z_n-only run built the catalog")
+
+        monkeypatch.setattr(theorems, "default_catalog", no_catalog)
+        zn_ids = [tid for tid, (_, names) in theorems.VERIFIERS.items() if "zn" in names]
+        results = run_verifiers(zn_ids, max_n=30)
+        assert [r.theorem_id for r in results] == zn_ids and all(r.groups_tested for r in results)
+        with pytest.raises(AssertionError, match="built the catalog"):
+            run_verifiers(["thm15-complete"], max_n=30)
+
     def test_direct_call_reports_its_own_id(self):
         inputs = {"catalog": default_catalog(12), "zn": ZnGraphs(30), "seed": 0, "node_budget": 1000}
         for tid, (run, names) in theorems.VERIFIERS.items():
