@@ -105,17 +105,24 @@ def build(group: FiniteGroup, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Intersect
     two are adjacent iff they share a subgroup P of prime order (any nontrivial
     intersection holds one), so the graph is the union of the cliques
     C_P = {H : P <= H}.  P <= H iff H holds P's canonical generator, since that
-    one element generates P."""
+    one element generates P.  Vertices come sorted by order, so P is met
+    before every H > P: P opens C_P, and as P lies in no other prime-order
+    subgroup, only the other vertices are tested.  A C_P of one member adds
+    no edge."""
     subs = cyclic_subgroups(group)
     if len(subs) > vertex_cap:
         raise VertexCapExceeded(
             f"{group.descriptor}: {len(subs)} vertices exceeds cap {vertex_cap}"
         )
-    cliques: dict[int, list[int]] = {s.generator: [] for s in subs if is_prime(s.order)}
+    prime = {d: is_prime(d) for d in {s.order for s in subs}}
+    cliques: dict[int, list[int]] = {}
     for v, s in enumerate(subs):
-        for p in cliques.keys() & s.elements:
-            cliques[p].append(v)
-    g = _clique_union(len(subs), cliques.values())
+        if prime[s.order]:
+            cliques[s.generator] = [v]
+        else:
+            for p in cliques.keys() & s.elements:
+                cliques[p].append(v)
+    g = _clique_union(len(subs), [c for c in cliques.values() if len(c) > 1])
     return IntersectionGraph(tuple(subs), g, group.descriptor)
 
 

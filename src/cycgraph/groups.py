@@ -3,14 +3,14 @@
 Elements are dense integer indices 0..n-1.  A group is its multiplication
 rule.  Every family (cyclic, direct product, dihedral, dicyclic, permutation
 closure) multiplies through its closed form, and a relabeled copy composes
-the source rule with the renaming.  ``cyclic``, ``dihedral`` and
-``dicyclic`` also record their ``family``, ``(kind, param)``, from which
-:func:`cycgraph.subgroups.cyclic_subgroups` lists the cyclic subgroups in
-closed form; every other group, a product or relabeled copy of one
-included, has none and is walked, and the walk is the closed forms' test
-oracle.  Only a Cayley table given as input is stored: as a compact array
-of the least unsigned dtype that holds 0..n-1, each row turned into the
-list its rule looks up the first time it is read.
+the source rule with the renaming.  ``cyclic``, ``dihedral``, ``dicyclic``
+and ``direct_product`` also record their ``family``, ``(kind, param)``, from
+which :func:`cycgraph.subgroups.cyclic_subgroups` lists the cyclic subgroups
+in closed form (a product's from its two factors); every other group, a
+relabeled copy of one included, has none and is walked, and the walk is the
+closed forms' test oracle.  Only a Cayley table given as input is stored: as
+a compact array of the least unsigned dtype that holds 0..n-1, each row
+turned into the list its rule looks up the first time it is read.
 ``cayley_table`` derives the table from the rule, for every group alike.
 User tables are parsed into an int64 array and every group axiom is checked
 with numpy at every order; associativity exactly, by Light's test on a
@@ -49,9 +49,10 @@ class FiniteGroup:
     The rule must be associative: every family is by construction, an input
     table is checked by Light's test, and a relabeled copy keeps it.
     ``family`` is ``(kind, param)`` for a group built by :func:`cyclic`,
-    :func:`dihedral` or :func:`dicyclic`, on whose own element labels
-    :func:`cycgraph.subgroups.cyclic_subgroups` has a closed form; it is None
-    for every other group, relabeled copies and products included.
+    :func:`dihedral`, :func:`dicyclic` (param the integer argument) or
+    :func:`direct_product` (param the factor pair), on whose own element
+    labels :func:`cycgraph.subgroups.cyclic_subgroups` has a closed form; it
+    is None for every other group, relabeled copies included.
     """
 
     __slots__ = ("order", "identity", "descriptor", "mul", "family")
@@ -62,7 +63,7 @@ class FiniteGroup:
         mul: Callable[[int, int], int],
         identity: int,
         descriptor: str,
-        family: tuple[str, int] | None = None,
+        family: tuple[str, int | tuple[FiniteGroup, FiniteGroup]] | None = None,
     ):
         if order > ORDER_CAP:
             raise OrderCapExceeded(f"{descriptor}: order {order} exceeds cap {ORDER_CAP}")
@@ -225,12 +226,16 @@ def cyclic(n: int) -> FiniteGroup:
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
+    """G x H; element x*|H| + y is (x, y)."""
     m, gmul, hmul = h.order, g.mul, h.mul
 
     def rule(a, b):
         return gmul(a // m, b // m) * m + hmul(a % m, b % m)
 
-    return FiniteGroup(g.order * m, rule, g.identity * m + h.identity, f"{g.descriptor}x{h.descriptor}")
+    return FiniteGroup(
+        g.order * m, rule, g.identity * m + h.identity, f"{g.descriptor}x{h.descriptor}",
+        ("product", (g, h)),
+    )
 
 
 def dihedral(n: int) -> FiniteGroup:

@@ -1,15 +1,19 @@
 """Enumeration of proper nontrivial cyclic subgroups: the graph's vertex set.
 
-Z(n), D(n) and Dic(m) are listed in closed form; every other group is
-walked, and the walk is the closed forms' test oracle.
+Z(n), D(n) and Dic(m) are listed in closed form, and a direct product from
+its factors' cyclic subgroups (Goursat's lemma), without multiplying; every
+other group is walked, and the walk is the closed forms' test oracle.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import compress
-from typing import NamedTuple
+from math import gcd
+from operator import add
+from typing import Iterator, NamedTuple, Sequence
 
-from .arith import coprime_mask, divisors, is_prime
+from .arith import COPRIME_CACHE_SIZE, coprime_mask, divisors, is_prime
 from .groups import FiniteGroup
 
 
@@ -33,11 +37,12 @@ def cyclic_subgroups(group: FiniteGroup) -> list[CyclicSubgroup]:
     """All proper nontrivial cyclic subgroups, deduplicated and canonically
     ordered by (order, elements).
 
-    A group built by ``groups.cyclic``, ``groups.dihedral`` or
-    ``groups.dicyclic`` carries its ``family``, and its list is written down
-    in closed form on that constructor's element labels; every other group is
-    walked element by element (:func:`_walk_subgroups`, which the tests hold
-    the closed forms equal to).
+    A group built by ``groups.cyclic``, ``groups.dihedral``,
+    ``groups.dicyclic`` or ``groups.direct_product`` carries its ``family``,
+    and its list is written down in closed form on that constructor's element
+    labels (a product's from its factors', whatever they are); every other
+    group is walked element by element (:func:`_walk_subgroups`, which the
+    tests hold the closed forms equal to).
     """
     if group.family is not None:
         kind, param = group.family
@@ -46,7 +51,16 @@ def cyclic_subgroups(group: FiniteGroup) -> list[CyclicSubgroup]:
 
 
 def _walk_subgroups(group: FiniteGroup) -> list[CyclicSubgroup]:
-    """:func:`cyclic_subgroups` of any group, by walking the powers of its elements.
+    """:func:`cyclic_subgroups` of any group, by walking the powers of its elements."""
+    n = group.order
+    subs = [_subgroup(p) for p in _walk_powers(group) if len(p) < n]  # <g> = G is no vertex
+    subs.sort(key=_canonical)
+    return subs
+
+
+def _walk_powers(group: FiniteGroup) -> Iterator[list[int]]:
+    """The powers [e, g, g^2, ...] of one generator g of each nontrivial cyclic
+    subgroup <g>, G itself included when it is cyclic, each subgroup once.
 
     Walks every element once: generating <g> also identifies all phi(m) of its
     generators (the powers g^k with gcd(k, m) = 1, read off the cached
@@ -60,7 +74,6 @@ def _walk_subgroups(group: FiniteGroup) -> list[CyclicSubgroup]:
     mul, e = group.mul, group.identity
     done = bytearray(n)
     done[e] = 1
-    subs: list[CyclicSubgroup] = []
     for g in range(n):
         if done[g]:
             continue
@@ -69,15 +82,20 @@ def _walk_subgroups(group: FiniteGroup) -> list[CyclicSubgroup]:
         while x != e:
             powers.append(x)
             x = mul(g, x)
-        m = len(powers)
-        gens = list(compress(powers, coprime_mask(m)))
-        for h in gens:
+        for h in compress(powers, coprime_mask(len(powers))):
             done[h] = 1
-        if m == n:  # <g> = G: not a proper subgroup
-            continue
-        subs.append(CyclicSubgroup(min(gens), tuple(sorted(powers)), m))
-    subs.sort(key=lambda s: (s.order, s.elements))
-    return subs
+        yield powers
+
+
+def _subgroup(powers: Sequence[int]) -> CyclicSubgroup:
+    """The cyclic subgroup whose elements are ``powers``, the powers g^0 .. g^(m-1)
+    of one generator g: its least generator is the least g^k with gcd(k, m) = 1."""
+    m = len(powers)
+    return CyclicSubgroup(min(compress(powers, coprime_mask(m))), tuple(sorted(powers)), m)
+
+
+def _canonical(s: CyclicSubgroup) -> tuple[int, tuple[int, ...]]:
+    return s.order, s.elements
 
 
 # --- closed forms, on the element labels of the family constructors -----------
@@ -123,11 +141,100 @@ def _dicyclic_closed_form(m: int) -> list[CyclicSubgroup]:
     return _after_order(_rotation_subgroups(n2, divisors(n2)[1:]), quaternions, 4)
 
 
+def _product_closed_form(factors: tuple[FiniteGroup, FiniteGroup]) -> list[CyclicSubgroup]:
+    """G x H, element x*|H| + y = (x, y): the proper nontrivial ones among the
+    cyclic subgroups :func:`_product_powers` lists, none of them by ``mul``."""
+    n = factors[0].order * factors[1].order
+    subs = [_subgroup(p) for p in _product_powers(factors) if 1 < len(p) < n]
+    subs.sort(key=_canonical)
+    return subs
+
+
 #: FiniteGroup.family kind -> its closed-form cyclic_subgroups
 _CLOSED_FORMS = {
     "cyclic": _cyclic_closed_form,
     "dihedral": _dihedral_closed_form,
     "dicyclic": _dicyclic_closed_form,
+    "product": _product_closed_form,
+}
+
+
+# --- every cyclic subgroup as the powers of one generator, for the product form --
+
+def _powers(group: FiniteGroup) -> Sequence[Sequence[int]]:
+    """The powers (e, g, g^2, ...) of one generator g of every cyclic subgroup
+    <g> of ``group``, the trivial subgroup included and G itself when cyclic.
+
+    Z/D/Dic in closed form, a product from its factors, and any other group by
+    its own power walk.
+    """
+    if group.family is None:
+        return [(group.identity,), *_walk_powers(group)]
+    kind, param = group.family
+    return _FAMILY_POWERS[kind](param)
+
+
+@lru_cache(maxsize=COPRIME_CACHE_SIZE)
+def _cyclic_powers(n: int) -> tuple[range, ...]:
+    """Z(n): the powers of n/d, for each divisor d of n, as the range 0, n/d, 2n/d, ...
+
+    A range holds no elements, so each cached entry is tau(n) small objects.
+    """
+    return tuple(range(0, n, n // d) for d in divisors(n))
+
+
+def _dihedral_powers(n: int) -> list[Sequence[int]]:
+    """D(n): the subgroups of <r>, and the n reflections (e, r^i s)."""
+    return [*_cyclic_powers(n), *((0, n + i) for i in range(n))]
+
+
+def _dicyclic_powers(m: int) -> list[Sequence[int]]:
+    """Dic(m): the subgroups of <a>, and <a^i b> = (e, a^i b, a^m, a^(i+m) b) for i < m."""
+    n2 = 2 * m
+    return [*_cyclic_powers(n2), *((0, n2 + i, m, n2 + m + i) for i in range(m))]
+
+
+def _product_powers(factors: tuple[FiniteGroup, FiniteGroup]) -> list[list[int]]:
+    """G x H, element x*|H| + y = (x, y): every cyclic subgroup, by Goursat's lemma.
+
+    A cyclic C <= G x H projects onto cyclic A = <a> <= G and B = <b> <= H, of
+    orders alpha and beta; raising a generator of C to a unit power makes it
+    (a, b^j) with j a unit mod beta.  <(a, b^j)> = <(a, b^k)> iff j = k mod
+    gcd(alpha, beta), so one unit j per unit class mod that gcd lists each C
+    once (Toth 2012; Hampejs, Holighaus, Toth & Wiesmeyr 2014).  Its k-th
+    power is (a^k, b^(jk)), of order L = lcm(alpha, beta).
+    """
+    g, h = factors
+    m = h.order
+    hs = [(len(b), list(b)) for b in _powers(h)]
+    out = []
+    for a in _powers(g):
+        alpha = len(a)
+        am = [x * m for x in a]
+        for beta, b in hs:
+            d = gcd(alpha, beta)
+            ta, tb = am * (beta // d), alpha // d     # each repeated to L = lcm terms
+            for j in (_unit_lifts(beta, d) if d > 1 else (1,)):  # mod 1: one class
+                bj = b if j == 1 else [b[j * k % beta] for k in range(beta)]
+                out.append(list(map(add, ta, bj * tb)))
+    return out
+
+
+@lru_cache(maxsize=COPRIME_CACHE_SIZE)
+def _unit_lifts(beta: int, d: int) -> tuple[int, ...]:
+    """One unit j mod beta in each unit class mod d (d | beta): the least of each."""
+    first: dict[int, int] = {}
+    for j in compress(range(beta), coprime_mask(beta)):
+        first.setdefault(j % d, j)
+    return tuple(first.values())
+
+
+#: FiniteGroup.family kind -> the powers of a generator of each of its cyclic subgroups
+_FAMILY_POWERS = {
+    "cyclic": _cyclic_powers,
+    "dihedral": _dihedral_powers,
+    "dicyclic": _dicyclic_powers,
+    "product": _product_powers,
 }
 
 

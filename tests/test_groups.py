@@ -110,6 +110,8 @@ class TestValidation:
         assert g.family is None
         assert [h.family for h in (cyclic(6), dihedral(6), dicyclic(6))] == [
             ("cyclic", 6), ("dihedral", 6), ("dicyclic", 6)]
+        z2, s3 = cyclic(2), symmetric(3)
+        assert direct_product(z2, s3).family == ("product", (z2, s3))
 
         calls = []
 

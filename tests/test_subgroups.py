@@ -12,7 +12,9 @@ from cycgraph.groups import (
     dihedral,
     direct_product,
     elementary_abelian,
+    from_permutation_generators,
     relabel,
+    symmetric,
 )
 from cycgraph.graphs import build
 from cycgraph.subgroups import (
@@ -146,14 +148,70 @@ class TestClosedForms:
         random.Random(6).shuffle(perm)
         others = [
             relabel(dihedral(6), perm),
-            direct_product(cyclic(4), cyclic(2)),
             # a descriptor string never picks a closed form
             FiniteGroup(12, lambda a, b: (a + b) % 12, 0, "Z(12)"),
         ]
         for group in others:
             assert group.family is None
             cyclic_subgroups(group)
+        product = direct_product(cyclic(4), cyclic(2))
+        assert product.family[0] == "product"
+        cyclic_subgroups(product)
         assert walked == others
+
+
+def _cyclic_permutation_group(n):
+    """Z(n) as the closure of one n-cycle: cyclic, with no family."""
+    return from_permutation_generators(n, [tuple(range(1, n)) + (0,)], "perm:Z")
+
+
+class TestProductClosedForm:
+    """The direct-product closed form against the power walk on the product's own rule."""
+
+    def test_catalog_products_match_the_walk(self):
+        products = 0
+        for spec in default_catalog(400):
+            if spec.kind == "product":
+                group = spec.realize()
+                assert group.family[0] == "product", spec.descriptor
+                assert cyclic_subgroups(group) == _walk_subgroups(group), spec.descriptor
+                products += 1
+        assert products == 410
+
+    @pytest.mark.parametrize("group", [
+        # non-abelian factors
+        direct_product(dihedral(3), cyclic(2)),
+        direct_product(dihedral(4), dihedral(3)),
+        direct_product(dicyclic(2), cyclic(4)),
+        direct_product(symmetric(4), cyclic(3)),
+        direct_product(alternating(4), alternating(4)),
+        direct_product(dicyclic(3), dihedral(5)),
+        direct_product(cyclic(6), dicyclic(2)),
+        # cyclic as a whole, so G itself is no vertex
+        direct_product(cyclic(2), cyclic(3)),
+        # nested on the right
+        direct_product(cyclic(2), direct_product(cyclic(3), cyclic(2))),
+        # cyclic factors not made by cyclic(): their whole group is still a subgroup
+        direct_product(dihedral(1), cyclic(2)),
+        direct_product(relabel(cyclic(4), [2, 0, 3, 1]), cyclic(2)),
+        direct_product(_cyclic_permutation_group(5), cyclic(2)),
+    ], ids=repr)
+    def test_products_match_the_walk(self, group):
+        assert cyclic_subgroups(group) == _walk_subgroups(group)
+
+    def test_family_factors_are_never_multiplied(self):
+        group = direct_product(direct_product(cyclic(12), dihedral(3)), dicyclic(2))
+        expected = _walk_subgroups(group)
+        calls = []
+        mul = group.mul
+
+        def counted(a, b):
+            calls.append((a, b))
+            return mul(a, b)
+
+        group.mul = counted
+        assert cyclic_subgroups(group) == expected
+        assert calls == []
 
 
 class TestPrimeOrderCount:
