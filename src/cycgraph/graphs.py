@@ -53,10 +53,17 @@ class Graph:
         return [a.bit_count() for a in self.adj]
 
     def component_masks(self) -> list[int]:
-        """Connected components as vertex bitmasks, ordered by smallest vertex."""
+        """Connected components as vertex bitmasks, ordered by smallest vertex.
+
+        An isolated vertex is its own component and needs no search.
+        """
+        adj = self.adj
         seen = 0
         out = []
         for s in range(self.n):
+            if not adj[s]:
+                out.append(1 << s)
+                continue
             if seen >> s & 1:
                 continue
             comp = 1 << s
@@ -64,7 +71,7 @@ class Graph:
             while frontier:
                 nxt = 0
                 for v in bits(frontier):
-                    nxt |= self.adj[v]
+                    nxt |= adj[v]
                 frontier = nxt & ~comp
                 comp |= nxt
             seen |= comp

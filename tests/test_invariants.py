@@ -1,6 +1,8 @@
 import random
+from itertools import count
 from math import isqrt
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -48,10 +50,18 @@ from cycgraph.invariants import (
     shape_checks,
     simplicial_cover,
 )
+from cycgraph.planarity import is_planar
 from cycgraph.subgroups import prime_order_subgroup_count
 from cycgraph.theorems import default_catalog
 
 INF = INFINITY
+
+#: the analyze inputs that are worst for gamma, theta and girth
+ANALYZE_WORST = (
+    "Z(12)xZ(2)xZ(2)xZ(2)xZ(2)", "Z(6)xZ(6)xZ(2)xZ(2)", "S(5)", "Z(6)xZ(6)xZ(3)",
+    "D(100)", "A(6)", "Z(2)xZ(2)xZ(2)xZ(2)xZ(2)xZ(2)xZ(2)",
+    "Z(6)xZ(2)xZ(2)xZ(2)xZ(2)xZ(2)", "Dic(48)",
+)
 
 
 def random_graph(n: int, p: float, seed: int) -> Graph:
@@ -62,6 +72,62 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
             if rng.random() < p:
                 g.add_edge(u, v)
     return g
+
+
+def padded(g: Graph, isolated: int, pendants=()) -> Graph:
+    """g with ``isolated`` isolated vertices added and, for each (anchor,
+    length) in ``pendants``, a path of ``length`` new vertices hung from
+    vertex ``anchor`` of g."""
+    out = disjoint_union(g, Graph(isolated))
+    for anchor, length in pendants:
+        base = out.n
+        out = disjoint_union(out, path_graph(length))
+        out.add_edge(anchor, base)
+    return out
+
+
+def report_field_by_field(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> dict:
+    """The fields of compute_report, each from its public function called on
+    its own; None where the solver skips or the value is undefined."""
+    def solved(solver):
+        try:
+            return solver(g)
+        except (EmptyGraphError, SkippedSizeCap):
+            return None
+
+    return {
+        "vertex_count": g.n,
+        "edge_count": g.edge_count(),
+        "is_totally_disconnected": is_totally_disconnected(g),
+        "is_complete": is_complete(g),
+        "is_star": is_star(g),
+        "is_path": is_path(g),
+        "is_cycle": is_cycle(g),
+        "is_bipartite": is_bipartite(g),
+        "is_acyclic": is_acyclic(g),
+        "has_triangle": has_triangle(g),
+        "girth": girth(g),
+        "component_structure": component_structure(g),
+        "is_planar": is_planar(g),
+        "is_regular": solved(is_regular),
+        "independence_number": solved(independence_number),
+        "clique_cover_number": solved(clique_cover_number),
+        "domination_number": solved(lambda h: domination_number(h, node_budget)),
+    }
+
+
+def assert_single_pass_matches(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET, msg=None):
+    """compute_report and shape_checks equal the public predicates, field by field."""
+    report = compute_report(g, node_budget)
+    for name, value in report_field_by_field(g, node_budget).items():
+        assert getattr(report, name) == value, (msg, name)
+    assert shape_checks(g) == {
+        "complete": is_complete(g),
+        "star": is_star(g),
+        "path": is_path(g),
+        "cycle": is_cycle(g),
+        "totally_disconnected": is_totally_disconnected(g),
+    }, msg
 
 
 def assert_alpha_theta_exact_or_skip(g: Graph, msg=None) -> bool:
@@ -105,6 +171,24 @@ def triangle_free_graphs(draw, max_n=12):
             if draw(st.booleans()) and not g.adj[u] & g.adj[v]:
                 g.add_edge(u, v)
     return g
+
+
+@st.composite
+def padded_graphs(draw, inner=graphs()):
+    """A drawn graph with up to 3 isolated vertices and 2 pendant paths added."""
+    g = draw(inner)
+    pendants = []
+    if g.n:
+        pendants = draw(st.lists(
+            st.tuples(st.integers(0, g.n - 1), st.integers(1, 3)), max_size=2))
+    return padded(g, draw(st.integers(0, 3)), pendants)
+
+
+def nx_graph(g: Graph) -> nx.Graph:
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return h
 
 
 class TestShapes:
@@ -168,6 +252,24 @@ class TestShapes:
         d = shape_checks(cycle_graph(3))
         assert d["cycle"] and d["complete"] and not d["path"]
 
+    @settings(max_examples=80, deadline=None)
+    @given(padded_graphs())
+    def test_predicates_match_networkx(self, g):
+        h, n = nx_graph(g), g.n
+        assert is_complete(g) == all(d == n - 1 for _, d in h.degree())
+        assert is_star(g) == (n >= 2 and nx.is_isomorphic(h, nx.star_graph(n - 1)))
+        assert is_path(g) == (n >= 2 and nx.is_isomorphic(h, nx.path_graph(n)))
+        assert is_cycle(g) == (n >= 3 and nx.is_isomorphic(h, nx.cycle_graph(n)))
+        assert is_connected(g) == (n <= 1 or nx.is_connected(h))
+        assert is_acyclic(g) == (n == 0 or nx.is_forest(h))
+        assert is_bipartite(g) == nx.is_bipartite(h)
+        if n:
+            assert is_regular(g) == nx.is_regular(h)
+        assert component_structure(g) == tuple(sorted(
+            (len(c), h.subgraph(c).number_of_edges() == len(c) * (len(c) - 1) // 2)
+            for c in nx.connected_components(h)
+        ))
+
 
 class TestGirth:
     def test_values(self):
@@ -188,6 +290,34 @@ class TestGirth:
     @settings(max_examples=60, deadline=None)
     @given(triangle_free_graphs())
     def test_triangle_free_matches_bfs_reference(self, g):
+        assert girth(g) == brute_girth(g)
+
+    @pytest.mark.parametrize(
+        "core, value",
+        [(complete_bipartite(2, 3), 4), (petersen(), 5), (cycle_graph(6), 6)],
+        ids=["K23", "Petersen", "C6"],
+    )
+    def test_girth_4_5_6_with_pendants_and_isolated_vertices(self, core, value):
+        # pendant paths and isolated vertices carry no cycle; their vertices
+        # of degree 1 or 0 start no BFS
+        for g in (
+            padded(core, 3, [(0, 2), (core.n - 1, 3)]),
+            disjoint_union(padded(Graph(4), 0, [(1, 3)]), core),
+        ):
+            assert girth(g) == brute_girth(g) == value
+
+    def test_two_triangle_free_components(self):
+        # the BFS runs in C4 first and finds 4; in C6 each BFS then stops at
+        # distance 2 with vertices still queued.  A dist entry left set by one
+        # BFS would close a false 3-cycle in the next.
+        g = disjoint_union(cycle_graph(4), cycle_graph(6))
+        assert girth(g) == brute_girth(g) == 4
+        h = disjoint_union(padded(cycle_graph(5), 2, [(0, 1)]), complete_bipartite(3, 3))
+        assert girth(h) == brute_girth(h) == 4
+
+    @settings(max_examples=60, deadline=None)
+    @given(padded_graphs(triangle_free_graphs(max_n=10)))
+    def test_padded_triangle_free_matches_bfs_reference(self, g):
         assert girth(g) == brute_girth(g)
 
 
@@ -355,7 +485,7 @@ class TestDominationCertificate:
     def test_c7_falls_back_to_search(self):
         g = cycle_graph(7)
         closed = [a | 1 << v for v, a in enumerate(g.adj)]
-        assert len(_two_packing(closed)) == 2
+        assert len(_two_packing(closed, range(7))) == 2
         assert domination_certificate(g) is None
         assert domination_number(g) == brute_domination_number(g) == 3
 
@@ -367,7 +497,7 @@ class TestDominationCertificate:
         calls = []
         monkeypatch.setattr(
             invariants, "_two_packing",
-            lambda closed, pack=_two_packing: calls.append(1) or pack(closed),
+            lambda *args, pack=_two_packing: calls.append(1) or pack(*args),
         )
         assert domination_number(g) == brute_domination_number(g) == 2
         assert len(calls) == 1
@@ -438,6 +568,71 @@ class TestIsomorphism:
         g = build(parse_spec("D(40)").realize()).graph
         assert not graph_isomorphic(g, Graph(g.n, g.edges()[1:]))  # one edge removed
         assert graph_isomorphic(Graph(40), Graph(40)) and not graph_isomorphic(Graph(40), Graph(41))
+
+
+class TestSinglePass:
+    """compute_report and shape_checks read one set of components, degrees
+    and edge count; each field must equal its public predicate."""
+
+    def test_catalog_200(self, catalog_240_and_products):
+        wanted = {spec.descriptor for spec in default_catalog(200)}
+        checked = 0
+        for desc, _, ig in catalog_240_and_products:
+            if desc in wanted:
+                assert_single_pass_matches(ig.graph, msg=desc)
+                checked += 1
+        assert checked == len(wanted)
+
+    @pytest.mark.parametrize("spec", ANALYZE_WORST)
+    def test_analyze_worst(self, spec):
+        assert_single_pass_matches(build(parse_spec(spec).realize()).graph, 20_000, spec)
+
+    @settings(max_examples=80, deadline=None)
+    @given(padded_graphs())
+    def test_random_graphs_with_pendants_and_isolated_vertices(self, g):
+        assert_single_pass_matches(g)
+
+    def test_named_graphs(self):
+        for g in (Graph(0), Graph(1), Graph(5), complete_graph(5), cycle_graph(6),
+                  petersen(), complete_bipartite(2, 3), path_graph(4),
+                  disjoint_union(cycle_graph(4), cycle_graph(6))):
+            assert_single_pass_matches(g, msg=g)
+
+
+class TestIsolatedBulk:
+    """Isolated vertices are counted in bulk: each adds one to gamma, alpha
+    and theta, and costs the domination search no node."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(graphs(), st.sampled_from([0, 1, 50]))
+    def test_each_isolated_vertex_adds_one(self, g, k):
+        h = disjoint_union(g, Graph(k))
+        if h.n:
+            assert domination_number(h) == (domination_number(g) if g.n else 0) + k
+        cover = simplicial_cover(g)
+        assert simplicial_cover(h) == (None if cover is None else cover + k)
+        cert = domination_certificate(g) if g.n else 0
+        assert domination_certificate(h) == (None if cert is None else cert + k)
+
+    @pytest.mark.parametrize(
+        "g",
+        [cycle_graph(7), random_graph(14, 0.3, seed=3), random_graph(20, 0.2, seed=7)],
+        ids=["C7", "random14", "random20"],
+    )
+    def test_search_budget_ignores_isolated_vertices(self, g):
+        assert domination_certificate(g) is None
+
+        def decides(budget):
+            try:
+                domination_number(g, budget)
+            except SkippedSizeCap:
+                return False
+            return True
+
+        budget = next(b for b in count(1) if decides(b))
+        gamma = domination_number(g, budget)
+        for h in (disjoint_union(g, Graph(1000)), disjoint_union(Graph(1000), g)):
+            assert domination_number(h, budget) == gamma + 1000
 
 
 class TestReport:
