@@ -24,10 +24,11 @@ from .specs import parse_spec
 from .subgroups import CyclicSubgroup
 from .theorems import THEOREM_IDS, build_or_skip, default_catalog, run_verifiers
 
-# What the imports made (numpy, networkx, argparse, this package) lives as long as
-# the process: move it out of the collector's view once, here, so that no full
+# What the imports made (networkx, argparse, this package) lives as long as the
+# process: move it out of the collector's view once, here, so that no full
 # collection walks it again.  Not per ``main`` call, which would freeze what each
-# call leaves behind.
+# call leaves behind.  numpy is not among them: it is imported on the first
+# Cayley-table read, and a run that reads none never loads it.
 gc.freeze()
 
 EXIT_OK = 0

@@ -15,16 +15,19 @@ turned into the list its rule looks up the first time it is read.
 User tables are parsed into an int64 array and every group axiom is checked
 with numpy at every order; associativity exactly, by Light's test on a
 generating set (Clifford & Preston, *The Algebraic Theory of Semigroups* I,
-section 1.2).  No group may exceed ``ORDER_CAP`` elements.
+section 1.2).  No group may exceed ``ORDER_CAP`` elements.  numpy is
+imported only inside the functions that read, check or derive a table, so a
+run that never touches one does not load it.
 """
 
 from __future__ import annotations
 
 import re
 import warnings
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 from .errors import (
     InvalidPermutation,
@@ -87,6 +90,8 @@ class FiniteGroup:
         so ``mul`` is called at most n * floor(log2 n) times.  The table is a
         fresh copy, so changing it leaves the group as it was.
         """
+        import numpy as np
+
         n, mul = self.order, self.mul
         rows = np.empty((n, n), dtype=np.int64)
         rows[self.identity] = np.arange(n)
@@ -118,6 +123,8 @@ def validate_table(table: Sequence[Sequence[int]]) -> int:
     unsigned dtype that holds 0..n-1 (uint8 up to order 256, uint16 above).
     Associativity is exact at every order: see :func:`_check_associative`.
     """
+    import numpy as np
+
     t = _square_table(table)
     n = len(t)
     if t.min() < 0 or t.max() >= n:
@@ -141,11 +148,15 @@ def validate_table(table: Sequence[Sequence[int]]) -> int:
 
 def _index_dtype(n: int) -> np.dtype:
     """The least unsigned dtype that holds every index 0..n-1."""
+    import numpy as np
+
     return np.min_scalar_type(n - 1)
 
 
 def _square_table(table: Sequence[Sequence[int]]) -> np.ndarray:
     """The table as an n x n int64 array (no copy if it is one already)."""
+    import numpy as np
+
     n = len(table)
     if n == 0:
         raise NotLatinSquare("table is empty")
@@ -172,6 +183,8 @@ def _check_associative(t: np.ndarray, identity: int) -> None:
     pair, not another n^2 pass.  The first failing (x, a, y) in row-major
     order is reported.
     """
+    import numpy as np
+
     n = len(t)
     reached, seen, cols = [identity], bytearray(n), []
     seen[identity] = 1
@@ -396,7 +409,9 @@ def relabel(group: FiniteGroup, perm: Sequence[int]) -> FiniteGroup:
     if sorted(perm) != list(range(n)):
         raise InvalidPermutation("relabel needs a permutation of 0..n-1")
     new = list(perm)
-    old = np.argsort(perm).tolist()             # old[new[x]] = x
+    old = [0] * n
+    for x, y in enumerate(new):
+        old[y] = x                              # old[new[x]] = x
     mul = group.mul
 
     def rule(a, b):
@@ -410,11 +425,17 @@ def relabel(group: FiniteGroup, perm: Sequence[int]) -> FiniteGroup:
 def read_cayley_file(path: str) -> FiniteGroup:
     """Cayley-table file: line 1 is n, then n lines of n space-separated indices.
 
-    An order above ``ORDER_CAP`` is refused before any row is read.
+    An order above ``ORDER_CAP`` is refused before any row is read.  The file
+    must be UTF-8 text.
     """
+    import numpy as np
+
     descriptor = f"cayley-file:{path}"
-    with open(path) as fh:
-        header = fh.readline()
+    with open(path, encoding="utf-8") as fh:
+        try:
+            header = fh.readline()              # decodes the first buffered chunk
+        except UnicodeDecodeError as exc:
+            raise NotLatinSquare(f"{path}: not UTF-8 text: {exc}") from None
         if not header:
             raise NotLatinSquare(f"{path}: empty file")
         try:
@@ -429,7 +450,7 @@ def read_cayley_file(path: str) -> FiniteGroup:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)  # no rows: reported below
                 table = np.loadtxt(fh, dtype=np.int64, ndmin=2, comments=None)
-        except ValueError as exc:
+        except ValueError as exc:                # a UnicodeDecodeError past that chunk too
             raise NotLatinSquare(f"{path}: rows must hold integers, equally many per line: {exc}") from None
     if table.size != n * n:
         raise NotLatinSquare(f"{path}: expected {n * n} entries, found {table.size}")
@@ -473,9 +494,15 @@ def parse_cycle_notation(text: str, degree: int) -> tuple[int, ...]:
 
 
 def read_permutation_file(path: str) -> FiniteGroup:
-    """Permutation-generator file: line 1 is the degree, one generator per line after."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh.readlines()]
+    """Permutation-generator file: line 1 is the degree, one generator per line after.
+
+    The file must be UTF-8 text.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh.readlines()]
+    except UnicodeDecodeError as exc:
+        raise InvalidPermutation(f"{path}: not UTF-8 text: {exc}") from None
     lines = [ln for ln in lines if ln]
     if not lines:
         raise InvalidPermutation(f"{path}: empty file")

@@ -250,11 +250,15 @@ class TestExport:
             ("perm", "3\n(0 a)\n"),              # non-integer point in cycle notation
             ("perm", "-3\n()\n"),                # negative degree
             ("perm", "-3\n"),
+            ("cayley", "\udcff\udcfe\n0 1\n1 0\n"),   # bytes 0xff 0xfe: not UTF-8
+            ("cayley", "2\n0 1\n1 \udcff\n"),
+            ("perm", "\udcff\udcfe\n0 1\n1 0\n"),
+            ("perm", "2\n0 1\n1 \udcff\n"),
         ],
     )
     def test_malformed_file_is_usage_error(self, tmp_path, capsys, kind, text):
         path = tmp_path / "bad.txt"
-        path.write_text(text)
+        path.write_text(text, errors="surrogateescape")
         rc = main(["export", f"file:{kind}:{path}"])
         err = capsys.readouterr().err
         assert rc == EXIT_USAGE
@@ -405,6 +409,33 @@ class TestVerify:
         assert first[0] == second[0] == fresh.returncode == EXIT_THEOREM_FAILURE
         assert without_timings(first[1]) == without_timings(second[1])
         assert without_timings(first[1]) == without_timings(fresh.stdout)
+
+
+class TestStartup:
+    def test_numpy_is_imported_only_for_a_cayley_table(self, tmp_path):
+        # one fresh interpreter: the import and every built-in call leave numpy
+        # unloaded (the verify call relabels groups); the first table read loads it
+        path = tmp_path / "dic3.txt"
+        write_cayley_file(dicyclic(3), str(path))
+        script = """
+import contextlib, io, sys
+import cycgraph.cli as cli
+print(0, "numpy" in sys.modules)
+for argv in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(argv.split(" "))
+    print(rc, "numpy" in sys.modules)
+"""
+        calls = ["verify thm13-iso-invariance --max-order 30", "analyze S(4)",
+                 "export Z(4)xZ(2)", "catalog --max-order 30", f"export file:cayley:{path}"]
+        env = dict(os.environ)
+        src = str(Path(cycgraph.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script, *calls],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n") == [
+            "0 False", "0 False", "0 False", "0 False", "0 False", "0 True", ""]
 
 
 class TestCatalog:

@@ -325,7 +325,7 @@ class TestFiles:
         def refuse(*args, **kwargs):
             raise AssertionError("rows were read")
 
-        monkeypatch.setattr(groups.np, "loadtxt", refuse)
+        monkeypatch.setattr(np, "loadtxt", refuse)  # the object read_cayley_file imports
         with pytest.raises(OrderCapExceeded, match=re.escape(f"cayley-file:{path}: order {groups.ORDER_CAP + 1} exceeds cap")):
             read_cayley_file(str(path))
         assert cli_main(["export", f"file:cayley:{path}"]) == 2
