@@ -22,7 +22,7 @@ from .graphs import DEFAULT_VERTEX_CAP, IntersectionGraph, build
 from .invariants import DEFAULT_NODE_BUDGET, compute_report
 from .specs import parse_spec
 from .subgroups import CyclicSubgroup
-from .theorems import THEOREM_IDS, build_or_skip, default_catalog, run_verifiers
+from .theorems import THEOREM_IDS, default_catalog, run_verifiers
 
 # What the imports made (networkx, argparse, this package) lives as long as the
 # process: move it out of the collector's view once, here, so that no full
@@ -212,9 +212,10 @@ def cmd_catalog(args) -> int:
     """One line per catalog group; a group over the vertex cap gets the skip
     message ``verify`` records in place of its vertex count."""
     lines = []
-    for spec in default_catalog(args.max_order):
-        built = build_or_skip(spec, args.vertex_cap)
-        size = built if isinstance(built, str) else f"vertices={built[1].n}"
+    catalog = default_catalog(args.max_order, args.vertex_cap)
+    for spec in catalog:
+        item = catalog.item(spec)
+        size = item if isinstance(item, str) else f"vertices={item[2].n}"
         lines.append(f"{spec.descriptor}\torder={spec.order()}\tfamily={spec.kind}\t{size}")
     _write_out("\n".join(lines) + "\n", args.out)
     return EXIT_OK

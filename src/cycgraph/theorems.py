@@ -12,11 +12,11 @@ import inspect
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Generator
 
 from .arith import factorize, is_prime, prime_power, tau
 from .errors import SkippedSizeCap, UnknownTheoremId, VertexCapExceeded
-from .graphs import DEFAULT_VERTEX_CAP, IntersectionGraph, bits, build, zn_divisor_graph
+from .graphs import DEFAULT_VERTEX_CAP, Graph, IntersectionGraph, bits, build, zn_divisor_graph
 from .groups import FiniteGroup, relabel
 from .invariants import (
     DEFAULT_NODE_BUDGET,
@@ -76,14 +76,12 @@ class VerificationResult:
 
 @dataclass
 class Catalog:
-    """Catalog specs, the run's vertex cap and a memo of their builds, so that
-    every verifier run over one catalog realizes and builds each group at most once."""
+    """The catalog specs and the run's vertex cap: a source of (spec, group,
+    graph) items keyed by spec, in catalog order."""
 
     specs: list[GroupSpec]
     max_order: int
     vertex_cap: int = DEFAULT_VERTEX_CAP
-    # spec -> (group, graph), or the vertex-cap skip message
-    _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __iter__(self):
         return iter(self.specs)
@@ -91,38 +89,27 @@ class Catalog:
     def __len__(self):
         return len(self.specs)
 
-    def graphs(self, result: VerificationResult, specs=None):
-        """Yield (spec, group, graph) lazily in catalog order (or over `specs`),
-        building on first use; vertex-cap hits go to ``result.skipped``."""
-        for spec in self.specs if specs is None else specs:
-            if spec not in self._built:
-                self._built[spec] = build_or_skip(spec, self.vertex_cap)
-            entry = self._built[spec]
-            if isinstance(entry, str):
-                result.skipped.append(entry)
-            else:
-                yield (spec, *entry)
+    def item(self, spec: GroupSpec) -> tuple[GroupSpec, FiniteGroup, IntersectionGraph] | str:
+        """Realize and build ``spec``: (spec, group, graph), or the message of the vertex-cap skip."""
+        group = spec.realize()
+        try:
+            return spec, group, build(group, self.vertex_cap)
+        except VertexCapExceeded as exc:
+            return str(exc)
 
 
 @dataclass
 class ZnGraphs:
-    """The Z(n) graphs for 2 <= n <= max_n in divisor representation, as
-    (n, divisors, graph) in ascending n, built by ``zn_divisor_graph``.  With
-    ``keep`` the first read stores them, so that every Z_n verifier of a run
-    reads one list; without it each read builds them one at a time and keeps none."""
+    """A source of the Z(n) graphs for 2 <= n <= max_n in divisor
+    representation: its keys are n, ascending, and its items (n, divisors, graph)."""
 
     max_n: int
-    keep: bool = False
-    _built: list | None = field(default=None, init=False, repr=False, compare=False)
 
     def __iter__(self):
-        if self._built is not None:
-            return iter(self._built)
-        graphs = ((n, *zn_divisor_graph(n)) for n in range(2, self.max_n + 1))
-        if not self.keep:
-            return graphs
-        self._built = list(graphs)
-        return iter(self._built)
+        return iter(range(2, self.max_n + 1))
+
+    def item(self, n: int) -> tuple[int, list[int], Graph]:
+        return (n, *zn_divisor_graph(n))
 
 
 def default_catalog(max_order: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Catalog:
@@ -150,27 +137,19 @@ def default_catalog(max_order: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Cat
     return Catalog(specs, max_order, vertex_cap)
 
 
-def build_or_skip(spec: GroupSpec, vertex_cap: int) -> tuple[FiniteGroup, IntersectionGraph] | str:
-    """Realize and build ``spec``: (group, graph), or the message of the vertex-cap skip."""
-    group = spec.realize()
-    try:
-        return group, build(group, vertex_cap)
-    except VertexCapExceeded as exc:
-        return str(exc)
+#: theorem id -> (check, the run inputs it takes by name, the keys it takes or
+#: None for all), in report order; filled in by ``_verifier`` as each check is defined
+VERIFIERS: dict[str, tuple[Callable[..., Generator], tuple[str, ...], Callable | None]] = {}
 
 
-#: theorem id -> (verifier, the run inputs it takes by name), in report order;
-#: filled in by ``_verifier`` as each check is defined
-VERIFIERS: dict[str, tuple[Callable[..., VerificationResult], tuple[str, ...]]] = {}
-
-
-def _verifier(theorem_id: str):
+def _verifier(theorem_id: str, takes: Callable[[GroupSpec], bool] | None = None):
     """Register a check as the verifier of ``theorem_id``.
 
-    The check takes a fresh result for that id, then the run inputs it reads by
-    name; it sets the domain and fills in the result.  The registered verifier
-    takes the inputs alone, times the check and marks the result passed iff it
-    found no counterexample.
+    The check is a generator.  It takes a fresh result for that id, then the
+    run inputs it reads by name, the first being its source (``catalog`` or
+    ``zn``), and sets the domain; it is then sent each item whose key
+    ``takes`` accepts (all if None), and None once they run out.  The
+    registered verifier takes the inputs alone and runs a one-check pass.
     """
 
     def register(check):
@@ -179,18 +158,57 @@ def _verifier(theorem_id: str):
 
         @functools.wraps(check)
         def run(*args, **kwargs) -> VerificationResult:
-            t0 = time.perf_counter()
             res = VerificationResult(theorem_id, "")
-            check(res, *args, **kwargs)
-            res.elapsed = time.perf_counter() - t0
-            res.passed = not res.counterexamples
+            source = args[0] if args else kwargs[params[0].name]
+            _stream(source, [(res, check(res, *args, **kwargs), takes)])
             return res
 
         run.__signature__ = sig.replace(parameters=params, return_annotation=VerificationResult)
-        VERIFIERS[theorem_id] = (run, tuple(p.name for p in params))
+        VERIFIERS[theorem_id] = (check, tuple(p.name for p in params), takes)
         return run
 
     return register
+
+
+def _send(res: VerificationResult, check: Generator, item) -> bool:
+    """Send ``item`` to ``check``, adding the time to ``res.elapsed``; False once it has returned."""
+    t0 = time.perf_counter()
+    try:
+        check.send(item)
+        return True
+    except StopIteration:
+        return False
+    finally:
+        res.elapsed += time.perf_counter() - t0
+
+
+def _stream(source, checks: list[tuple[VerificationResult, Generator, Callable | None]]) -> None:
+    """One pass over ``source`` for every (result, check, takes) in ``checks``.
+
+    A key's item is built once, only if some live check takes the key, sent to
+    each such check (a vertex-cap skip message goes to their ``skipped``
+    instead) and dropped.  The pass stops once no check is live, closes the
+    rest by sending None, and marks each result passed iff it has no
+    counterexample.
+    """
+    live = [c for c in checks if _send(c[0], c[1], None)]
+    filtering = any(c[2] for c in live)
+    for key in source:
+        if not live:
+            break
+        takers = [c for c in live if c[2] is None or c[2](key)] if filtering else live
+        if not takers:
+            continue
+        item = source.item(key)
+        for c in takers:
+            if isinstance(item, str):
+                c[0].skipped.append(item)
+            elif not _send(c[0], c[1], item):
+                live = [d for d in live if d is not c]
+    for res, check, _ in live:
+        _send(res, check, None)
+    for res, _, _ in checks:
+        res.passed = not res.counterexamples
 
 
 # --- individual theorem checks ------------------------------------------------
@@ -228,23 +246,23 @@ def _relabelings_isomorphic(
 
 
 @_verifier("thm13-iso-invariance")
-def verify_iso_invariance_catalog(res: VerificationResult, catalog: Catalog, seed: int = 0) -> None:
+def verify_iso_invariance_catalog(res: VerificationResult, catalog: Catalog, seed: int = 0) -> Generator:
     res.domain = (
         f"first {ISO_GROUPS} catalog groups with 2..{ISO_PICK_MAX_VERTICES} vertices, "
         f"{ISO_TRIALS} relabelings each (catalog max order {catalog.max_order})"
     )
-    # stop at the last pick: the lazy pass builds nothing beyond it
-    for spec, group, ig in catalog.graphs(res):
+    while item := (yield):
+        _, group, ig = item
         if not (2 <= ig.n <= ISO_PICK_MAX_VERTICES):
             continue
         res.groups_tested += 1
         res.counterexamples += _relabelings_isomorphic(group, ig, ISO_TRIALS, seed + res.groups_tested)
         if res.groups_tested == ISO_GROUPS:
-            break
+            return  # the pass builds nothing beyond the last pick for this check
 
 
 @_verifier("thm14-totally-disconnected")
-def verify_totally_disconnected(res: VerificationResult, catalog: Catalog) -> None:
+def verify_totally_disconnected(res: VerificationResult, catalog: Catalog) -> Generator:
     """Edge-free graph <-> every non-identity element has prime order.
 
     Groups whose graph has fewer than 2 vertices are excluded (the forward
@@ -252,7 +270,8 @@ def verify_totally_disconnected(res: VerificationResult, catalog: Catalog) -> No
     """
     res.domain = f"default catalog, order <= {catalog.max_order}, graphs with >= 2 vertices"
     excluded = 0
-    for spec, group, ig in catalog.graphs(res):
+    while item := (yield):
+        spec, group, ig = item
         if ig.n < 2:
             excluded += 1
             continue
@@ -275,11 +294,12 @@ def verify_totally_disconnected(res: VerificationResult, catalog: Catalog) -> No
 
 
 @_verifier("thm15-complete")
-def verify_complete(res: VerificationResult, catalog: Catalog) -> None:
+def verify_complete(res: VerificationResult, catalog: Catalog) -> Generator:
     """Complete graph <-> unique proper subgroup of prime order (nonempty graphs);
     plus the exact vertex-count formulas for cyclic p-power and quaternion groups."""
     res.domain = f"default catalog, order <= {catalog.max_order}, nonempty graphs"
-    for spec, group, ig in catalog.graphs(res):
+    while item := (yield):
+        spec, _, ig = item
         if ig.n == 0:
             continue
         res.groups_tested += 1
@@ -310,15 +330,14 @@ def verify_complete(res: VerificationResult, catalog: Catalog) -> None:
                     )
 
 
-@_verifier("thm16-planarity")
-def verify_planarity_classification(res: VerificationResult, catalog: Catalog) -> None:
+@_verifier("thm16-planarity",
+           takes=lambda s: abelian_prime_signature(s) is not None and not is_cyclic_spec(s))
+def verify_planarity_classification(res: VerificationResult, catalog: Catalog) -> Generator:
     """Planar graph <-> the group is one of the five listed abelian families,
     over every non-cyclic abelian group of the catalog."""
     res.domain = f"all non-cyclic abelian groups of order <= {catalog.max_order}"
-    specs = [
-        s for s in catalog if abelian_prime_signature(s) is not None and not is_cyclic_spec(s)
-    ]
-    for spec, _, ig in catalog.graphs(res, specs):
+    while item := (yield):
+        spec, _, ig = item
         planar = is_planar(ig.graph)
         res.groups_tested += 1
         listed = in_planar_classification(spec)
@@ -329,10 +348,11 @@ def verify_planarity_classification(res: VerificationResult, catalog: Catalog) -
 
 
 @_verifier("thm345-star-path-cycle")
-def verify_star_path_cycle(res: VerificationResult, catalog: Catalog) -> None:
+def verify_star_path_cycle(res: VerificationResult, catalog: Catalog) -> Generator:
     """Star and path graphs occur exactly for cyclic p^3; a cycle exactly for cyclic p^4."""
     res.domain = f"default catalog, order <= {catalog.max_order}"
-    for spec, group, ig in catalog.graphs(res):
+    while item := (yield):
+        spec, _, ig = item
         res.groups_tested += 1
         shapes = shape_checks(ig.graph)
         pp = prime_power(spec.params[0]) if spec.kind == "cyclic" else None
@@ -346,10 +366,11 @@ def verify_star_path_cycle(res: VerificationResult, catalog: Catalog) -> None:
 
 
 @_verifier("cor-c1-girth")
-def verify_girth(res: VerificationResult, catalog: Catalog) -> None:
+def verify_girth(res: VerificationResult, catalog: Catalog) -> Generator:
     """girth is always 3 or infinity."""
     res.domain = f"default catalog, order <= {catalog.max_order}"
-    for spec, group, ig in catalog.graphs(res):
+    while item := (yield):
+        spec, _, ig = item
         res.groups_tested += 1
         gv = girth(ig.graph)
         if gv != 3 and gv != INFINITY:
@@ -393,7 +414,7 @@ def _subgroup_conditions(ig: IntersectionGraph) -> dict[str, bool]:
 
 
 @_verifier("thm7-acyclic-equivalences")
-def verify_acyclic_equivalences(res: VerificationResult, catalog: Catalog) -> None:
+def verify_acyclic_equivalences(res: VerificationResult, catalog: Catalog) -> Generator:
     """acyclic <-> bipartite <-> triangle-free on every catalog graph.
 
     The subgroup-side condition is reported under both quantifier readings
@@ -402,7 +423,8 @@ def verify_acyclic_equivalences(res: VerificationResult, catalog: Catalog) -> No
     res.domain = f"default catalog, order <= {catalog.max_order}"
     match = {"some": 0, "every": 0}
     mismatch_examples = {"some": [], "every": []}
-    for spec, _, ig in catalog.graphs(res):
+    while item := (yield):
+        spec, _, ig = item
         res.groups_tested += 1
         acyclic = is_acyclic(ig.graph)
         bipartite = is_bipartite(ig.graph)
@@ -430,10 +452,11 @@ def verify_acyclic_equivalences(res: VerificationResult, catalog: Catalog) -> No
 
 
 @_verifier("thm8-300-alpha-theta")
-def verify_alpha_theta(res: VerificationResult, catalog: Catalog) -> None:
+def verify_alpha_theta(res: VerificationResult, catalog: Catalog) -> Generator:
     """independence number = clique cover number = number of prime-order subgroups."""
     res.domain = f"default catalog, order <= {catalog.max_order}, within solver caps"
-    for spec, group, ig in catalog.graphs(res):
+    while item := (yield):
+        spec, _, ig = item
         m = sum(1 for v in ig.vertices if is_prime(v.order))
         # one certificate gives alpha = theta = k
         k = simplicial_cover(ig.graph)
@@ -448,14 +471,15 @@ def verify_alpha_theta(res: VerificationResult, catalog: Catalog) -> None:
 
 
 @_verifier("t24-regular-zn")
-def verify_regular_zn(res: VerificationResult, zn: ZnGraphs) -> None:
+def verify_regular_zn(res: VerificationResult, zn: ZnGraphs) -> Generator:
     """Regular graph <-> n is p^alpha with alpha >= 2, over nonempty Z_n graphs.
 
     Uses the divisor representation of the Z_n graph (validated against
     the element-level build elsewhere in the suite).
     """
     res.domain = f"Z(n) for n <= {zn.max_n} with nonempty graph"
-    for n, ds, g in zn:
+    while item := (yield):
+        n, _, g = item
         if g.n == 0:
             continue
         res.groups_tested += 1
@@ -479,9 +503,10 @@ def zn_expected_degree(n: int, d: int) -> int:
 
 
 @_verifier("t24-degree-formula-zn")
-def verify_degree_formula_zn(res: VerificationResult, zn: ZnGraphs) -> None:
+def verify_degree_formula_zn(res: VerificationResult, zn: ZnGraphs) -> Generator:
     res.domain = f"Z(n) for n <= {zn.max_n}, every vertex"
-    for n, ds, g in zn:
+    while item := (yield):
+        n, ds, g = item
         if g.n == 0:
             continue
         res.groups_tested += 1
@@ -497,11 +522,12 @@ def verify_degree_formula_zn(res: VerificationResult, zn: ZnGraphs) -> None:
 @_verifier("t22-domination-zn")
 def verify_domination_zn(
     res: VerificationResult, zn: ZnGraphs, node_budget: int = DEFAULT_NODE_BUDGET
-) -> None:
+) -> Generator:
     """Domination number of the Z_n graph: 1 when some exponent exceeds 1,
     2 when n is squarefree with >= 2 prime factors; primes are skipped."""
     res.domain = f"Z(n) for composite n <= {zn.max_n}"
-    for n, ds, g in zn:
+    while item := (yield):
+        n, _, g = item
         if g.n == 0:
             continue  # n prime
         res.groups_tested += 1
@@ -535,16 +561,20 @@ def run_verifiers(
         for tid in ids:
             if tid not in THEOREM_IDS:
                 raise UnknownTheoremId(tid)
-    # one catalog and one source of Z_n graphs are shared by every verifier of
-    # the run, each made only when a verifier reads it; the Z_n graphs are kept
-    # only when more than one verifier reads them
+    # one catalog and one source of Z_n graphs, each made only when a verifier
+    # reads it and streamed in one pass; each id gets its own result, in order
     readers = [name for tid in ids for name in VERIFIERS[tid][1]]
     inputs = {"seed": seed, "node_budget": node_budget}
     if "catalog" in readers:
         inputs["catalog"] = default_catalog(max_order, vertex_cap)
     if "zn" in readers:
-        inputs["zn"] = ZnGraphs(max_n, keep=readers.count("zn") > 1)
-    return [
-        verifier(**{name: inputs[name] for name in names})
-        for verifier, names in (VERIFIERS[tid] for tid in ids)
-    ]
+        inputs["zn"] = ZnGraphs(max_n)
+    results, passes = [], {}
+    for tid in ids:
+        check, names, takes = VERIFIERS[tid]
+        res = VerificationResult(tid, "")
+        results.append(res)
+        passes.setdefault(names[0], []).append((res, check(res, **{n: inputs[n] for n in names}), takes))
+    for source, checks in passes.items():
+        _stream(inputs[source], checks)
+    return results

@@ -389,6 +389,15 @@ class TestVerify:
             "thm15-complete", "cor-c1-girth",
         ]
 
+    def test_repeated_id_gets_its_own_result(self, capsys):
+        # both share one pass over the catalog, yet each gets its own result
+        rc, out = run(capsys, "verify", "thm15-complete", "thm15-complete",
+                      "--max-order", "30", "--format", "json")
+        assert rc == EXIT_OK
+        first, again = without_timings(out)["results"]
+        assert first["theorem_id"] == "thm15-complete" and first["groups_tested"] > 0
+        assert first == again
+
     def test_json_deterministic(self, capsys):
         _, a = run(capsys, "verify", "thm345-star-path-cycle",
                    "--max-order", "40", "--format", "json", "--seed", "3")

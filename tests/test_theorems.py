@@ -1,5 +1,7 @@
 import inspect
 import json
+import time
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -29,7 +31,13 @@ from cycgraph.theorems import (
     verify_totally_disconnected,
     zn_expected_degree,
 )
-from cycgraph.graphs import IntersectionGraph, build, zn_divisor_graph
+from cycgraph.graphs import Graph, IntersectionGraph, build, zn_divisor_graph
+
+
+class _WeakGraph(Graph):
+    """A Graph that a weak reference can point at."""
+
+    __slots__ = ("__weakref__",)
 
 # squarefree products of exactly two primes: the graphs are K̄2 yet the group
 # has an element of composite order, so several statements break on them
@@ -198,20 +206,6 @@ class TestRunVerifiers:
         alone = [_without_timings(run_verifiers([tid], max_n=300))[0] for tid in zn_ids]
         assert shared == alone
 
-    def test_one_zn_reader_keeps_no_list(self, monkeypatch):
-        made = []
-
-        def recorded(*args, **kwargs):
-            made.append(ZnGraphs(*args, **kwargs))
-            return made[-1]
-
-        monkeypatch.setattr(theorems, "ZnGraphs", recorded)
-        run_verifiers(["t24-regular-zn"], max_n=200)
-        run_verifiers(["t24-regular-zn", "cor-c1-girth"], max_order=20, max_n=200)
-        assert [zn._built for zn in made] == [None, None]
-        run_verifiers(["t24-regular-zn", "t22-domination-zn"], max_n=200)
-        assert len(made[-1]._built) == 199
-
     def test_verify_all_builds_each_zn_graph_once(self, monkeypatch):
         built = []
 
@@ -223,12 +217,58 @@ class TestRunVerifiers:
         run_verifiers("all", max_order=20, max_n=200)
         assert built == list(range(2, 201))
 
-    def test_kept_and_streamed_zn_graphs_give_one_report(self):
-        for verifier in (verify_regular_zn, verify_degree_formula_zn, verify_domination_zn):
-            kept, streamed = ZnGraphs(200, keep=True), ZnGraphs(200)
-            assert _without_timings([verifier(kept), verifier(kept)]) == \
-                _without_timings([verifier(streamed), verifier(streamed)])
-            assert kept._built is not None and streamed._built is None
+    def test_each_item_is_dropped_once_the_next_is_sent(self, monkeypatch):
+        # a weak reference to each item's graph, taken as its source builds it.
+        # A check holds the item it was sent last until it is sent the next, so
+        # when a source builds an item, its only older items still alive are the
+        # one sent last and, for thm16, the last non-cyclic abelian group it took
+        thm16_takes = theorems.VERIFIERS["thm16-planarity"][2]
+        catalog_item, zn_item = theorems.Catalog.item, theorems.ZnGraphs.item
+
+        def weak_zn_item(self, n):
+            n, ds, g = zn_item(self, n)
+            weak = _WeakGraph(g.n)
+            weak.adj = g.adj
+            return n, ds, weak
+
+        def watch(source, make, taken_by_thm16):
+            older = []
+
+            def item(self, key):
+                held = {len(older) - 1}
+                held.update([i for i, (k, _) in enumerate(older) if taken_by_thm16(k)][-1:])
+                assert [k for i, (k, r) in enumerate(older) if i not in held and r()] == []
+                made = make(self, key)
+                if not isinstance(made, str):
+                    older.append((key, weakref.ref(made[2])))
+                return made
+
+            monkeypatch.setattr(source, "item", item)
+            return older
+
+        catalog = watch(theorems.Catalog, catalog_item, thm16_takes)
+        zn = watch(theorems.ZnGraphs, weak_zn_item, lambda n: False)
+        results = run_verifiers("all", max_order=40, max_n=60)
+        assert [r.theorem_id for r in results] == list(THEOREM_IDS)
+        assert len(catalog) == len(default_catalog(40)) and len(zn) == 59
+        assert [k for k, r in catalog + zn if r()] == []
+
+    def test_elapsed_leaves_out_the_builds(self, monkeypatch):
+        # each build sleeps 2 ms; the checks' own time is far less than the builds'
+        builds = []
+        build_ = theorems.build
+
+        def slow_build(group, *args, **kwargs):
+            builds.append(group.descriptor)
+            time.sleep(0.002)
+            return build_(group, *args, **kwargs)
+
+        monkeypatch.setattr(theorems, "build", slow_build)
+        ids = [tid for tid in TestSharedPass.CATALOG_IDS if tid != "thm13-iso-invariance"]
+        assert len(ids) == 7
+        results = run_verifiers(ids, max_order=30)
+        assert len(builds) == len(default_catalog(30))
+        assert sum(r.elapsed for r in results) < len(builds) * 0.002 / 2
 
     def test_counterexamples_are_realizable(self):
         for r in run_verifiers(["thm14-totally-disconnected"], max_order=40):
@@ -265,40 +305,51 @@ class TestRegistry:
             name: obj for name, obj in vars(theorems).items()
             if name.startswith("verify_") and callable(obj)
         }
-        registered = [run.__name__ for run, _ in theorems.VERIFIERS.values()]
+        registered = [check.__name__ for check, _, _ in theorems.VERIFIERS.values()]
         assert sorted(registered) == sorted(defined)  # each name once, none missing
-        assert all(defined[run.__name__] is run for run, _ in theorems.VERIFIERS.values())
+        assert all(
+            defined[check.__name__].__wrapped__ is check
+            and inspect.isgeneratorfunction(check)
+            for check, _, _ in theorems.VERIFIERS.values()
+        )
 
     def test_inputs_are_the_run_inputs(self, monkeypatch):
         registry = dict(theorems.VERIFIERS)
-        for tid, (run, names) in registry.items():
+        for tid, (check, names, _) in registry.items():
             assert set(names) <= {"catalog", "zn", "seed", "node_budget"}
-            assert tuple(inspect.signature(run).parameters) == names
+            assert names[0] in ("catalog", "zn")  # the source the check streams over
+            assert tuple(inspect.signature(getattr(theorems, check.__name__)).parameters) == names
         got = {}
 
         def stub(tid):
-            def run(**kwargs):
+            def check(res, **kwargs):
                 got[tid] = kwargs
-                return theorems.VerificationResult(tid, "")
-            return run
+                res.domain = tid
+                while (yield):
+                    res.groups_tested += 1
+            return check
 
         monkeypatch.setattr(
-            theorems, "VERIFIERS", {tid: (stub(tid), names) for tid, (_, names) in registry.items()}
+            theorems, "VERIFIERS",
+            {tid: (stub(tid), names, takes) for tid, (_, names, takes) in registry.items()},
         )
-        run_verifiers("all", max_order=10, max_n=20, seed=3, node_budget=7)
+        results = run_verifiers("all", max_order=10, max_n=20, seed=3, node_budget=7)
         assert {tid: tuple(kw) for tid, kw in got.items()} == {
-            tid: names for tid, (_, names) in registry.items()
+            tid: names for tid, (_, names, _) in registry.items()
         }
         supplied = {k: v for kw in got.values() for k, v in kw.items()}
         assert supplied["catalog"].max_order == 10 and supplied["zn"].max_n == 20
         assert (supplied["seed"], supplied["node_budget"]) == (3, 7)
+        # every stub was sent the items of its own source
+        tested = {r.theorem_id: r.groups_tested for r in results}
+        assert tested["t24-regular-zn"] == 19 and tested["cor-c1-girth"] == len(default_catalog(10))
 
     def test_inputs_are_made_only_for_their_readers(self, monkeypatch):
         def no_catalog(*args):
             raise AssertionError("a Z_n-only run built the catalog")
 
         monkeypatch.setattr(theorems, "default_catalog", no_catalog)
-        zn_ids = [tid for tid, (_, names) in theorems.VERIFIERS.items() if "zn" in names]
+        zn_ids = [tid for tid, (_, names, _) in theorems.VERIFIERS.items() if "zn" in names]
         results = run_verifiers(zn_ids, max_n=30)
         assert [r.theorem_id for r in results] == zn_ids and all(r.groups_tested for r in results)
         with pytest.raises(AssertionError, match="built the catalog"):
@@ -306,8 +357,8 @@ class TestRegistry:
 
     def test_direct_call_reports_its_own_id(self):
         inputs = {"catalog": default_catalog(12), "zn": ZnGraphs(30), "seed": 0, "node_budget": 1000}
-        for tid, (run, names) in theorems.VERIFIERS.items():
-            res = run(*(inputs[name] for name in names))
+        for tid, (check, names, _) in theorems.VERIFIERS.items():
+            res = getattr(theorems, check.__name__)(*(inputs[name] for name in names))
             assert res.theorem_id == tid and res.domain
             assert res.elapsed > 0 and res.passed == (not res.counterexamples)
 
@@ -351,7 +402,7 @@ def built(monkeypatch):
 
 class TestSharedPass:
     CATALOG_IDS = [
-        tid for tid, (_, inputs) in theorems.VERIFIERS.items() if "catalog" in inputs
+        tid for tid, (_, inputs, _) in theorems.VERIFIERS.items() if "catalog" in inputs
     ]
 
     def test_all_equals_each_alone(self):
