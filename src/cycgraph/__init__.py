@@ -14,7 +14,6 @@ from .errors import (
     GroupValidationError,
     InvalidPermutation,
     NoIdentity,
-    NoInverse,
     NotAssociative,
     NotLatinSquare,
     OrderCapExceeded,

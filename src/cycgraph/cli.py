@@ -16,7 +16,7 @@ import json
 import sys
 from typing import Iterable
 
-from . import __version__
+from . import __version__, groups
 from .errors import CycgraphError, UnknownTheoremId
 from .graphs import DEFAULT_VERTEX_CAP, IntersectionGraph, build
 from .invariants import DEFAULT_NODE_BUDGET, compute_report
@@ -223,8 +223,8 @@ def cmd_catalog(args) -> int:
 
 # --- entry point --------------------------------------------------------------
 
-def _at_least(lo: int):
-    """argparse type: an integer >= lo, else a usage error."""
+def _at_least(lo: int, hi: int | None = None):
+    """argparse type: an integer >= lo (and <= hi when given), else a usage error."""
 
     def parse(text: str) -> int:
         try:
@@ -233,6 +233,8 @@ def _at_least(lo: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if value < lo:
             raise argparse.ArgumentTypeError(f"must be >= {lo}, got {value}")
+        if hi is not None and value > hi:
+            raise argparse.ArgumentTypeError(f"must be <= the order cap {hi}, got {value}")
         return value
 
     return parse
@@ -261,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("verify", help="run theorem verifiers over the group catalog")
     p.add_argument("theorems", nargs="+", help=f'"all" or ids from: {", ".join(THEOREM_IDS)}')
-    p.add_argument("--max-order", type=_at_least(2), default=100)
+    p.add_argument("--max-order", type=_at_least(2, groups.ORDER_CAP), default=100)
     p.add_argument("--max-n", type=_at_least(2), default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["text", "json"], default="text")
@@ -275,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_export)
 
     p = subs.add_parser("catalog", help="list the default group catalog")
-    p.add_argument("--max-order", type=_at_least(2), default=100)
+    p.add_argument("--max-order", type=_at_least(2, groups.ORDER_CAP), default=100)
     _add_common(p)
     p.set_defaults(func=cmd_catalog)
 

@@ -17,10 +17,6 @@ class NoIdentity(GroupValidationError):
     pass
 
 
-class NoInverse(GroupValidationError):
-    pass
-
-
 class NotAssociative(GroupValidationError):
     pass
 

@@ -11,7 +11,7 @@ from functools import lru_cache
 from itertools import compress
 from math import gcd
 from operator import add
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .arith import COPRIME_CACHE_SIZE, coprime_mask, divisors, is_prime
 from .groups import FiniteGroup
@@ -52,10 +52,7 @@ def cyclic_subgroups(group: FiniteGroup) -> list[CyclicSubgroup]:
 
 def _walk_subgroups(group: FiniteGroup) -> list[CyclicSubgroup]:
     """:func:`cyclic_subgroups` of any group, by walking the powers of its elements."""
-    n = group.order
-    subs = [_subgroup(p) for p in _walk_powers(group) if len(p) < n]  # <g> = G is no vertex
-    subs.sort(key=_canonical)
-    return subs
+    return _proper_subgroups(_walk_powers(group), group.order)
 
 
 def _walk_powers(group: FiniteGroup) -> Iterator[list[int]]:
@@ -96,6 +93,14 @@ def _subgroup(powers: Sequence[int]) -> CyclicSubgroup:
 
 def _canonical(s: CyclicSubgroup) -> tuple[int, tuple[int, ...]]:
     return s.order, s.elements
+
+
+def _proper_subgroups(powers: Iterable[Sequence[int]], n: int) -> list[CyclicSubgroup]:
+    """The subgroups of a group of order ``n`` listed by their ``powers`` that are
+    vertices (neither trivial nor the whole group), in canonical order."""
+    subs = [_subgroup(p) for p in powers if 1 < len(p) < n]
+    subs.sort(key=_canonical)
+    return subs
 
 
 # --- closed forms, on the element labels of the family constructors -----------
@@ -144,10 +149,7 @@ def _dicyclic_closed_form(m: int) -> list[CyclicSubgroup]:
 def _product_closed_form(factors: tuple[FiniteGroup, FiniteGroup]) -> list[CyclicSubgroup]:
     """G x H, element x*|H| + y = (x, y): the proper nontrivial ones among the
     cyclic subgroups :func:`_product_powers` lists, none of them by ``mul``."""
-    n = factors[0].order * factors[1].order
-    subs = [_subgroup(p) for p in _product_powers(factors) if 1 < len(p) < n]
-    subs.sort(key=_canonical)
-    return subs
+    return _proper_subgroups(_product_powers(factors), factors[0].order * factors[1].order)
 
 
 #: FiniteGroup.family kind -> its closed-form cyclic_subgroups

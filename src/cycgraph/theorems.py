@@ -7,13 +7,12 @@ reproduced in isolation with the CLI ``analyze`` command.
 
 from __future__ import annotations
 
-import functools
-import inspect
 import random
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Generator
 
+from . import groups
 from .arith import factorize, is_prime, prime_power, tau
 from .errors import SkippedSizeCap, UnknownTheoremId, VertexCapExceeded
 from .graphs import DEFAULT_VERTEX_CAP, Graph, IntersectionGraph, bits, build, zn_divisor_graph
@@ -76,12 +75,14 @@ class VerificationResult:
 
 @dataclass
 class Catalog:
-    """The catalog specs and the run's vertex cap: a source of (spec, group,
+    """The catalog specs, with the run options its checks read (the vertex cap
+    of every build, and thm13's relabeling seed): a source of (spec, group,
     graph) items keyed by spec, in catalog order."""
 
     specs: list[GroupSpec]
     max_order: int
     vertex_cap: int = DEFAULT_VERTEX_CAP
+    seed: int = 0
 
     def __iter__(self):
         return iter(self.specs)
@@ -101,9 +102,11 @@ class Catalog:
 @dataclass
 class ZnGraphs:
     """A source of the Z(n) graphs for 2 <= n <= max_n in divisor
-    representation: its keys are n, ascending, and its items (n, divisors, graph)."""
+    representation: its keys are n, ascending, and its items (n, divisors,
+    graph).  It carries t22's solver node budget."""
 
     max_n: int
+    node_budget: int = DEFAULT_NODE_BUDGET
 
     def __iter__(self):
         return iter(range(2, self.max_n + 1))
@@ -112,11 +115,11 @@ class ZnGraphs:
         return (n, *zn_divisor_graph(n))
 
 
-def default_catalog(max_order: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Catalog:
+def default_catalog(max_order: int, vertex_cap: int = DEFAULT_VERTEX_CAP, seed: int = 0) -> Catalog:
     """All abelian groups plus the dihedral/dicyclic/symmetric/alternating
     families up to the order bound, each spec once; builds obey ``vertex_cap``."""
-    if max_order < 2:
-        raise ValueError("max_order must be >= 2")
+    if not 2 <= max_order <= groups.ORDER_CAP:
+        raise ValueError(f"max_order must be between 2 and the order cap {groups.ORDER_CAP}")
     specs: list[GroupSpec] = []
     factorials = {}
     k, f = 1, 1
@@ -134,38 +137,28 @@ def default_catalog(max_order: int, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Cat
             specs.append(GroupSpec("symmetric", (factorials[n],)))
         if 2 * n in factorials and factorials[2 * n] >= 4:
             specs.append(GroupSpec("alternating", (factorials[2 * n],)))
-    return Catalog(specs, max_order, vertex_cap)
+    return Catalog(specs, max_order, vertex_cap, seed)
 
 
-#: theorem id -> (check, the run inputs it takes by name, the keys it takes or
+#: theorem id -> (check, its source "catalog" or "zn", the keys it takes or
 #: None for all), in report order; filled in by ``_verifier`` as each check is defined
-VERIFIERS: dict[str, tuple[Callable[..., Generator], tuple[str, ...], Callable | None]] = {}
+VERIFIERS: dict[str, tuple[Callable[..., Generator], str, Callable | None]] = {}
 
 
-def _verifier(theorem_id: str, takes: Callable[[GroupSpec], bool] | None = None):
-    """Register a check as the verifier of ``theorem_id``.
+def _verifier(theorem_id: str, source: str, takes: Callable[[GroupSpec], bool] | None = None):
+    """Register a check as the verifier of ``theorem_id``, reading ``source``,
+    and return the check unchanged.
 
-    The check is a generator.  It takes a fresh result for that id, then the
-    run inputs it reads by name, the first being its source (``catalog`` or
-    ``zn``), and sets the domain; it is then sent each item whose key
-    ``takes`` accepts (all if None), and None once they run out.  The
-    registered verifier takes the inputs alone and runs a one-check pass.
+    The check is a generator.  It takes a fresh result for that id and the
+    run's source, a :class:`Catalog` (``"catalog"``) or :class:`ZnGraphs`
+    (``"zn"``), which also carries the run options it reads, and sets the
+    domain; it is then sent each item whose key ``takes`` accepts (all if
+    None), and None once they run out.  :func:`run_verifiers` runs it.
     """
 
     def register(check):
-        sig = inspect.signature(check)
-        params = list(sig.parameters.values())[1:]
-
-        @functools.wraps(check)
-        def run(*args, **kwargs) -> VerificationResult:
-            res = VerificationResult(theorem_id, "")
-            source = args[0] if args else kwargs[params[0].name]
-            _stream(source, [(res, check(res, *args, **kwargs), takes)])
-            return res
-
-        run.__signature__ = sig.replace(parameters=params, return_annotation=VerificationResult)
-        VERIFIERS[theorem_id] = (check, tuple(p.name for p in params), takes)
-        return run
+        VERIFIERS[theorem_id] = (check, source, takes)
+        return check
 
     return register
 
@@ -245,8 +238,8 @@ def _relabelings_isomorphic(
     return counterexamples
 
 
-@_verifier("thm13-iso-invariance")
-def verify_iso_invariance_catalog(res: VerificationResult, catalog: Catalog, seed: int = 0) -> Generator:
+@_verifier("thm13-iso-invariance", "catalog")
+def verify_iso_invariance_catalog(res: VerificationResult, catalog: Catalog) -> Generator:
     res.domain = (
         f"first {ISO_GROUPS} catalog groups with 2..{ISO_PICK_MAX_VERTICES} vertices, "
         f"{ISO_TRIALS} relabelings each (catalog max order {catalog.max_order})"
@@ -256,12 +249,13 @@ def verify_iso_invariance_catalog(res: VerificationResult, catalog: Catalog, see
         if not (2 <= ig.n <= ISO_PICK_MAX_VERTICES):
             continue
         res.groups_tested += 1
-        res.counterexamples += _relabelings_isomorphic(group, ig, ISO_TRIALS, seed + res.groups_tested)
+        seed = catalog.seed + res.groups_tested
+        res.counterexamples += _relabelings_isomorphic(group, ig, ISO_TRIALS, seed)
         if res.groups_tested == ISO_GROUPS:
             return  # the pass builds nothing beyond the last pick for this check
 
 
-@_verifier("thm14-totally-disconnected")
+@_verifier("thm14-totally-disconnected", "catalog")
 def verify_totally_disconnected(res: VerificationResult, catalog: Catalog) -> Generator:
     """Edge-free graph <-> every non-identity element has prime order.
 
@@ -293,7 +287,7 @@ def verify_totally_disconnected(res: VerificationResult, catalog: Catalog) -> Ge
     res.notes = f"excluded {excluded} groups with < 2 vertices"
 
 
-@_verifier("thm15-complete")
+@_verifier("thm15-complete", "catalog")
 def verify_complete(res: VerificationResult, catalog: Catalog) -> Generator:
     """Complete graph <-> unique proper subgroup of prime order (nonempty graphs);
     plus the exact vertex-count formulas for cyclic p-power and quaternion groups."""
@@ -330,7 +324,7 @@ def verify_complete(res: VerificationResult, catalog: Catalog) -> Generator:
                     )
 
 
-@_verifier("thm16-planarity",
+@_verifier("thm16-planarity", "catalog",
            takes=lambda s: abelian_prime_signature(s) is not None and not is_cyclic_spec(s))
 def verify_planarity_classification(res: VerificationResult, catalog: Catalog) -> Generator:
     """Planar graph <-> the group is one of the five listed abelian families,
@@ -347,7 +341,7 @@ def verify_planarity_classification(res: VerificationResult, catalog: Catalog) -
             )
 
 
-@_verifier("thm345-star-path-cycle")
+@_verifier("thm345-star-path-cycle", "catalog")
 def verify_star_path_cycle(res: VerificationResult, catalog: Catalog) -> Generator:
     """Star and path graphs occur exactly for cyclic p^3; a cycle exactly for cyclic p^4."""
     res.domain = f"default catalog, order <= {catalog.max_order}"
@@ -365,7 +359,7 @@ def verify_star_path_cycle(res: VerificationResult, catalog: Catalog) -> Generat
                 )
 
 
-@_verifier("cor-c1-girth")
+@_verifier("cor-c1-girth", "catalog")
 def verify_girth(res: VerificationResult, catalog: Catalog) -> Generator:
     """girth is always 3 or infinity."""
     res.domain = f"default catalog, order <= {catalog.max_order}"
@@ -387,19 +381,11 @@ def _order_in_small_set(m: int) -> bool:
     return False
 
 
-def subgroup_condition(ig: IntersectionGraph, reading: str) -> bool:
-    """The subgroup-side condition of the acyclicity equivalence, under one
-    quantifier reading ('some' or 'every' maximal proper cyclic subgroup has
-    order p, p^2 or pq), plus the pairwise-trivial-intersection clause."""
-    conditions = _subgroup_conditions(ig)
-    if reading not in conditions:
-        raise ValueError(f"unknown reading {reading!r}")
-    return conditions[reading]
-
-
 def _subgroup_conditions(ig: IntersectionGraph) -> dict[str, bool]:
-    """:func:`subgroup_condition` under both readings, from one pass over the
-    maximal subgroups and one over the special vertices."""
+    """The subgroup-side condition of the acyclicity equivalence under both
+    quantifier readings ('some' or 'every' maximal proper cyclic subgroup has
+    order p, p^2 or pq), plus the pairwise-trivial-intersection clause: one
+    pass over the maximal subgroups and one over the special vertices."""
     small = [_order_in_small_set(s.order) for s in maximal_among(ig.vertices)]
     special = [
         v for v, s in enumerate(ig.vertices)
@@ -413,7 +399,7 @@ def _subgroup_conditions(ig: IntersectionGraph) -> dict[str, bool]:
     return {"some": any(small) and clause_b, "every": all(small) and clause_b}
 
 
-@_verifier("thm7-acyclic-equivalences")
+@_verifier("thm7-acyclic-equivalences", "catalog")
 def verify_acyclic_equivalences(res: VerificationResult, catalog: Catalog) -> Generator:
     """acyclic <-> bipartite <-> triangle-free on every catalog graph.
 
@@ -451,7 +437,7 @@ def verify_acyclic_equivalences(res: VerificationResult, catalog: Catalog) -> Ge
     res.notes = "; ".join(parts)
 
 
-@_verifier("thm8-300-alpha-theta")
+@_verifier("thm8-300-alpha-theta", "catalog")
 def verify_alpha_theta(res: VerificationResult, catalog: Catalog) -> Generator:
     """independence number = clique cover number = number of prime-order subgroups."""
     res.domain = f"default catalog, order <= {catalog.max_order}, within solver caps"
@@ -470,7 +456,7 @@ def verify_alpha_theta(res: VerificationResult, catalog: Catalog) -> Generator:
             )
 
 
-@_verifier("t24-regular-zn")
+@_verifier("t24-regular-zn", "zn")
 def verify_regular_zn(res: VerificationResult, zn: ZnGraphs) -> Generator:
     """Regular graph <-> n is p^alpha with alpha >= 2, over nonempty Z_n graphs.
 
@@ -502,7 +488,7 @@ def zn_expected_degree(n: int, d: int) -> int:
     return tau(n) - 2 - coprime
 
 
-@_verifier("t24-degree-formula-zn")
+@_verifier("t24-degree-formula-zn", "zn")
 def verify_degree_formula_zn(res: VerificationResult, zn: ZnGraphs) -> Generator:
     res.domain = f"Z(n) for n <= {zn.max_n}, every vertex"
     while item := (yield):
@@ -519,10 +505,8 @@ def verify_degree_formula_zn(res: VerificationResult, zn: ZnGraphs) -> Generator
                 )
 
 
-@_verifier("t22-domination-zn")
-def verify_domination_zn(
-    res: VerificationResult, zn: ZnGraphs, node_budget: int = DEFAULT_NODE_BUDGET
-) -> Generator:
+@_verifier("t22-domination-zn", "zn")
+def verify_domination_zn(res: VerificationResult, zn: ZnGraphs) -> Generator:
     """Domination number of the Z_n graph: 1 when some exponent exceeds 1,
     2 when n is squarefree with >= 2 prime factors; primes are skipped."""
     res.domain = f"Z(n) for composite n <= {zn.max_n}"
@@ -530,13 +514,13 @@ def verify_domination_zn(
         n, _, g = item
         if g.n == 0:
             continue  # n prime
-        res.groups_tested += 1
         expect = 1 if any(a > 1 for _, a in factorize(n)) else 2
         try:
-            gamma = domination_number(g, node_budget)
+            gamma = domination_number(g, zn.node_budget)
         except SkippedSizeCap as exc:
             res.skipped.append(f"Z({n}): {exc}")
             continue
+        res.groups_tested += 1
         if gamma != expect:
             res.counterexamples.append((f"Z({n})", f"gamma={expect}", f"gamma={gamma}"))
 
@@ -561,20 +545,19 @@ def run_verifiers(
         for tid in ids:
             if tid not in THEOREM_IDS:
                 raise UnknownTheoremId(tid)
-    # one catalog and one source of Z_n graphs, each made only when a verifier
-    # reads it and streamed in one pass; each id gets its own result, in order
-    readers = [name for tid in ids for name in VERIFIERS[tid][1]]
-    inputs = {"seed": seed, "node_budget": node_budget}
-    if "catalog" in readers:
-        inputs["catalog"] = default_catalog(max_order, vertex_cap)
-    if "zn" in readers:
-        inputs["zn"] = ZnGraphs(max_n)
+    # one catalog and one source of Z_n graphs, each made when the first check
+    # that reads it is seen and streamed in one pass; each id gets its own result
     results, passes = [], {}
     for tid in ids:
-        check, names, takes = VERIFIERS[tid]
+        check, name, takes = VERIFIERS[tid]
+        if name not in passes:
+            source = (default_catalog(max_order, vertex_cap, seed) if name == "catalog"
+                      else ZnGraphs(max_n, node_budget))
+            passes[name] = (source, [])
+        source, checks = passes[name]
         res = VerificationResult(tid, "")
         results.append(res)
-        passes.setdefault(names[0], []).append((res, check(res, **{n: inputs[n] for n in names}), takes))
-    for source, checks in passes.items():
-        _stream(inputs[source], checks)
+        checks.append((res, check(res, source), takes))
+    for source, checks in passes.values():
+        _stream(source, checks)
     return results

@@ -33,21 +33,7 @@ from cycgraph.invariants import (
 )
 from cycgraph.planarity import is_planar
 from cycgraph.specs import Zs
-from cycgraph.theorems import (
-    ISO_GROUPS,
-    ISO_TRIALS,
-    ZnGraphs,
-    default_catalog,
-    verify_alpha_theta,
-    verify_degree_formula_zn,
-    verify_domination_zn,
-    verify_girth,
-    verify_iso_invariance_catalog,
-    verify_planarity_classification,
-    verify_regular_zn,
-    verify_star_path_cycle,
-    verify_totally_disconnected,
-)
+from cycgraph.theorems import ISO_GROUPS, ISO_TRIALS, run_verifiers
 
 
 def report(num, ok, desc, detail=""):
@@ -97,7 +83,7 @@ def test_criterion_01_complete_graph_formulas():
 
 def test_criterion_02_planarity_classification():
     t0 = time.perf_counter()
-    res = verify_planarity_classification(default_catalog(200))
+    res = run_verifiers(["thm16-planarity"], max_order=200)[0]
     elapsed = time.perf_counter() - t0
     # Z(p^2)xZ(p^2) has p+1 subgroups of order p and p(p+1) cyclic subgroups
     # of order p^2, each containing exactly one of the former: the graph is
@@ -136,7 +122,7 @@ def test_criterion_03_structure_spot_checks():
 
 def test_criterion_04_girth_dichotomy():
     t0 = time.perf_counter()
-    res = verify_girth(default_catalog(200))
+    res = run_verifiers(["cor-c1-girth"], max_order=200)[0]
     elapsed = time.perf_counter() - t0
     ok = res.passed and elapsed < 60
     report(4, ok, f"girth in {{3, inf}} over catalog(200), "
@@ -146,7 +132,7 @@ def test_criterion_04_girth_dichotomy():
 
 def test_criterion_05_alpha_theta_m():
     t0 = time.perf_counter()
-    res = verify_alpha_theta(default_catalog(150))
+    res = run_verifiers(["thm8-300-alpha-theta"], max_order=150)[0]
     elapsed = time.perf_counter() - t0
     ok = res.passed and res.groups_tested > 0 and elapsed < 120
     report(5, ok, f"alpha = theta = m over catalog(150), "
@@ -156,7 +142,7 @@ def test_criterion_05_alpha_theta_m():
 
 def test_criterion_06_regularity_zn():
     t0 = time.perf_counter()
-    res = verify_regular_zn(ZnGraphs(5000))
+    res = run_verifiers(["t24-regular-zn"], max_n=5000)[0]
     elapsed = time.perf_counter() - t0
     # deg(d) = tau(n) - 2 - prod_{p not dividing d}(a_p + 1) (criterion 07):
     # if some a_i >= 2, deg(n/p_i) = tau(n) - 3 differs from deg(p_j); if n
@@ -171,7 +157,7 @@ def test_criterion_06_regularity_zn():
 
 def test_criterion_07_degree_formula_zn():
     t0 = time.perf_counter()
-    res = verify_degree_formula_zn(ZnGraphs(2000))
+    res = run_verifiers(["t24-degree-formula-zn"], max_n=2000)[0]
     elapsed = time.perf_counter() - t0
     ok = res.passed and elapsed < 30
     report(7, ok, f"degree formula for Z_n, n <= 2000, "
@@ -181,7 +167,7 @@ def test_criterion_07_degree_formula_zn():
 
 def test_criterion_08_domination_zn():
     t0 = time.perf_counter()
-    res = verify_domination_zn(ZnGraphs(2000))
+    res = run_verifiers(["t22-domination-zn"], max_n=2000)[0]
     elapsed = time.perf_counter() - t0
     ok = res.passed and elapsed < 60
     report(8, ok, f"domination number of Z_n, composite n <= 2000, "
@@ -191,7 +177,7 @@ def test_criterion_08_domination_zn():
 
 def test_criterion_09_star_path_cycle():
     t0 = time.perf_counter()
-    res = verify_star_path_cycle(default_catalog(200))
+    res = run_verifiers(["thm345-star-path-cycle"], max_order=200)[0]
     elapsed = time.perf_counter() - t0
     ok = res.passed and elapsed < 60
     report(9, ok, f"star/path iff Z(p^3), cycle iff Z(p^4) over catalog(200), "
@@ -203,7 +189,7 @@ def test_criterion_10_totally_disconnected():
     t0 = time.perf_counter()
     ig = build(alternating(5))
     a5_ok = ig.n == 31 and ig.graph.edge_count() == 0
-    res = verify_totally_disconnected(default_catalog(200))
+    res = run_verifiers(["thm14-totally-disconnected"], max_order=200)[0]
     elapsed = time.perf_counter() - t0
     # All orders prime: distinct prime-order subgroups meet trivially, so no
     # edges.  g of composite order with <g> != G: <g> and its prime-order
@@ -269,7 +255,7 @@ def test_criterion_11c_solver_brute_force(small_catalog_graphs):
 
 def test_criterion_12_isomorphism_invariance():
     t0 = time.perf_counter()
-    res = verify_iso_invariance_catalog(default_catalog(100), seed=0)
+    res = run_verifiers(["thm13-iso-invariance"], max_order=100, seed=0)[0]
     elapsed = time.perf_counter() - t0
     ok = (ISO_TRIALS == 20 and ISO_GROUPS == 10
           and res.passed and res.groups_tested == 10 and not res.skipped and elapsed < 10)

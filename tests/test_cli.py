@@ -20,13 +20,14 @@ from cycgraph.cli import (
     EXIT_SKIP_ONLY,
     EXIT_THEOREM_FAILURE,
     EXIT_USAGE,
+    build_parser,
     main,
 )
 from cycgraph.cli import render_json
 from cycgraph.graphs import bits, build
-from cycgraph.groups import dicyclic, write_cayley_file
+from cycgraph.groups import ORDER_CAP, dicyclic, write_cayley_file
 from cycgraph.invariants import DEFAULT_NODE_BUDGET, compute_report
-from cycgraph.specs import parse_spec
+from cycgraph.specs import GroupSpec, parse_spec
 from cycgraph.theorems import default_catalog
 
 GOLDEN_Q8_DOT = """\
@@ -501,6 +502,24 @@ class TestUsage:
         assert exc.value.code == EXIT_USAGE
         assert "error: argument --max-order: must be >= 2" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["verify cor-c1-girth", "catalog"])
+    def test_max_order_above_the_order_cap_realizes_nothing(self, capsys, monkeypatch, command):
+        def no_realize(spec):
+            raise AssertionError(f"realized {spec.descriptor}")
+
+        monkeypatch.setattr(GroupSpec, "realize", no_realize)
+        with pytest.raises(SystemExit) as exc:
+            main([*command.split(), "--max-order", str(ORDER_CAP + 1)])
+        captured = capsys.readouterr()
+        assert exc.value.code == EXIT_USAGE and captured.out == ""
+        assert (f"error: argument --max-order: must be <= the order cap {ORDER_CAP}, "
+                f"got {ORDER_CAP + 1}") in captured.err
+
+    @pytest.mark.parametrize("command", ["verify all", "catalog"])
+    def test_max_order_at_the_order_cap_parses(self, command):
+        args = build_parser().parse_args([*command.split(), "--max-order", str(ORDER_CAP)])
+        assert args.max_order == ORDER_CAP == 20000
 
     @pytest.mark.parametrize("value", ["1", "-5"])
     def test_max_n_below_two(self, capsys, value):

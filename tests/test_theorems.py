@@ -8,29 +8,12 @@ from pathlib import Path
 import pytest
 
 from conftest import distinct_prime_pairs
-from cycgraph import theorems
+from cycgraph import groups, theorems
 from cycgraph.errors import UnknownTheoremId
 from cycgraph.invariants import graph_isomorphic
 from cycgraph.groups import alternating, cyclic, relabel
 from cycgraph.specs import GroupSpec, abelian_groups_of_order, is_cyclic_spec, parse_spec
-from cycgraph.theorems import (
-    THEOREM_IDS,
-    ZnGraphs,
-    default_catalog,
-    run_verifiers,
-    subgroup_condition,
-    verify_acyclic_equivalences,
-    verify_alpha_theta,
-    verify_complete,
-    verify_degree_formula_zn,
-    verify_domination_zn,
-    verify_girth,
-    verify_planarity_classification,
-    verify_regular_zn,
-    verify_star_path_cycle,
-    verify_totally_disconnected,
-    zn_expected_degree,
-)
+from cycgraph.theorems import THEOREM_IDS, default_catalog, run_verifiers, zn_expected_degree
 from cycgraph.graphs import Graph, IntersectionGraph, build, zn_divisor_graph
 
 
@@ -82,6 +65,12 @@ class TestCatalog:
         with pytest.raises(ValueError):
             default_catalog(1)
 
+    def test_rejects_bound_past_order_cap(self, monkeypatch):
+        monkeypatch.setattr(groups, "ORDER_CAP", 60)
+        assert max(s.order() for s in default_catalog(60)) == 60
+        with pytest.raises(ValueError, match="order cap 60"):
+            default_catalog(61)
+
 
 class TestVerifiers:
     def test_iso_invariance_checks_the_induced_map(self):
@@ -97,31 +86,31 @@ class TestVerifiers:
         assert theorems._relabelings_isomorphic(group, base, trials, seed=1) == []
 
     def test_totally_disconnected_counterexamples_are_semiprimes(self):
-        res = verify_totally_disconnected(default_catalog(60))
+        res = run_verifiers(["thm14-totally-disconnected"], max_order=60)[0]
         assert not res.passed
         bad = {c[0] for c in res.counterexamples}
         assert bad == {f"Z({n})" for n in SEMIPRIMES_60}
 
     def test_totally_disconnected_a5_ok(self):
-        res = verify_totally_disconnected(default_catalog(60))
+        res = run_verifiers(["thm14-totally-disconnected"], max_order=60)[0]
         assert "A(5)" not in {c[0] for c in res.counterexamples}
         ig = build(alternating(5))
         assert ig.n == 31 and ig.graph.edge_count() == 0
 
     def test_complete(self):
-        res = verify_complete(default_catalog(64))
+        res = run_verifiers(["thm15-complete"], max_order=64)[0]
         assert res.passed, res.counterexamples
 
     def test_star_path_cycle(self):
-        res = verify_star_path_cycle(default_catalog(100))
+        res = run_verifiers(["thm345-star-path-cycle"], max_order=100)[0]
         assert res.passed, res.counterexamples
 
     def test_girth(self):
-        res = verify_girth(default_catalog(60))
+        res = run_verifiers(["cor-c1-girth"], max_order=60)[0]
         assert res.passed, res.counterexamples
 
     def test_acyclic_equivalences(self):
-        res = verify_acyclic_equivalences(default_catalog(60))
+        res = run_verifiers(["thm7-acyclic-equivalences"], max_order=60)[0]
         assert res.passed, res.counterexamples
         assert "reading 'every' matches acyclicity on" in res.notes
         # the 'some' reading fails on groups of prime order, the 'every'
@@ -130,33 +119,30 @@ class TestVerifiers:
         assert f"'every' matches acyclicity on {n}/{n}" in res.notes
 
     def test_subgroup_condition_readings(self):
-        ig = build(cyclic(7))
-        assert subgroup_condition(ig, "every")  # vacuously true
-        assert not subgroup_condition(ig, "some")
-        with pytest.raises(ValueError):
-            subgroup_condition(ig, "most")
+        conditions = theorems._subgroup_conditions(build(cyclic(7)))
+        assert conditions == {"every": True, "some": False}  # 'every' holds vacuously
 
     def test_alpha_theta(self):
-        res = verify_alpha_theta(default_catalog(60))
+        res = run_verifiers(["thm8-300-alpha-theta"], max_order=60)[0]
         assert res.passed, res.counterexamples
         assert res.groups_tested > 40
 
     def test_planarity_classification_counterexample(self):
         # Z9 x Z9 falls outside the claimed planar list yet its graph is 4*K4
-        res = verify_planarity_classification(default_catalog(80))
+        res = run_verifiers(["thm16-planarity"], max_order=80)[0]
         assert res.passed
-        res = verify_planarity_classification(default_catalog(150))
+        res = run_verifiers(["thm16-planarity"], max_order=150)[0]
         assert not res.passed
         assert [c[0] for c in res.counterexamples] == ["Z(9)xZ(9)"]
 
     def test_regular_zn_counterexamples_are_semiprimes(self):
-        res = verify_regular_zn(ZnGraphs(60))
+        res = run_verifiers(["t24-regular-zn"], max_n=60)[0]
         assert not res.passed
         bad = {c[0] for c in res.counterexamples}
         assert bad == {f"Z({n})" for n in SEMIPRIMES_60}
 
     def test_degree_formula(self):
-        res = verify_degree_formula_zn(ZnGraphs(300))
+        res = run_verifiers(["t24-degree-formula-zn"], max_n=300)[0]
         assert res.passed, res.counterexamples
 
     def test_degree_formula_values(self):
@@ -166,8 +152,28 @@ class TestVerifiers:
         assert zn_expected_degree(30, 2) == 8 - 2 - 4
 
     def test_domination(self):
-        res = verify_domination_zn(ZnGraphs(300))
+        res = run_verifiers(["t22-domination-zn"], max_n=300)[0]
         assert res.passed, res.counterexamples
+
+    def test_domination_budget_skip_is_not_counted_as_tested(self):
+        # 27 composite n <= 40; at one solver node only Z(30) needs a search
+        composite = [n for n in range(2, 41) if zn_divisor_graph(n)[1].n]
+        assert len(composite) == 27
+        (res,) = run_verifiers(["t22-domination-zn"], max_n=40, node_budget=1)
+        assert res.skipped == ["Z(30): solver node budget exhausted"]
+        assert res.groups_tested == 26 and res.passed
+
+    def test_iso_invariance_seeds_come_from_the_catalog(self, monkeypatch):
+        seeds = []
+        relabelings_isomorphic = theorems._relabelings_isomorphic
+
+        def recorded(group, base, trials, seed):
+            seeds.append(seed)
+            return relabelings_isomorphic(group, base, trials, seed)
+
+        monkeypatch.setattr(theorems, "_relabelings_isomorphic", recorded)
+        (res,) = run_verifiers(["thm13-iso-invariance"], max_order=100, seed=5)
+        assert seeds == list(range(6, 16)) and res.groups_tested == 10
 
 
 class TestRunVerifiers:
@@ -307,23 +313,17 @@ class TestRegistry:
         }
         registered = [check.__name__ for check, _, _ in theorems.VERIFIERS.values()]
         assert sorted(registered) == sorted(defined)  # each name once, none missing
-        assert all(
-            defined[check.__name__].__wrapped__ is check
-            and inspect.isgeneratorfunction(check)
-            for check, _, _ in theorems.VERIFIERS.values()
-        )
+        for check, source, _ in theorems.VERIFIERS.values():
+            assert defined[check.__name__] is check and inspect.isgeneratorfunction(check)
+            assert source in ("catalog", "zn")
 
     def test_inputs_are_the_run_inputs(self, monkeypatch):
         registry = dict(theorems.VERIFIERS)
-        for tid, (check, names, _) in registry.items():
-            assert set(names) <= {"catalog", "zn", "seed", "node_budget"}
-            assert names[0] in ("catalog", "zn")  # the source the check streams over
-            assert tuple(inspect.signature(getattr(theorems, check.__name__)).parameters) == names
         got = {}
 
         def stub(tid):
-            def check(res, **kwargs):
-                got[tid] = kwargs
+            def check(res, source):
+                got[tid] = source
                 res.domain = tid
                 while (yield):
                     res.groups_tested += 1
@@ -331,15 +331,19 @@ class TestRegistry:
 
         monkeypatch.setattr(
             theorems, "VERIFIERS",
-            {tid: (stub(tid), names, takes) for tid, (_, names, takes) in registry.items()},
+            {tid: (stub(tid), source, takes) for tid, (_, source, takes) in registry.items()},
         )
-        results = run_verifiers("all", max_order=10, max_n=20, seed=3, node_budget=7)
-        assert {tid: tuple(kw) for tid, kw in got.items()} == {
-            tid: names for tid, (_, names, _) in registry.items()
+        results = run_verifiers("all", max_order=10, max_n=20, seed=3, vertex_cap=50, node_budget=7)
+        catalog, zn = (
+            next(got[tid] for tid, (_, source, _) in registry.items() if source == name)
+            for name in ("catalog", "zn")
+        )
+        # each source is made once, carries the run options, and reaches each of its readers
+        assert {tid: got[tid] for tid in got} == {
+            tid: catalog if source == "catalog" else zn for tid, (_, source, _) in registry.items()
         }
-        supplied = {k: v for kw in got.values() for k, v in kw.items()}
-        assert supplied["catalog"].max_order == 10 and supplied["zn"].max_n == 20
-        assert (supplied["seed"], supplied["node_budget"]) == (3, 7)
+        assert (catalog.max_order, catalog.vertex_cap, catalog.seed) == (10, 50, 3)
+        assert (zn.max_n, zn.node_budget) == (20, 7)
         # every stub was sent the items of its own source
         tested = {r.theorem_id: r.groups_tested for r in results}
         assert tested["t24-regular-zn"] == 19 and tested["cor-c1-girth"] == len(default_catalog(10))
@@ -349,16 +353,15 @@ class TestRegistry:
             raise AssertionError("a Z_n-only run built the catalog")
 
         monkeypatch.setattr(theorems, "default_catalog", no_catalog)
-        zn_ids = [tid for tid, (_, names, _) in theorems.VERIFIERS.items() if "zn" in names]
+        zn_ids = [tid for tid, (_, source, _) in theorems.VERIFIERS.items() if source == "zn"]
         results = run_verifiers(zn_ids, max_n=30)
         assert [r.theorem_id for r in results] == zn_ids and all(r.groups_tested for r in results)
         with pytest.raises(AssertionError, match="built the catalog"):
             run_verifiers(["thm15-complete"], max_n=30)
 
-    def test_direct_call_reports_its_own_id(self):
-        inputs = {"catalog": default_catalog(12), "zn": ZnGraphs(30), "seed": 0, "node_budget": 1000}
-        for tid, (check, names, _) in theorems.VERIFIERS.items():
-            res = getattr(theorems, check.__name__)(*(inputs[name] for name in names))
+    def test_each_id_alone_reports_its_own_id(self):
+        for tid in THEOREM_IDS:
+            (res,) = run_verifiers([tid], max_order=12, max_n=30, node_budget=1000)
             assert res.theorem_id == tid and res.domain
             assert res.elapsed > 0 and res.passed == (not res.counterexamples)
 
@@ -402,7 +405,7 @@ def built(monkeypatch):
 
 class TestSharedPass:
     CATALOG_IDS = [
-        tid for tid, (_, inputs, _) in theorems.VERIFIERS.items() if "catalog" in inputs
+        tid for tid, (_, source, _) in theorems.VERIFIERS.items() if source == "catalog"
     ]
 
     def test_all_equals_each_alone(self):
