@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import locale  # noqa: F401  (see below)
 import sys
 from typing import Iterable
 
@@ -24,11 +25,15 @@ from .specs import parse_spec
 from .subgroups import CyclicSubgroup
 from .theorems import THEOREM_IDS, default_catalog, run_verifiers
 
-# What the imports made (networkx, argparse, this package) lives as long as the
+# What the imports made (argparse, json, this package) lives as long as the
 # process: move it out of the collector's view once, here, so that no full
 # collection walks it again.  Not per ``main`` call, which would freeze what each
-# call leaves behind.  numpy is not among them: it is imported on the first
-# Cayley-table read, and a run that reads none never loads it.
+# call leaves behind.  ``locale`` is among them because argparse's gettext
+# imports it on the first parser build, which every call makes; imported here,
+# a process forked after this import does not import it again (~2 ms).  Neither
+# numpy nor networkx is among them: numpy is imported on the first Cayley-table
+# read, networkx on the first ``graph_isomorphic`` call, and no CLI call makes
+# that one.
 gc.freeze()
 
 EXIT_OK = 0

@@ -25,8 +25,6 @@ from dataclasses import dataclass, field, fields
 from functools import reduce
 from operator import or_
 
-import networkx as nx
-
 from .errors import EmptyGraphError, SkippedSizeCap
 from .graphs import Graph, bits
 from .planarity import is_planar
@@ -384,7 +382,12 @@ def domination_number(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
 # --- graph isomorphism --------------------------------------------------------
 
 def graph_isomorphic(g1: Graph, g2: Graph) -> bool:
-    """Exact isomorphism test at any size: networkx's VF2 on every vertex, isolated ones included."""
+    """Exact isomorphism test at any size: networkx's VF2 on every vertex, isolated ones included.
+
+    networkx is imported here, on the first call, and not with the package:
+    no CLI route calls this, so no CLI call loads it."""
+    import networkx as nx
+
     h1, h2 = (nx.Graph({v: list(bits(a)) for v, a in enumerate(g.adj)}) for g in (g1, g2))
     return nx.is_isomorphic(h1, h2)
 

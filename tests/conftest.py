@@ -9,8 +9,8 @@ oracle uses plain trial division rather than cycgraph.arith, the
 intersection graph oracle intersects element sets pair by pair rather than
 using prime-order subgroups, the Z_n divisor graph oracle tests gcd(d, e)
 for every pair of divisors rather than taking prime cliques, and the
-planarity oracle searches for a K5 or K3,3 minor rather than running
-networkx's embedding test.
+planarity oracle searches for a K5 or K3,3 minor rather than embedding
+paths face by face as ``is_planar``'s path-addition test does.
 """
 
 from itertools import combinations

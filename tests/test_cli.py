@@ -421,31 +421,56 @@ class TestVerify:
         assert without_timings(first[1]) == without_timings(fresh.stdout)
 
 
+def fresh_calls(module: str, calls: list[str], after: str = "") -> list[str]:
+    """In one fresh interpreter, import cycgraph.cli and make each CLI call in
+    turn; the output has one line per step, the exit code (0 for the import)
+    and whether ``module`` is loaded, then whatever the ``after`` code prints."""
+    script = f"""
+import contextlib, io, sys
+import cycgraph.cli as cli
+print(0, {module!r} in sys.modules)
+for argv in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(argv.split(" "))
+    print(rc, {module!r} in sys.modules)
+{after}
+"""
+    env = dict(os.environ)
+    src = str(Path(cycgraph.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script, *calls],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split("\n")
+
+
 class TestStartup:
     def test_numpy_is_imported_only_for_a_cayley_table(self, tmp_path):
         # one fresh interpreter: the import and every built-in call leave numpy
         # unloaded (the verify call relabels groups); the first table read loads it
         path = tmp_path / "dic3.txt"
         write_cayley_file(dicyclic(3), str(path))
-        script = """
-import contextlib, io, sys
-import cycgraph.cli as cli
-print(0, "numpy" in sys.modules)
-for argv in sys.argv[1:]:
-    with contextlib.redirect_stdout(io.StringIO()):
-        rc = cli.main(argv.split(" "))
-    print(rc, "numpy" in sys.modules)
-"""
         calls = ["verify thm13-iso-invariance --max-order 30", "analyze S(4)",
                  "export Z(4)xZ(2)", "catalog --max-order 30", f"export file:cayley:{path}"]
-        env = dict(os.environ)
-        src = str(Path(cycgraph.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", script, *calls],
-                              capture_output=True, text=True, env=env, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split("\n") == [
+        assert fresh_calls("numpy", calls) == [
             "0 False", "0 False", "0 False", "0 False", "0 False", "0 True", ""]
+
+    def test_networkx_is_imported_only_for_graph_isomorphic(self):
+        # one fresh interpreter: planarity is decided in-house, so the import
+        # and every built-in call (thm16 and analyze both decide planarity)
+        # leave networkx unloaded; graph_isomorphic then loads it
+        calls = ["verify thm16-planarity --max-order 60", "analyze S(5)", "analyze Z(30)",
+                 "export Z(4)xZ(2)", "catalog --max-order 30"]
+        after = """
+from cycgraph.graphs import Graph
+from cycgraph.invariants import graph_isomorphic
+path, star = Graph(4, [(0, 1), (1, 2), (2, 3)]), Graph(4, [(0, 1), (0, 2), (0, 3)])
+print(graph_isomorphic(path, Graph(4, [(2, 0), (0, 3), (3, 1)])),
+      graph_isomorphic(path, star), "networkx" in sys.modules)
+"""
+        assert fresh_calls("networkx", calls, after) == [
+            "0 False", "0 False", "0 False", "0 False", "0 False", "0 False",
+            "True False True", ""]
 
 
 class TestCatalog:

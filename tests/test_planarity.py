@@ -1,10 +1,12 @@
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    PRODUCTS,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -17,6 +19,8 @@ from cycgraph.errors import SkippedSizeCap
 from cycgraph.graphs import Graph, build
 from cycgraph.groups import cyclic, direct_product
 from cycgraph.planarity import is_planar
+from cycgraph.specs import parse_spec
+from cycgraph.theorems import default_catalog
 
 
 def octahedron() -> Graph:
@@ -38,6 +42,47 @@ def wheel_on_odd_labels(with_k33: bool) -> Graph:
     if with_k33:
         edges += [(u, v) for u in (0, 2, 4) for v in (6, 8, 10)]
     return Graph(12, edges)
+
+
+def networkx_planar(g: Graph) -> bool:
+    """networkx's left-right embedding test on the whole graph: a test-only oracle."""
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return nx.check_planarity(h, counterexample=False)[0]
+
+
+def random_triangulation(rng: random.Random, n: int) -> set[tuple[int, int]]:
+    """The edges of a random maximal planar graph on n >= 3 vertices: each new
+    vertex goes into a random triangle, then 2n random edge flips mix it."""
+    third: dict[tuple[int, int], int] = {}  # directed edge -> the rest of its face
+
+    def face(a, b, c, add=True):
+        for e, x in (((a, b), c), ((b, c), a), ((c, a), b)):
+            if add:
+                third[e] = x
+            else:
+                del third[e]
+
+    face(0, 1, 2)
+    face(0, 2, 1)
+    for v in range(3, n):
+        a, b = rng.choice(list(third))
+        c = third[a, b]
+        face(a, b, c, add=False)
+        face(a, b, v)
+        face(b, c, v)
+        face(c, a, v)
+    for _ in range(2 * n):
+        a, b = rng.choice(list(third))
+        c, d = third[a, b], third[b, a]
+        if c == d or (c, d) in third:
+            continue
+        face(a, b, c, add=False)
+        face(b, a, d, add=False)
+        face(c, a, d)
+        face(d, b, c)
+    return {(a, b) for a, b in third if a < b}
 
 
 PLANAR = [
@@ -136,6 +181,53 @@ class TestDualRouteAgreement:
         pairs = [(u, v) for u in range(9) for v in range(u + 1, 9)]
         g = Graph(9, [p for i, p in enumerate(pairs) if edge_bits >> i & 1])
         assert is_planar(g) == kuratowski_oracle(g)
+
+
+class TestNetworkxOracle:
+    """is_planar against networkx's embedding test, on graphs that reach the
+    path-addition test: those of the conftest products hold blocks of up to
+    36 edges, and most are not planar."""
+
+    def test_group_graphs(self):
+        specs = [*default_catalog(400), *map(parse_spec, [*PRODUCTS, "S(6)", "A(7)", "D(6)xD(6)"])]
+        verdicts = set()
+        for spec in specs:
+            g = build(spec.realize()).graph
+            verdict = is_planar(g)
+            assert verdict == networkx_planar(g), spec.descriptor
+            verdicts.add(verdict)
+        assert verdicts == {True, False}
+
+    def test_random_graphs(self):
+        rng = random.Random(2015)
+        verdicts = []
+        for _ in range(400):
+            n = rng.randint(5, 14)
+            p = rng.uniform(0.15, 0.6)
+            g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+            verdicts.append(is_planar(g))
+            assert verdicts[-1] == networkx_planar(g), g.edges()
+        assert 100 <= sum(verdicts) <= 300
+
+    def test_random_triangulations(self):
+        # delete up to a third of the edges, add one or two, and relabel; nearly
+        # all reach the path-addition test, and most of them are then not planar
+        rng = random.Random(1964)
+        verdicts = []
+        for _ in range(150):
+            n = rng.randint(5, 120)
+            edges = sorted(random_triangulation(rng, n))
+            assert len(edges) == 3 * n - 6
+            rng.shuffle(edges)
+            kept = set(edges[rng.randint(0, len(edges) // 3):])
+            for _ in range(rng.randint(1, 2)):
+                u, v = sorted(rng.sample(range(n), 2))
+                kept.add((u, v))
+            label = rng.sample(range(n), n)
+            g = Graph(n, [(label[u], label[v]) for u, v in kept])
+            verdicts.append(is_planar(g))
+            assert verdicts[-1] == networkx_planar(g), g.edges()
+        assert 10 <= sum(verdicts) <= 140
 
 
 class TestGroupGraphs:
