@@ -30,15 +30,12 @@ from .groups import (
     dihedral,
     direct_product,
     element_order,
-    elementary_abelian,
     from_cayley_table,
     from_permutation_generators,
-    is_cyclic_group,
     read_cayley_file,
     read_permutation_file,
     relabel,
     symmetric,
-    write_cayley_file,
 )
 from .specs import GroupSpec, Zs, abelian_groups_of_order, parse_spec
 from .subgroups import (

@@ -18,7 +18,7 @@ import sys
 from typing import Iterable
 
 from . import __version__, groups
-from .errors import CycgraphError, UnknownTheoremId
+from .errors import CycgraphError
 from .graphs import DEFAULT_VERTEX_CAP, IntersectionGraph, build
 from .invariants import DEFAULT_NODE_BUDGET, compute_report
 from .specs import parse_spec
@@ -294,9 +294,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UnknownTheoremId as exc:
-        print(f"error: unknown theorem id {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_USAGE

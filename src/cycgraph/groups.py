@@ -11,13 +11,12 @@ relabeled copy of one included, has none and is walked, and the walk is the
 closed forms' test oracle.  Only a Cayley table given as input is stored: as
 a compact array of the least unsigned dtype that holds 0..n-1, each row
 turned into the list its rule looks up the first time it is read.
-``cayley_table`` derives the table from the rule, for every group alike.
 User tables are parsed into an int64 array and every group axiom is checked
 with numpy at every order; associativity exactly, by Light's test on a
 generating set (Clifford & Preston, *The Algebraic Theory of Semigroups* I,
 section 1.2).  No group may exceed ``ORDER_CAP`` elements.  numpy is
-imported only inside the functions that read, check or derive a table, so a
-run that never touches one does not load it.
+imported only inside the functions that read or check a table, so a run
+that never touches one does not load it.
 """
 
 from __future__ import annotations
@@ -78,37 +77,6 @@ class FiniteGroup:
 
     def __repr__(self):
         return f"FiniteGroup({self.descriptor}, order={self.order})"
-
-    def cayley_table(self) -> list[list[int]]:
-        """The full multiplication table, derived from the rule on each call.
-
-        Row a is left multiplication by a.  Generators are picked greedily, each
-        the least element not yet reached, and their rows cost n calls to
-        ``mul`` each; every other row follows by associativity, which the rule
-        must have: row[s*a] = row[s][row[a]], walking breadth-first from the
-        identity.  Each new generator at least doubles the reached subgroup,
-        so ``mul`` is called at most n * floor(log2 n) times.  The table is a
-        fresh copy, so changing it leaves the group as it was.
-        """
-        import numpy as np
-
-        n, mul = self.order, self.mul
-        rows = np.empty((n, n), dtype=np.int64)
-        rows[self.identity] = np.arange(n)
-        reached, seen, gens = [self.identity], [False] * n, []
-        seen[self.identity] = True
-        while len(reached) < n:
-            g = seen.index(False)
-            rows[g] = [mul(g, b) for b in range(n)]
-            gens.append(g)
-            for a in reached:                   # grows while it is walked
-                for s in gens:
-                    x = int(rows[s, a])
-                    if not seen[x]:
-                        seen[x] = True
-                        rows[x] = rows[s][rows[a]]
-                        reached.append(x)
-        return rows.tolist()
 
 
 # --- validation -------------------------------------------------------------
@@ -368,15 +336,6 @@ def alternating(n: int) -> FiniteGroup:
     return from_permutation_generators(n, gens, descriptor=f"A({n})")
 
 
-def elementary_abelian(p: int, k: int) -> FiniteGroup:
-    if k < 1:
-        raise ValueError("elementary_abelian(p, k) needs k >= 1")
-    g = cyclic(p)
-    for _ in range(k - 1):
-        g = direct_product(g, cyclic(p))
-    return g
-
-
 # --- element-level operations ----------------------------------------------
 
 def element_order(group: FiniteGroup, g: int) -> int:
@@ -389,14 +348,6 @@ def element_order(group: FiniteGroup, g: int) -> int:
         x = mul(x, g)
         k += 1
     return k
-
-
-def element_orders(group: FiniteGroup) -> list[int]:
-    return [element_order(group, g) for g in range(group.order)]
-
-
-def is_cyclic_group(group: FiniteGroup) -> bool:
-    return any(element_order(group, g) == group.order for g in range(group.order))
 
 
 def relabel(group: FiniteGroup, perm: Sequence[int]) -> FiniteGroup:
@@ -457,24 +408,15 @@ def read_cayley_file(path: str) -> FiniteGroup:
     return from_cayley_table(table.reshape(n, n), descriptor=descriptor)
 
 
-def write_cayley_file(group: FiniteGroup, path: str) -> None:
-    n = group.order
-    table = group.cayley_table()
-    with open(path, "w") as fh:
-        fh.write(f"{n}\n")
-        for row in table:
-            fh.write(" ".join(map(str, row)) + "\n")
-
-
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
-def parse_cycle_notation(text: str, degree: int) -> tuple[int, ...]:
-    """One permutation in cycle notation over 0-based points, e.g. '(0 1 2)(3 4)'."""
+def _cycle_map(text: str, degree: int) -> dict[int, int]:
+    """One permutation in cycle notation as a map from each point its cycles name
+    to that point's image; every point it does not name is fixed."""
     if _CYCLE_RE.sub("", re.sub(r"\s", "", text)) != "":
         raise InvalidPermutation(f"malformed cycle notation: {text!r}")
-    perm = list(range(degree))
-    seen: set[int] = set()
+    image: dict[int, int] = {}
     for cyc in _CYCLE_RE.findall(text):
         try:
             pts = [int(tok) for tok in cyc.split()]
@@ -484,19 +426,27 @@ def parse_cycle_notation(text: str, degree: int) -> tuple[int, ...]:
             continue
         if any(not (0 <= p < degree) for p in pts):
             raise InvalidPermutation(f"bad cycle {cyc!r} for degree {degree}")
-        if len(set(pts)) != len(pts) or seen & set(pts):
+        if len(set(pts)) != len(pts) or not image.keys().isdisjoint(pts):
             raise InvalidPermutation(f"repeated point in {text!r}")
-        seen |= set(pts)
-        for a, b in zip(pts, pts[1:]):
-            perm[a] = b
-        perm[pts[-1]] = pts[0]
+        image.update(zip(pts, pts[1:] + pts[:1]))
+    return image
+
+
+def parse_cycle_notation(text: str, degree: int) -> tuple[int, ...]:
+    """One permutation in cycle notation over 0-based points, e.g. '(0 1 2)(3 4)'."""
+    perm = list(range(degree))
+    for a, b in _cycle_map(text, degree).items():
+        perm[a] = b
     return tuple(perm)
 
 
 def read_permutation_file(path: str) -> FiniteGroup:
     """Permutation-generator file: line 1 is the degree, one generator per line after.
 
-    The file must be UTF-8 text.
+    The file must be UTF-8 text.  Only the points the cycles name are kept,
+    renumbered in ascending order: every other point is fixed by the group,
+    and the closure drops fixed points anyway, so every index is the same as
+    on the full degree while the cost follows the named points, not the degree.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -513,7 +463,10 @@ def read_permutation_file(path: str) -> FiniteGroup:
     if degree < 0:
         raise InvalidPermutation(f"{path}: degree must be >= 0, found {degree}")
     try:
-        gens = [parse_cycle_notation(ln, degree) for ln in lines[1:]]
+        maps = [_cycle_map(ln, degree) for ln in lines[1:]]
     except InvalidPermutation as exc:
         raise InvalidPermutation(f"{path}: {exc}") from None
-    return from_permutation_generators(degree, gens, descriptor=f"perm-file:{path}")
+    points = sorted(set().union(*maps))
+    pos = {p: k for k, p in enumerate(points)}
+    gens = [tuple(pos[m.get(p, p)] for p in points) for m in maps]
+    return from_permutation_generators(len(points), gens, descriptor=f"perm-file:{path}")

@@ -269,23 +269,19 @@ def simplicial_cover(g: Graph) -> int | None:
     return k if covered == (1 << g.n) - 1 else None
 
 
-def _certified_cover(g: Graph) -> int:
+def independence_number(g: Graph) -> int:
+    """Exact maximum independent set size, by the simplicial-cover certificate;
+    raises SkippedSizeCap on a graph without one."""
     k = simplicial_cover(g)
     if k is None:
         raise SkippedSizeCap("no simplicial-cover certificate")
     return k
 
 
-def independence_number(g: Graph) -> int:
-    """Exact maximum independent set size, by the simplicial-cover certificate;
-    raises SkippedSizeCap on a graph without one."""
-    return _certified_cover(g)
-
-
 def clique_cover_number(g: Graph) -> int:
-    """Exact clique cover number, by the simplicial-cover certificate; raises
+    """Exact clique cover number, equal to alpha by the same certificate; raises
     SkippedSizeCap on a graph without one."""
-    return _certified_cover(g)
+    return independence_number(g)
 
 
 def _two_packing(closed: list[int], vertices: Iterable[int]) -> list[int]:
@@ -465,7 +461,7 @@ def compute_report(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> Invarian
     # alpha and theta share one certificate, so one solver call sets both fields
     for names, solver in (
         (("is_regular",), lambda h: _regular(degs)),
-        (("independence_number", "clique_cover_number"), _certified_cover),
+        (("independence_number", "clique_cover_number"), independence_number),
         (("domination_number",), lambda h: domination_number(h, node_budget)),
     ):
         try:

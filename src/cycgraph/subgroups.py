@@ -29,9 +29,6 @@ class CyclicSubgroup(NamedTuple):
     elements: tuple[int, ...]
     order: int
 
-    def contains(self, other: "CyclicSubgroup") -> bool:
-        return set(other.elements) <= set(self.elements)
-
 
 def cyclic_subgroups(group: FiniteGroup) -> list[CyclicSubgroup]:
     """All proper nontrivial cyclic subgroups, deduplicated and canonically
@@ -248,9 +245,8 @@ def prime_order_subgroup_count(group: FiniteGroup) -> int:
 def maximal_cyclic_subgroups(group: FiniteGroup) -> list[CyclicSubgroup]:
     """Maximal elements, under inclusion, among the proper cyclic subgroups.
 
-    When G itself is cyclic the unique maximal cyclic subgroup of G is G,
-    which is not a vertex; callers needing that case should also consult
-    :func:`cycgraph.groups.is_cyclic_group`.
+    G itself is never listed, not even when G is cyclic: then the list holds
+    G's maximal proper subgroups.
     """
     return maximal_among(cyclic_subgroups(group))
 

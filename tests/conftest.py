@@ -20,6 +20,7 @@ import pytest
 
 from cycgraph.errors import SkippedSizeCap
 from cycgraph.graphs import Graph, bits, build
+from cycgraph.groups import element_order
 from cycgraph.specs import parse_spec
 from cycgraph.theorems import default_catalog
 
@@ -29,6 +30,27 @@ PRODUCTS = (
     "Q(16)xZ(3)", "D(6)xD(3)", "S(4)xZ(3)", "A(5)xZ(2)",
 )
 
+
+
+# --- groups as tables ------------------------------------------------------------
+
+def table_of(group) -> list[list[int]]:
+    """The group's Cayley table read off its rule, one ``mul`` call per entry."""
+    n, mul = group.order, group.mul
+    return [[mul(a, b) for b in range(n)] for a in range(n)]
+
+
+def write_table_file(group, path) -> None:
+    """The group's table in the Cayley-table file format: n, then n rows."""
+    with open(path, "w") as fh:
+        fh.write(f"{group.order}\n")
+        for row in table_of(group):
+            fh.write(" ".join(map(str, row)) + "\n")
+
+
+def element_orders(group) -> list[int]:
+    """The order of each element, by ``groups.element_order``."""
+    return [element_order(group, g) for g in range(group.order)]
 
 
 # --- named graphs ---------------------------------------------------------------
@@ -217,7 +239,6 @@ def brute_girth(g: Graph) -> float:
             if v in dist:
                 best = min(best, dist[v] + 1)
     return best
-
 
 
 #: most vertices per component kuratowski_oracle searches; a larger one is skipped

@@ -15,6 +15,7 @@ import jsonschema
 import pytest
 
 import cycgraph
+from conftest import write_table_file
 from cycgraph.cli import (
     EXIT_OK,
     EXIT_SKIP_ONLY,
@@ -25,7 +26,7 @@ from cycgraph.cli import (
 )
 from cycgraph.cli import render_json
 from cycgraph.graphs import bits, build
-from cycgraph.groups import ORDER_CAP, dicyclic, write_cayley_file
+from cycgraph.groups import ORDER_CAP, dicyclic
 from cycgraph.invariants import DEFAULT_NODE_BUDGET, compute_report
 from cycgraph.specs import GroupSpec, parse_spec
 from cycgraph.theorems import default_catalog
@@ -179,7 +180,7 @@ class TestExport:
         ]:
             (tmp_path / folder).mkdir(exist_ok=True)
             path = str(tmp_path / folder / name)
-            write_cayley_file(dicyclic(2), path)
+            write_table_file(dicyclic(2), path)
             rc, out = run(capsys, "export", f"file:cayley:{path}", "--format", "dot")
             assert rc == EXIT_OK
             header, *body = out.splitlines(keepends=True)
@@ -233,7 +234,7 @@ class TestExport:
 
     def test_cayley_file_round_trip(self, tmp_path, capsys):
         path = str(tmp_path / "q8.txt")
-        write_cayley_file(dicyclic(2), path)
+        write_table_file(dicyclic(2), path)
         rc, out = run(capsys, "export", f"file:cayley:{path}", "--format", "json")
         assert rc == EXIT_OK
         payload = json.loads(out)
@@ -328,7 +329,7 @@ class TestJsonBytes:
         folder = tmp_path / 'q"\\é'
         folder.mkdir()
         path = str(folder / "q8.txt")
-        write_cayley_file(dicyclic(2), path)
+        write_table_file(dicyclic(2), path)
         spec = f"file:cayley:{path}"
         ig = build(parse_spec(spec).realize())
         assert '"' in ig.source_descriptor and "\\" in ig.source_descriptor
@@ -352,8 +353,10 @@ class TestVerify:
         assert "counterexample Z(6)" in out
 
     def test_unknown_id(self, capsys):
-        rc, _ = run(capsys, "verify", "bogus-id")
-        assert rc == EXIT_USAGE
+        assert main(["verify", "thm99"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == "error: unknown theorem id thm99\n"
+        assert captured.out == ""
 
     def test_skip_only(self, capsys):
         # n <= 3 leaves no nonempty Z_n graph to test, so nothing is verified
@@ -449,7 +452,7 @@ class TestStartup:
         # one fresh interpreter: the import and every built-in call leave numpy
         # unloaded (the verify call relabels groups); the first table read loads it
         path = tmp_path / "dic3.txt"
-        write_cayley_file(dicyclic(3), str(path))
+        write_table_file(dicyclic(3), str(path))
         calls = ["verify thm13-iso-invariance --max-order 30", "analyze S(4)",
                  "export Z(4)xZ(2)", "catalog --max-order 30", f"export file:cayley:{path}"]
         assert fresh_calls("numpy", calls) == [

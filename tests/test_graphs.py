@@ -15,7 +15,8 @@ from conftest import (
 )
 from cycgraph.errors import VertexCapExceeded
 from cycgraph.graphs import Graph, bits, build, zn_divisor_graph
-from cycgraph.groups import cyclic, dicyclic, elementary_abelian, symmetric
+from cycgraph.groups import cyclic, dicyclic, symmetric
+from cycgraph.specs import parse_spec
 from cycgraph.theorems import default_catalog
 
 
@@ -96,7 +97,7 @@ class TestBuild:
         assert build(cyclic(5)).n == 0
 
     def test_elementary_abelian_edgeless(self):
-        ig = build(elementary_abelian(3, 2))
+        ig = build(parse_spec("Z(3)xZ(3)").realize())
         assert ig.n == 4
         assert ig.graph.edge_count() == 0
 
@@ -123,7 +124,8 @@ class TestBuild:
 
     def test_matches_pairwise_oracle(self, catalog_240_and_products):
         graphs = [(desc, ig) for desc, _, ig in catalog_240_and_products]
-        graphs += [("S(6)", build(symmetric(6))), ("Z(2)^9", build(elementary_abelian(2, 9)))]
+        graphs += [("S(6)", build(symmetric(6))),
+                   ("Z(2)^9", build(parse_spec("x".join(["Z(2)"] * 9)).realize()))]
         for desc, ig in graphs:
             assert ig.graph == pairwise_adjacency(ig.vertices), desc
 

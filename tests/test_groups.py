@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import pairwise_adjacency
+from conftest import element_orders, pairwise_adjacency, table_of, write_table_file
 from cycgraph import groups
 from cycgraph.cli import main as cli_main
 from cycgraph.errors import (
@@ -27,18 +27,14 @@ from cycgraph.groups import (
     dihedral,
     direct_product,
     element_order,
-    element_orders,
-    elementary_abelian,
     from_cayley_table,
     from_permutation_generators,
-    is_cyclic_group,
     parse_cycle_notation,
     read_cayley_file,
     read_permutation_file,
     relabel,
     symmetric,
     validate_table,
-    write_cayley_file,
 )
 from cycgraph.graphs import build
 from cycgraph.specs import parse_spec
@@ -97,14 +93,11 @@ class TestValidation:
 
     def test_constructed_families_are_groups(self):
         for group in (dihedral(6), dicyclic(3), symmetric(4), cyclic(9)):
-            assert validate_table(group.cayley_table()) == group.identity
+            assert validate_table(table_of(group)) == group.identity
 
     def test_group_is_its_rule(self):
         g = FiniteGroup(2, lambda a, b: (a + b) % 2, 0, "z2")
         assert g.mul(1, 1) == 0
-        t = g.cayley_table()
-        t[0][0] = -1
-        assert g.cayley_table() == [[0, 1], [1, 0]]
         assert g.__slots__ == ("order", "identity", "descriptor", "mul", "family")  # no table is kept
         # family is at most a (kind, param) pair, never a table
         assert g.family is None
@@ -113,35 +106,13 @@ class TestValidation:
         z2, s3 = cyclic(2), symmetric(3)
         assert direct_product(z2, s3).family == ("product", (z2, s3))
 
-        calls = []
-
-        def counted(group):
-            mul = group.mul
-
-            def rule(a, b):
-                calls.append((a, b))
-                return mul(a, b)
-
-            return FiniteGroup(group.order, rule, group.identity, group.descriptor)
-
-        d = dihedral(450)
-        perm = list(range(d.order))
-        random.Random(5).shuffle(perm)
-        for group in (d, relabel(from_cayley_table(d.cayley_table()), perm)):
-            n, g = group.order, counted(group)
-            expected = group.cayley_table()
-            for _ in range(2):  # rebuilt from the rule on each call
-                calls.clear()
-                assert g.cayley_table() == expected
-                assert 0 < len(calls) <= n * (n.bit_length() - 1)  # n * floor(log2 n)
-
 
 class TestFamilies:
     @pytest.mark.parametrize("n", [1, 2, 7, 12, 60])
     def test_cyclic_order_and_structure(self, n):
         g = cyclic(n)
         assert g.order == n
-        assert is_cyclic_group(g)
+        assert n in element_orders(g)
 
     def test_dihedral(self):
         for n in (3, 4, 6, 10):
@@ -179,11 +150,11 @@ class TestFamilies:
     def test_direct_product(self):
         g = direct_product(cyclic(4), cyclic(2))
         assert g.order == 8
-        assert not is_cyclic_group(g)
-        assert is_cyclic_group(direct_product(cyclic(3), cyclic(4)))
+        assert 8 not in element_orders(g)
+        assert 12 in element_orders(direct_product(cyclic(3), cyclic(4)))
 
     def test_elementary_abelian(self):
-        g = elementary_abelian(3, 2)
+        g = parse_spec("Z(3)xZ(3)").realize()
         assert g.order == 9
         assert all(m in (1, 3) for m in element_orders(g))
 
@@ -255,7 +226,7 @@ class TestRelabel:
     def test_identity_permutation(self):
         g = cyclic(6)
         h = relabel(g, list(range(6)))
-        assert h.cayley_table() == g.cayley_table()
+        assert table_of(h) == table_of(g)
 
     def test_preserves_order_multiset(self):
         rng = random.Random(7)
@@ -264,42 +235,21 @@ class TestRelabel:
             rng.shuffle(perm)
             h = relabel(group, perm)
             assert sorted(element_orders(h)) == sorted(element_orders(group))
-            t = h.cayley_table()
-            assert validate_table(t) == h.identity
-            n = group.order
-            assert [[h.mul(a, b) for b in range(n)] for a in range(n)] == t
+            assert validate_table(table_of(h)) == h.identity
 
     def test_rejects_non_permutation(self):
         with pytest.raises(InvalidPermutation):
             relabel(cyclic(3), [0, 0, 1])
-
-    def test_cayley_table_is_a_copy(self):
-        perm = list(range(36))
-        random.Random(2).shuffle(perm)
-        for g in (from_cayley_table([[0, 1, 2], [1, 2, 0], [2, 0, 1]]),
-                  relabel(cyclic(3), [2, 0, 1]),
-                  dihedral(3),
-                  direct_product(symmetric(3), dicyclic(3)),
-                  relabel(from_cayley_table(closed_form_table(parse_spec("D(6)xZ(3)"))), perm)):
-            def products():
-                return [[g.mul(a, b) for b in range(g.order)] for a in range(g.order)]
-
-            before = products()
-            t = g.cayley_table()
-            assert t == before
-            t[1][1] = t[0][0] = -1
-            assert g.cayley_table() == before
-            assert products() == before
 
 
 class TestFiles:
     def test_cayley_round_trip(self, tmp_path):
         g = dicyclic(3)
         path = str(tmp_path / "dic3.txt")
-        write_cayley_file(g, path)
+        write_table_file(g, path)
         h = read_cayley_file(path)
         assert h.order == g.order
-        assert h.cayley_table() == g.cayley_table()
+        assert table_of(h) == table_of(g)
 
     def test_cayley_rejects_bad_table(self, tmp_path):
         path = tmp_path / "bad.txt"
@@ -356,10 +306,22 @@ class TestFiles:
         finally:
             tracemalloc.stop()
         assert h.order == g.order == 256
-        t = h.cayley_table()
-        assert t == g.cayley_table()
-        assert t == [[h.mul(a, b) for b in range(256)] for a in range(256)]
+        t = table_of(h)
+        assert t == table_of(g)
         assert validate_table(t) == h.identity == 0
+        assert peak < 2**20, f"peak {peak / 2**20:.1f} MB"
+
+    def test_permutation_file_cost_follows_the_named_points(self, tmp_path):
+        # Z(2) declared on a million points: only the two named points are stored
+        path = tmp_path / "z2.txt"
+        path.write_text("1000000\n(0 1)\n")
+        tracemalloc.start()
+        try:
+            g = read_permutation_file(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.order == 2 and table_of(g) == [[0, 1], [1, 0]]
         assert peak < 2**20, f"peak {peak / 2**20:.1f} MB"
 
     def test_permutation_file_identity_only(self, tmp_path):
@@ -435,8 +397,8 @@ def assert_named_triple_fails(t, message):
 
 
 SMALL_GROUPS = [cyclic(n) for n in range(1, 9)] + [
-    elementary_abelian(2, 2),
-    elementary_abelian(2, 3),
+    parse_spec("Z(2)xZ(2)").realize(),
+    parse_spec("Z(2)xZ(2)xZ(2)").realize(),
     direct_product(cyclic(4), cyclic(2)),
     dihedral(3),
     dihedral(4),
@@ -449,7 +411,7 @@ def small_loops(draw):
     """A relabeled group table of order <= 8, with one intercalate swapped half the time."""
     group = draw(st.sampled_from(SMALL_GROUPS))
     h = relabel(group, draw(st.permutations(range(group.order))))
-    t = h.cayley_table()
+    t = table_of(h)
     cells = intercalates(t, h.identity)
     if cells and draw(st.booleans()):
         t = swap_intercalate(t, draw(st.sampled_from(cells)))
@@ -474,7 +436,7 @@ class TestLightAssociativity:
         # intercalate; none of them is the identity 0
         x, a, z = 1, 2, 300
         y, b = g.mul(x, z), g.mul(a, z)
-        t = g.cayley_table()
+        t = table_of(g)
         assert t[x][a] == t[y][b] and t[x][b] == t[y][a]
         bad = swap_intercalate(t, (x, a, y, b))
         with pytest.raises(NotAssociative) as exc:
@@ -486,7 +448,7 @@ class TestLightAssociativity:
         perm = list(range(g.order))
         random.Random(11).shuffle(perm)
         h = relabel(g, perm)
-        assert validate_table(h.cayley_table()) == h.identity == perm[0]
+        assert validate_table(table_of(h)) == h.identity == perm[0]
 
 
 def relabeled(spec):
@@ -515,7 +477,7 @@ def cycle_switch(group):
         x = mul(u, x)
     a = min(set(range(group.order)) - powers)
     cols = [mul(p, a) for p in powers]
-    t = group.cayley_table()
+    t = table_of(group)
     y = mul(a, u)
     for c in cols:
         t[a][c], t[y][c] = t[y][c], t[a][c]
@@ -549,14 +511,14 @@ class TestCompactTables:
     @pytest.mark.parametrize("spec", ["Z(255)", "D(128)", "Z(257)", "S(6)"])
     def test_accepts_relabeled_tables_at_dtype_boundaries(self, spec):
         h = relabeled(spec)
-        t = h.cayley_table()
+        t = table_of(h)
         assert groups._index_dtype(h.order) == (np.uint8 if h.order <= 256 else np.uint16)
         assert validate_table(t) == h.identity
 
     @pytest.mark.parametrize("spec, switched", [("Z(255)", 6), ("D(128)", 4), ("S(6)", 4)])
     def test_rejects_cycle_switch_at_dtype_boundaries(self, spec, switched):
         h = relabeled(spec)
-        t, bad = h.cayley_table(), cycle_switch(h)
+        t, bad = table_of(h), cycle_switch(h)
         assert sum(u != v for r, s in zip(t, bad) for u, v in zip(r, s)) == switched
         with pytest.raises(NotAssociative) as exc:
             validate_table(bad)
@@ -570,13 +532,13 @@ class TestCompactTables:
 
     def test_group_keeps_its_own_copy(self):
         d = dihedral(150)
-        t = np.array(d.cayley_table(), dtype=np.int64)
+        t = np.array(table_of(d), dtype=np.int64)
         g = from_cayley_table(t)
         t[:] = 0
-        assert [[g.mul(a, b) for b in range(d.order)] for a in range(d.order)] == d.cayley_table()
+        assert [[g.mul(a, b) for b in range(d.order)] for a in range(d.order)] == table_of(d)
 
     def test_cyclic_subgroups_multiply_on_the_left_by_walk_starts(self):
-        for group in (dihedral(12), symmetric(4), cyclic(12), from_cayley_table(relabeled("D(150)").cayley_table())):
+        for group in (dihedral(12), symmetric(4), cyclic(12), from_cayley_table(table_of(relabeled("D(150)")))):
             lefts = set()
             mul = group.mul
 
@@ -591,7 +553,7 @@ class TestCompactTables:
     @pytest.mark.parametrize("spec", ["S(5)", "D(150)", "Z(30)xZ(30)"])
     def test_file_table_builds_the_pairwise_graph(self, tmp_path, spec):
         path = str(tmp_path / "table.txt")
-        write_cayley_file(relabeled(spec), path)
+        write_table_file(relabeled(spec), path)
         ig = build(read_cayley_file(path))
         assert ig.graph == pairwise_adjacency(ig.vertices)
         assert ig.graph.edge_count() == build(parse_spec(spec).realize()).graph.edge_count()
@@ -661,19 +623,15 @@ class TestClosedForms:
         specs = default_catalog(240)
         assert len(specs) == 644
         for spec in specs:
-            g, expected = spec.realize(), closed_form_table(spec)
-            assert g.cayley_table() == expected, spec.descriptor
-            # the closed-form rule, which the catalog multiplies by, agrees with the table
-            rng = random.Random(spec.descriptor)
-            for _ in range(100):
-                a, b = rng.randrange(g.order), rng.randrange(g.order)
-                assert g.mul(a, b) == expected[a][b], (spec.descriptor, a, b)
+            # the closed-form rule, which the catalog multiplies by, on every pair
+            assert table_of(spec.realize()) == closed_form_table(spec), spec.descriptor
 
     def test_catalog_builds_no_table(self, monkeypatch, capsys):
         def refuse(*args):
-            raise AssertionError("a family table was built")
+            raise AssertionError("a table was built")
 
-        monkeypatch.setattr(FiniteGroup, "cayley_table", refuse)
+        # the one table builder: validate_table and from_cayley_table both go through it
+        monkeypatch.setattr(groups, "_square_table", refuse)
         specs = default_catalog(240)
         assert len(specs) == 644
         for spec in specs:
@@ -699,5 +657,4 @@ class TestClosedForms:
             for b, v in enumerate(row):
                 expected[perm[a]][perm[b]] = perm[v]
         h = relabel(spec.realize(), perm)
-        assert h.cayley_table() == expected
-        assert [[h.mul(a, b) for b in range(len(base))] for a in range(len(base))] == expected
+        assert table_of(h) == expected

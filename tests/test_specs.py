@@ -1,8 +1,8 @@
 import pytest
 
+from conftest import element_orders
 from cycgraph import groups
 from cycgraph.errors import OrderCapExceeded, SpecParseError
-from cycgraph.groups import element_orders
 from cycgraph.specs import (
     GroupSpec,
     Zs,

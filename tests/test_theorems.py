@@ -127,6 +127,15 @@ class TestVerifiers:
         assert res.passed, res.counterexamples
         assert res.groups_tested > 40
 
+    def test_alpha_theta_without_a_cover_is_a_counterexample(self, monkeypatch):
+        # every intersection graph has the cover, so a graph without one refutes
+        # simplicial_cover's lemma: it is a counterexample, never a skip
+        monkeypatch.setattr(theorems, "simplicial_cover", lambda g: None)
+        res = run_verifiers(["thm8-300-alpha-theta"], max_order=60)[0]
+        assert res.skipped == []
+        assert res.groups_tested == len(default_catalog(60)) == len(res.counterexamples)
+        assert all(found == "no simplicial-cover certificate" for _, _, found in res.counterexamples)
+
     def test_planarity_classification_counterexample(self):
         # Z9 x Z9 falls outside the claimed planar list yet its graph is 4*K4
         res = run_verifiers(["thm16-planarity"], max_order=80)[0]
@@ -178,7 +187,7 @@ class TestVerifiers:
 
 class TestRunVerifiers:
     def test_unknown_id(self):
-        with pytest.raises(UnknownTheoremId):
+        with pytest.raises(UnknownTheoremId, match="^unknown theorem id no-such-theorem$"):
             run_verifiers(["no-such-theorem"], max_order=10)
 
     def test_subset_keeps_order(self):
