@@ -5,7 +5,8 @@ graph, not built as a payload of records first; its bytes are exactly those
 of ``json.dumps(payload, indent=2, sort_keys=True) + "\n"``.
 
 Exit codes: 0 everything passed; 1 at least one theorem check failed;
-2 usage error; 3 nothing was verified (all work skipped by caps).
+2 usage error; 3 no verifier tested a group, because every group was skipped
+by a cap or the domain held none (``verify thm16-planarity --max-order 3``).
 """
 
 from __future__ import annotations

@@ -377,12 +377,12 @@ def read_cayley_file(path: str) -> FiniteGroup:
     """Cayley-table file: line 1 is n, then n lines of n space-separated indices.
 
     An order above ``ORDER_CAP`` is refused before any row is read.  The file
-    must be UTF-8 text.
+    must be UTF-8 text; a leading byte-order mark is skipped.
     """
     import numpy as np
 
     descriptor = f"cayley-file:{path}"
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             header = fh.readline()              # decodes the first buffered chunk
         except UnicodeDecodeError as exc:
@@ -432,24 +432,17 @@ def _cycle_map(text: str, degree: int) -> dict[int, int]:
     return image
 
 
-def parse_cycle_notation(text: str, degree: int) -> tuple[int, ...]:
-    """One permutation in cycle notation over 0-based points, e.g. '(0 1 2)(3 4)'."""
-    perm = list(range(degree))
-    for a, b in _cycle_map(text, degree).items():
-        perm[a] = b
-    return tuple(perm)
-
-
 def read_permutation_file(path: str) -> FiniteGroup:
     """Permutation-generator file: line 1 is the degree, one generator per line after.
 
-    The file must be UTF-8 text.  Only the points the cycles name are kept,
-    renumbered in ascending order: every other point is fixed by the group,
-    and the closure drops fixed points anyway, so every index is the same as
-    on the full degree while the cost follows the named points, not the degree.
+    The file must be UTF-8 text; a leading byte-order mark is skipped.  Only
+    the points the cycles name are kept, renumbered in ascending order: every
+    other point is fixed by the group, and the closure drops fixed points
+    anyway, so every index is the same as on the full degree while the cost
+    follows the named points, not the degree.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             lines = [ln.strip() for ln in fh.readlines()]
     except UnicodeDecodeError as exc:
         raise InvalidPermutation(f"{path}: not UTF-8 text: {exc}") from None

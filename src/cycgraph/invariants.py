@@ -180,34 +180,26 @@ def _bfs_girth(g: Graph) -> int | float:
     """Shortest cycle by BFS from every vertex of degree >= 2.
 
     The BFS from a vertex on a shortest cycle finds its length, and no BFS
-    reports less.  One dist/parent pair serves every start: each BFS resets
-    the entries it set, all of them in its queue, even when it stops early.
+    reports less.
     """
     adj = g.adj
     best = INFINITY
-    dist = [-1] * g.n
-    parent = [-1] * g.n
     for s in range(g.n):
         if adj[s].bit_count() < 2:
             continue
-        dist[s] = 0
-        parent[s] = -1
+        dist = {s: 0}
+        parent = {s: -1}
         queue = [s]
-        qi = 0
-        while qi < len(queue):
-            v = queue[qi]
-            qi += 1
+        for v in queue:                 # reads the vertices appended below too
             if dist[v] * 2 >= best:
                 break
             for w in bits(adj[v]):
-                if dist[w] == -1:
+                if w not in dist:
                     dist[w] = dist[v] + 1
                     parent[w] = v
                     queue.append(w)
                 elif parent[v] != w:
                     best = min(best, dist[v] + dist[w] + 1)
-        for v in queue:
-            dist[v] = -1
     return best
 
 
@@ -225,18 +217,6 @@ def _split_isolated(adj: list[int]) -> tuple[int, list[int]]:
     the mask is the complement of the rows' union.
     """
     return (1 << len(adj)) - 1 & ~reduce(or_, adj, 0), [v for v, a in enumerate(adj) if a]
-
-
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, budget: int):
-        self.left = budget
-
-    def spend(self) -> None:
-        self.left -= 1
-        if self.left < 0:
-            raise SkippedSizeCap("solver node budget exhausted")
 
 
 def simplicial_cover(g: Graph) -> int | None:
@@ -350,14 +330,17 @@ def domination_number(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
         return cert
     full = (1 << n) - 1
     forced = isolated.bit_count()
-    budget = _Budget(node_budget)
+    left = node_budget
 
     def feasible(covered: int, k: int) -> bool:
+        nonlocal left
         if covered == full:
             return True
         if k == 0:
             return False
-        budget.spend()
+        left -= 1
+        if left < 0:
+            raise SkippedSizeCap("solver node budget exhausted")
         uncovered = full & ~covered
         maxgain = max((closed[v] & uncovered).bit_count() for v in others)
         if maxgain * k < uncovered.bit_count():

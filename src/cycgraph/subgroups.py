@@ -102,12 +102,13 @@ def _proper_subgroups(powers: Iterable[Sequence[int]], n: int) -> list[CyclicSub
 
 # --- closed forms, on the element labels of the family constructors -----------
 
-def _rotation_subgroups(n: int, orders: list[int]) -> list[CyclicSubgroup]:
-    """The subgroups of the given orders d | n of a cyclic group on 0..n-1 (a + b mod n).
+def _rotation_subgroups(n: int) -> list[CyclicSubgroup]:
+    """Every nontrivial subgroup of a cyclic group on 0..n-1 (a + b mod n), by order.
 
-    The subgroup of order d is {0, n/d, 2n/d, ...}; its least generator is n/d.
+    The subgroup of order d is {0, n/d, 2n/d, ...}, the cached range of
+    :func:`_cyclic_powers`; its least generator is the step n/d.
     """
-    return [CyclicSubgroup(n // d, tuple(range(0, n, n // d)), d) for d in orders]
+    return [CyclicSubgroup(r.step, tuple(r), len(r)) for r in _cyclic_powers(n)[1:]]
 
 
 def _after_order(
@@ -123,7 +124,7 @@ def _after_order(
 
 def _cyclic_closed_form(n: int) -> list[CyclicSubgroup]:
     """Z(n): one subgroup per divisor 1 < d < n."""
-    return _rotation_subgroups(n, divisors(n)[1:-1])
+    return _rotation_subgroups(n)[:-1]
 
 
 def _dihedral_closed_form(n: int) -> list[CyclicSubgroup]:
@@ -132,7 +133,7 @@ def _dihedral_closed_form(n: int) -> list[CyclicSubgroup]:
     if n == 1:  # D(1) is of order 2, generated by its one reflection
         return []
     reflections = [CyclicSubgroup(n + i, (0, n + i), 2) for i in range(n)]
-    return _after_order(_rotation_subgroups(n, divisors(n)[1:]), reflections, 2)
+    return _after_order(_rotation_subgroups(n), reflections, 2)
 
 
 def _dicyclic_closed_form(m: int) -> list[CyclicSubgroup]:
@@ -140,7 +141,7 @@ def _dicyclic_closed_form(m: int) -> list[CyclicSubgroup]:
     the m subgroups <a^i b> = {e, a^m, a^i b, a^(i+m) b} of order 4, i < m."""
     n2 = 2 * m
     quaternions = [CyclicSubgroup(n2 + i, (0, m, n2 + i, n2 + m + i), 4) for i in range(m)]
-    return _after_order(_rotation_subgroups(n2, divisors(n2)[1:]), quaternions, 4)
+    return _after_order(_rotation_subgroups(n2), quaternions, 4)
 
 
 def _product_closed_form(factors: tuple[FiniteGroup, FiniteGroup]) -> list[CyclicSubgroup]:

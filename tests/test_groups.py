@@ -29,7 +29,6 @@ from cycgraph.groups import (
     element_order,
     from_cayley_table,
     from_permutation_generators,
-    parse_cycle_notation,
     read_cayley_file,
     read_permutation_file,
     relabel,
@@ -205,21 +204,21 @@ class TestPermutationGroups:
             from_permutation_generators(5, gens, "s5")
 
     def test_parse_cycle_notation(self):
-        assert parse_cycle_notation("(0 1 2)", 4) == (1, 2, 0, 3)
-        assert parse_cycle_notation("(0 1)(2 3)", 4) == (1, 0, 3, 2)
-        assert parse_cycle_notation("()", 3) == (0, 1, 2)
+        assert groups._cycle_map("(0 1 2)", 4) == {0: 1, 1: 2, 2: 0}
+        assert groups._cycle_map("(0 1)(2 3)", 4) == {0: 1, 1: 0, 2: 3, 3: 2}
+        assert groups._cycle_map("()", 3) == {}
 
     def test_parse_cycle_notation_rejects_repeats(self):
         with pytest.raises(InvalidPermutation):
-            parse_cycle_notation("(0 1)(1 2)", 3)
+            groups._cycle_map("(0 1)(1 2)", 3)
 
     def test_parse_cycle_notation_rejects_out_of_range(self):
         with pytest.raises(InvalidPermutation):
-            parse_cycle_notation("(0 5)", 3)
+            groups._cycle_map("(0 5)", 3)
 
     def test_parse_cycle_notation_rejects_garbage(self):
         with pytest.raises(InvalidPermutation):
-            parse_cycle_notation("(0 1", 3)
+            groups._cycle_map("(0 1", 3)
 
 
 class TestRelabel:
@@ -323,6 +322,21 @@ class TestFiles:
             tracemalloc.stop()
         assert g.order == 2 and table_of(g) == [[0, 1], [1, 0]]
         assert peak < 2**20, f"peak {peak / 2**20:.1f} MB"
+
+    def test_byte_order_mark_is_read_as_utf8(self, tmp_path, capsys):
+        # a UTF-8 file may start with a byte-order mark; it is not part of line 1
+        cayley = tmp_path / "dic3.txt"
+        write_table_file(dicyclic(3), str(cayley))
+        perm = tmp_path / "s3.txt"
+        perm.write_text("3\n(0 1 2)\n(0 1)\n")
+        for kind, plain in (("cayley", cayley), ("perm", perm)):
+            marked = tmp_path / f"bom-{plain.name}"
+            marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+            outputs = []
+            for path in (plain, marked):
+                assert cli_main(["export", f"file:{kind}:{path}", "--format", "csv"]) == 0
+                outputs.append(capsys.readouterr().out)
+            assert outputs[0] == outputs[1] != ""
 
     def test_permutation_file_identity_only(self, tmp_path):
         path = tmp_path / "t.txt"

@@ -22,7 +22,7 @@ from conftest import (
 )
 from cycgraph import invariants
 from cycgraph.errors import EmptyGraphError, SkippedSizeCap
-from cycgraph.graphs import Graph, build
+from cycgraph.graphs import Graph, build, zn_divisor_graph
 from cycgraph.groups import cyclic, dicyclic, direct_product, relabel
 from cycgraph.specs import parse_spec
 from cycgraph.invariants import (
@@ -633,6 +633,22 @@ class TestIsolatedBulk:
         gamma = domination_number(g, budget)
         for h in (disjoint_union(g, Graph(1000)), disjoint_union(Graph(1000), g)):
             assert domination_number(h, budget) == gamma + 1000
+
+
+class TestSearchNodes:
+    """The domination search's node accounting, pinned: each graph is decided
+    at exactly its least budget and skipped one node below it."""
+
+    @pytest.mark.parametrize(
+        "g, least, gamma",
+        [(cycle_graph(7), 4, 3)]
+        + [(zn_divisor_graph(n)[1], 3, 2) for n in (30, 210, 2310, 30030)],
+        ids=["C7", "Z30", "Z210", "Z2310", "Z30030"],
+    )
+    def test_least_budget(self, g, least, gamma):
+        with pytest.raises(SkippedSizeCap, match="solver node budget exhausted"):
+            domination_number(g, least - 1)
+        assert domination_number(g, least) == gamma
 
 
 class TestReport:
