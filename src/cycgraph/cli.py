@@ -7,6 +7,7 @@ of ``json.dumps(payload, indent=2, sort_keys=True) + "\n"``.
 Exit codes: 0 everything passed; 1 at least one theorem check failed;
 2 usage error; 3 no verifier tested a group, because every group was skipped
 by a cap or the domain held none (``verify thm16-planarity --max-order 3``).
+``verify``'s text labels a verifier that tested no group ``UNTESTED``, not PASS.
 """
 
 from __future__ import annotations
@@ -56,12 +57,6 @@ def _write_out(text: str, out: str | None) -> None:
     else:
         sys.stdout.flush()  # text already written goes first
         buffer.write(text.encode("utf-8"))
-
-
-def _build_from_spec(text: str, vertex_cap: int) -> IntersectionGraph:
-    spec = parse_spec(text)
-    group = spec.realize()
-    return build(group, vertex_cap)
 
 
 # --- analyze ----------------------------------------------------------------
@@ -119,7 +114,7 @@ def _render_report_text(ig: IntersectionGraph, report) -> str:
 
 
 def cmd_analyze(args) -> int:
-    ig = _build_from_spec(args.spec, args.vertex_cap)
+    ig = build(parse_spec(args.spec).realize(), args.vertex_cap)
     report = compute_report(ig.graph, args.node_budget)
     if args.format == "json":
         pad = "\n  "
@@ -163,7 +158,7 @@ def render_json(ig: IntersectionGraph) -> str:
 
 
 def cmd_export(args) -> int:
-    ig = _build_from_spec(args.spec, args.vertex_cap)
+    ig = build(parse_spec(args.spec).realize(), args.vertex_cap)
     renderers = {"dot": render_dot, "csv": render_csv, "json": render_json}
     _write_out(renderers[args.format](ig), args.out)
     return EXIT_OK
@@ -194,7 +189,7 @@ def cmd_verify(args) -> int:
     else:
         lines = []
         for r in results:
-            status = "PASS" if r.passed else "FAIL"
+            status = "FAIL" if not r.passed else "PASS" if r.groups_tested else "UNTESTED"
             lines.append(
                 f"{status} {r.theorem_id}: {r.groups_tested} groups, "
                 f"{len(r.counterexamples)} counterexamples, "

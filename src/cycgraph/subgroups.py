@@ -1,8 +1,10 @@
 """Enumeration of proper nontrivial cyclic subgroups: the graph's vertex set.
 
-Z(n), D(n) and Dic(m) are listed in closed form, and a direct product from
-its factors' cyclic subgroups (Goursat's lemma), without multiplying; every
-other group is walked, and the walk is the closed forms' test oracle.
+A group's list is read off the powers of one generator per cyclic subgroup:
+a direct product's from its factors' powers (Goursat's lemma), without
+multiplying, and a group of no family from walking its elements' powers.
+Z(n), D(n) and Dic(m) have theirs written down already sorted instead, which
+saves the sort.  The walk shares no code with the family rows: it is their oracle.
 """
 
 from __future__ import annotations
@@ -34,27 +36,21 @@ def cyclic_subgroups(group: FiniteGroup) -> list[CyclicSubgroup]:
     """All proper nontrivial cyclic subgroups, deduplicated and canonically
     ordered by (order, elements).
 
-    A group built by ``groups.cyclic``, ``groups.dihedral``,
-    ``groups.dicyclic`` or ``groups.direct_product`` carries its ``family``,
-    and its list is written down in closed form on that constructor's element
-    labels (a product's from its factors', whatever they are); every other
-    group is walked element by element (:func:`_walk_subgroups`, which the
-    tests hold the closed forms equal to).
+    A group built by ``groups.cyclic``, ``groups.dihedral`` or
+    ``groups.dicyclic`` has its list written down already sorted on that
+    constructor's element labels; every other group's is read off the powers
+    of one generator per cyclic subgroup (:func:`_powers`): a direct product's
+    from its factors', any other group's from its own power walk.
     """
-    if group.family is not None:
+    if group.family is not None and group.family[0] in _CLOSED_FORMS:
         kind, param = group.family
         return _CLOSED_FORMS[kind](param)
-    return _walk_subgroups(group)
-
-
-def _walk_subgroups(group: FiniteGroup) -> list[CyclicSubgroup]:
-    """:func:`cyclic_subgroups` of any group, by walking the powers of its elements."""
-    return _proper_subgroups(_walk_powers(group), group.order)
+    return _proper_subgroups(_powers(group), group.order)
 
 
 def _walk_powers(group: FiniteGroup) -> Iterator[list[int]]:
-    """The powers [e, g, g^2, ...] of one generator g of each nontrivial cyclic
-    subgroup <g>, G itself included when it is cyclic, each subgroup once.
+    """The powers [e, g, g^2, ...] of one generator g of each cyclic subgroup
+    <g>, the trivial one ([e]) and G itself when cyclic included, each once.
 
     Walks every element once: generating <g> also identifies all phi(m) of its
     generators (the powers g^k with gcd(k, m) = 1, read off the cached
@@ -67,7 +63,6 @@ def _walk_powers(group: FiniteGroup) -> Iterator[list[int]]:
     n = group.order
     mul, e = group.mul, group.identity
     done = bytearray(n)
-    done[e] = 1
     for g in range(n):
         if done[g]:
             continue
@@ -144,32 +139,25 @@ def _dicyclic_closed_form(m: int) -> list[CyclicSubgroup]:
     return _after_order(_rotation_subgroups(n2), quaternions, 4)
 
 
-def _product_closed_form(factors: tuple[FiniteGroup, FiniteGroup]) -> list[CyclicSubgroup]:
-    """G x H, element x*|H| + y = (x, y): the proper nontrivial ones among the
-    cyclic subgroups :func:`_product_powers` lists, none of them by ``mul``."""
-    return _proper_subgroups(_product_powers(factors), factors[0].order * factors[1].order)
-
-
-#: FiniteGroup.family kind -> its closed-form cyclic_subgroups
+#: FiniteGroup.family kind -> its cyclic_subgroups, written down already sorted
 _CLOSED_FORMS = {
     "cyclic": _cyclic_closed_form,
     "dihedral": _dihedral_closed_form,
     "dicyclic": _dicyclic_closed_form,
-    "product": _product_closed_form,
 }
 
 
-# --- every cyclic subgroup as the powers of one generator, for the product form --
+# --- every cyclic subgroup as the powers of one generator --------------------------
 
-def _powers(group: FiniteGroup) -> Sequence[Sequence[int]]:
+def _powers(group: FiniteGroup) -> Iterable[Sequence[int]]:
     """The powers (e, g, g^2, ...) of one generator g of every cyclic subgroup
     <g> of ``group``, the trivial subgroup included and G itself when cyclic.
 
-    Z/D/Dic in closed form, a product from its factors, and any other group by
-    its own power walk.
+    A family group's by its ``_FAMILY_POWERS`` row (a product's from its
+    factors'), any other group's by its own power walk.
     """
     if group.family is None:
-        return [(group.identity,), *_walk_powers(group)]
+        return _walk_powers(group)
     kind, param = group.family
     return _FAMILY_POWERS[kind](param)
 

@@ -185,11 +185,10 @@ def _stream(source, checks: list[tuple[VerificationResult, Generator, Callable |
     counterexample.
     """
     live = [c for c in checks if _send(c[0], c[1], None)]
-    filtering = any(c[2] for c in live)
     for key in source:
         if not live:
             break
-        takers = [c for c in live if c[2] is None or c[2](key)] if filtering else live
+        takers = [c for c in live if c[2] is None or c[2](key)]
         if not takers:
             continue
         item = source.item(key)
@@ -303,25 +302,18 @@ def verify_complete(res: VerificationResult, catalog: Catalog) -> Generator:
             res.counterexamples.append(
                 (spec.descriptor, f"complete <-> m==1 (m={m})", f"complete={complete}")
             )
-        if spec.kind == "cyclic":
-            pp = prime_power(spec.params[0])
-            if pp is not None and pp[1] >= 2:
-                alpha = pp[1]
-                if not (complete and ig.n == alpha - 1):
-                    res.counterexamples.append(
-                        (spec.descriptor, f"complete K_{alpha - 1}",
-                         f"complete={complete}, vertices={ig.n}")
-                    )
-        if spec.kind == "dicyclic":
-            pp = prime_power(spec.params[0])
-            if pp is not None and pp[0] == 2:
-                alpha = pp[1] + 2
-                want = 2 ** (alpha - 2) + alpha - 1
-                if not (complete and ig.n == want):
-                    res.counterexamples.append(
-                        (spec.descriptor, f"complete K_{want}",
-                         f"complete={complete}, vertices={ig.n}")
-                    )
+        # Z(p^a), a >= 2, is K_(a-1); Dic(2^b) = Q(2^alpha), alpha = b + 2, is
+        # K_(2^(alpha-2) + alpha - 1)
+        pp = prime_power(spec.params[0]) if spec.kind in ("cyclic", "dicyclic") else None
+        want = None
+        if pp is not None and spec.kind == "cyclic" and pp[1] >= 2:
+            want = pp[1] - 1
+        elif pp is not None and spec.kind == "dicyclic" and pp[0] == 2:
+            want = 2 ** pp[1] + pp[1] + 1
+        if want is not None and not (complete and ig.n == want):
+            res.counterexamples.append(
+                (spec.descriptor, f"complete K_{want}", f"complete={complete}, vertices={ig.n}")
+            )
 
 
 @_verifier("thm16-planarity", "catalog",

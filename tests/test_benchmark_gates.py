@@ -3,8 +3,10 @@
 ``perfbench/workloads.py`` checks each workload's output against the frozen
 values in ``perfbench/expected``; a benchmark run is the only other place
 these gates run.  One pass of each workload here makes a change to those
-outputs fail the test suite too.  (``verify-sweep``'s report is checked by
-``test_theorems.test_verify_all_matches_frozen_sweep_report``.)
+outputs fail the test suite too.  ``verify-sweep`` runs each verifier alone
+through the CLI, with ``--seed``, and checks its exit code; the one in-process
+``verify all`` pass of ``test_theorems.test_verify_all_matches_frozen_sweep_report``
+runs every verifier in one pass over each source instead.
 """
 
 import importlib.util
@@ -27,7 +29,9 @@ def _load_workloads():
 W = _load_workloads()
 
 
-@pytest.mark.parametrize("name", ["catalog-build", "analyze-worst", "ingest-export"])
+@pytest.mark.parametrize(
+    "name", ["verify-sweep", "catalog-build", "analyze-worst", "ingest-export"]
+)
 def test_one_pass_meets_the_frozen_outputs(name, tmp_path):
     workload = W.WORKLOADS[name]
     inputs = workload.setup(1, tmp_path)

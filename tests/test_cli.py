@@ -29,7 +29,7 @@ from cycgraph.graphs import bits, build
 from cycgraph.groups import ORDER_CAP, dicyclic
 from cycgraph.invariants import DEFAULT_NODE_BUDGET, compute_report
 from cycgraph.specs import GroupSpec, parse_spec
-from cycgraph.theorems import default_catalog
+from cycgraph.theorems import THEOREM_IDS, default_catalog
 
 GOLDEN_Q8_DOT = """\
 graph "Dic(2)" {
@@ -362,6 +362,24 @@ class TestVerify:
         # n <= 3 leaves no nonempty Z_n graph to test, so nothing is verified
         rc, _ = run(capsys, "verify", "t24-regular-zn", "--max-n", "3")
         assert rc == EXIT_SKIP_ONLY
+
+    def test_untested_verifier_is_not_labelled_pass(self, capsys):
+        rc, out = run(capsys, "verify", "t22-domination-zn", "--max-n", "3")
+        assert rc == EXIT_SKIP_ONLY
+        assert out.startswith("UNTESTED t22-domination-zn: 0 groups")
+
+    def test_untested_verifiers_beside_tested_ones(self, capsys):
+        rc, out = run(capsys, "verify", "all", "--max-order", "3", "--max-n", "3")
+        assert rc == EXIT_OK
+        status = {}
+        for line in out.splitlines():
+            if not line.startswith(" "):
+                label, theorem_id = line.split(":")[0].split()
+                status[theorem_id] = label
+        tested = ["thm345-star-path-cycle", "cor-c1-girth",
+                  "thm7-acyclic-equivalences", "thm8-300-alpha-theta"]
+        assert list(status) == list(THEOREM_IDS)
+        assert status == {t: "PASS" if t in tested else "UNTESTED" for t in THEOREM_IDS}
 
     def test_iso_invariance_records_vertex_cap_skips(self, capsys):
         argv = ["--max-order", "20", "--vertex-cap", "3", "--format", "json"]

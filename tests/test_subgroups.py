@@ -19,13 +19,18 @@ from cycgraph.graphs import build
 from cycgraph.specs import parse_spec
 from cycgraph.subgroups import (
     CyclicSubgroup,
-    _walk_subgroups,
     cyclic_subgroups,
     maximal_among,
     maximal_cyclic_subgroups,
     prime_order_subgroup_count,
 )
 from cycgraph.theorems import default_catalog
+
+
+def _walk_subgroups(group):
+    """The oracle: the vertices read off ``group``'s own power walk, which
+    multiplies by ``group.mul`` and shares no code with the family rows."""
+    return subgroups._proper_subgroups(subgroups._walk_powers(group), group.order)
 
 
 class TestEnumeration:
@@ -138,12 +143,13 @@ class TestClosedForms:
 
     def test_other_groups_take_the_walk(self, monkeypatch):
         walked = []
+        walk_powers = subgroups._walk_powers
 
         def walk(group):
             walked.append(group)
-            return _walk_subgroups(group)
+            return walk_powers(group)
 
-        monkeypatch.setattr(subgroups, "_walk_subgroups", walk)
+        monkeypatch.setattr(subgroups, "_walk_powers", walk)
         perm = list(range(12))
         random.Random(6).shuffle(perm)
         others = [

@@ -101,6 +101,22 @@ class TestVerifiers:
         res = run_verifiers(["thm15-complete"], max_order=64)[0]
         assert res.passed, res.counterexamples
 
+    def test_complete_vertex_count_counterexamples(self, monkeypatch):
+        # with no graph complete, every Z(p^a), a >= 2, and Dic(2^b) = Q(2^(b+2)) fails
+        # its count formula: K_(a-1) and K_(2^b+b+1), whose vertex counts do hold
+        monkeypatch.setattr(theorems, "is_complete", lambda g: False)
+        res = run_verifiers(["thm15-complete"], max_order=64)[0]
+        k = {f"Z({p ** a})": a - 1 for p in (2, 3, 5, 7) for a in range(2, 7) if p ** a <= 64}
+        k.update({f"Dic({2 ** b})": 2 ** b + b + 1 for b in range(1, 5)})
+        want = [(s.descriptor, f"complete K_{k[s.descriptor]}",
+                 f"complete=False, vertices={k[s.descriptor]}")
+                for s in default_catalog(64) if s.descriptor in k]
+        found = [c for c in res.counterexamples if c[1].startswith("complete K_")]
+        assert found == want
+        assert len(want) == 13
+        assert want[0] == ("Z(4)", "complete K_1", "complete=False, vertices=1")
+        assert want[-1] == ("Dic(16)", "complete K_21", "complete=False, vertices=21")
+
     def test_star_path_cycle(self):
         res = run_verifiers(["thm345-star-path-cycle"], max_order=100)[0]
         assert res.passed, res.counterexamples
