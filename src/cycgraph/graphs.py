@@ -26,14 +26,20 @@ class Graph:
     __slots__ = ("n", "adj")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
+        if n < 0:
+            raise ValueError(f"a graph cannot have {n} vertices")
         self.n = n
         self.adj = [0] * n
         for u, v in edges:
             self.add_edge(u, v)
 
     def add_edge(self, u: int, v: int) -> None:
+        """Add the edge uv; both ends are checked before either row is written."""
         if u == v:
             raise ValueError("self-loops are not allowed")
+        for x in (u, v):
+            if not (0 <= x < self.n):
+                raise IndexError(f"vertex {x} out of range")
         self.adj[u] |= 1 << v
         self.adj[v] |= 1 << u
 

@@ -172,16 +172,11 @@ def girth(g: Graph) -> int | float:
 
     A triangle decides it at once; a triangle-free graph runs BFS (Itai and
     Rodeh, 1978) from each vertex of degree >= 2, the only ones a cycle passes.
-    """
-    return 3 if has_triangle(g) else _bfs_girth(g)
-
-
-def _bfs_girth(g: Graph) -> int | float:
-    """Shortest cycle by BFS from every vertex of degree >= 2.
-
     The BFS from a vertex on a shortest cycle finds its length, and no BFS
     reports less.
     """
+    if has_triangle(g):
+        return 3
     adj = g.adj
     best = INFINITY
     for s in range(g.n):
@@ -411,21 +406,12 @@ def compute_report(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> Invarian
     budget bounds the domination search.
 
     The components, degrees and edge count are computed once and every shape
-    field is read off them.  A graph with a triangle is not bipartite and has
-    girth 3; a forest is bipartite and has infinite girth; only a triangle-free
-    graph with a cycle runs the two searches.
+    field and acyclicity are read off them; bipartiteness, the triangle test
+    and girth come from their public predicates.
     """
     n = g.n
     masks, degs, edges = _structure(g)
     shapes = _shapes(n, masks, degs, edges)
-    triangle = has_triangle(g)
-    acyclic = _acyclic(n, masks, edges)
-    if triangle:
-        bipartite, gv = False, 3
-    elif acyclic:
-        bipartite, gv = True, INFINITY
-    else:
-        bipartite, gv = is_bipartite(g), _bfs_girth(g)
     report = InvariantReport(
         vertex_count=n,
         edge_count=edges,
@@ -434,10 +420,10 @@ def compute_report(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> Invarian
         is_star=shapes["star"],
         is_path=shapes["path"],
         is_cycle=shapes["cycle"],
-        is_bipartite=bipartite,
-        is_acyclic=acyclic,
-        has_triangle=triangle,
-        girth=gv,
+        is_bipartite=is_bipartite(g),
+        is_acyclic=_acyclic(n, masks, edges),
+        has_triangle=has_triangle(g),
+        girth=girth(g),
         component_structure=_component_structure(g, masks),
         is_planar=is_planar(g),
     )

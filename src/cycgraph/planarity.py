@@ -1,9 +1,9 @@
 """Exact planarity, decided per connected component.
 
 ``is_planar`` is the one planarity route, with no size cap and no outside
-library: a component that no shortcut decides is reduced, split into its
-biconnected blocks, and each block large enough to hold a subdivided K5 or
-K3,3 goes to the Demoucron–Malgrange–Pertuiset path-addition test
+library: a component that no shortcut decides is split into its biconnected
+blocks, and each block large enough to hold a subdivided K5 or K3,3 goes to
+the Demoucron–Malgrange–Pertuiset path-addition test
 (Demoucron, Malgrange & Pertuiset 1964).  That test is polynomial, not
 linear: it recomputes the fragments after each path it embeds.  The test
 suite cross-checks the route against an independent Kuratowski minor search
@@ -20,13 +20,12 @@ def is_planar(g: Graph) -> bool:
     """Exact planarity decision, per connected component, at any size.
 
     Components with <= 4 vertices are planar; components violating the Euler
-    bound e <= 3v - 6 are not.  The rest lose their vertices of degree <= 1,
-    and each vertex of degree 2 is smoothed into an edge between its two
-    neighbours (dropped if that edge is already there); neither step changes
-    planarity.  What is left is planar iff each of its biconnected blocks is.
-    A block of fewer than 9 edges is planar, since a subdivided K5 has 10 and
-    a subdivided K3,3 has 9; every other block goes to :func:`_embeds`.  The
-    cost is polynomial in the size of the largest such block, not linear.
+    bound e <= 3v - 6 are not.  The rest are planar iff each of their
+    biconnected blocks is.  A block of fewer than 9 edges is planar, since a
+    subdivided K5 has 10 and a subdivided K3,3 has 9; this passes every
+    bridge, so a pendant tree never reaches the embedding test.  Every other
+    block goes to :func:`_embeds`, degree-2 vertices and all.  The cost is
+    polynomial in the size of the largest such block, not linear.
     """
     adj = g.adj
     for mask in g.component_masks():
@@ -35,32 +34,10 @@ def is_planar(g: Graph) -> bool:
             continue
         if sum(adj[v].bit_count() for v in bits(mask)) // 2 > 3 * k - 6:
             return False
-        nbrs = _reduced({v: set(bits(adj[v])) for v in bits(mask)})
+        nbrs = {v: set(bits(adj[v])) for v in bits(mask)}
         if not all(_embeds(b) for b in _blocks(nbrs) if len(b) >= 9):
             return False
     return True
-
-
-def _reduced(nbrs: dict[int, set[int]]) -> dict[int, set[int]]:
-    """Delete vertices of degree <= 1 and smooth those of degree 2, in place,
-    until every vertex left has degree >= 3."""
-    stack = list(nbrs)
-    while stack:
-        v = stack.pop()
-        vs = nbrs.get(v)
-        if vs is None or len(vs) > 2:
-            continue
-        del nbrs[v]
-        for u in vs:
-            nbrs[u].discard(v)
-        if len(vs) == 2:
-            a, b = vs
-            if b not in nbrs[a]:  # the smoothed edge: no degree changes
-                nbrs[a].add(b)
-                nbrs[b].add(a)
-                continue
-        stack.extend(vs)
-    return nbrs
 
 
 def _blocks(nbrs: dict[int, set[int]]) -> list[list[tuple[int, int]]]:

@@ -530,7 +530,7 @@ def run_verifiers(
     if theorem_ids == "all":
         ids = list(THEOREM_IDS)
     else:
-        ids = list(theorem_ids)
+        ids = [theorem_ids] if isinstance(theorem_ids, str) else list(theorem_ids)
         for tid in ids:
             if tid not in THEOREM_IDS:
                 raise UnknownTheoremId(f"unknown theorem id {tid}")

@@ -16,6 +16,7 @@ from conftest import (
 from cycgraph.errors import VertexCapExceeded
 from cycgraph.graphs import Graph, bits, build, zn_divisor_graph
 from cycgraph.groups import cyclic, dicyclic, symmetric
+from cycgraph.invariants import compute_report
 from cycgraph.specs import parse_spec
 from cycgraph.theorems import default_catalog
 
@@ -50,6 +51,21 @@ class TestGraph:
     def test_no_self_loops(self):
         with pytest.raises(ValueError):
             Graph(3, [(1, 1)])
+
+    @pytest.mark.parametrize("u, v, bad", [(-1, 0, -1), (0, -1, -1), (0, 5, 5), (5, 0, 5), (3, 1, 3)])
+    def test_out_of_range_edge_writes_nothing(self, u, v, bad):
+        # both ends are checked before either row is written: no one-sided edge
+        g = Graph(3, [(1, 2)])
+        with pytest.raises(IndexError, match=f"^vertex {bad} out of range$"):
+            g.add_edge(u, v)
+        assert g.adj == [0, 0b100, 0b010]
+        assert g.edges() == [(1, 2)] and g.degrees() == [0, 1, 1]
+        assert compute_report(g).edge_count == 1
+
+    def test_negative_vertex_count(self):
+        with pytest.raises(ValueError):
+            Graph(-2)
+        assert Graph(0).adj == []
 
     def test_adjacency_symmetric(self):
         g = cycle_graph(7)

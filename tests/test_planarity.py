@@ -85,6 +85,38 @@ def random_triangulation(rng: random.Random, n: int) -> set[tuple[int, int]]:
     return {(a, b) for a, b in third if a < b}
 
 
+def subdivided(g: Graph, times: int) -> Graph:
+    """g with every edge replaced by a path through ``times`` new vertices."""
+    edges, n = [], g.n
+    for u, v in g.edges():
+        path = [u, *range(n, n + times), v]
+        n += times
+        edges += zip(path, path[1:])
+    return Graph(n, edges)
+
+
+def with_attachments(g: Graph, paths: bool = True, tree: bool = True, isolated: int = 0) -> Graph:
+    """g with a pendant path of 3 edges at vertex 0 and one of 1 edge at vertex
+    1, a pendant binary tree of depth 2 at vertex 2, and isolated vertices, as
+    asked; none of them changes planarity."""
+    edges, n = g.edges(), g.n
+    if paths:
+        edges += [(0, n), (n, n + 1), (n + 1, n + 2), (1, n + 3)]
+        n += 4
+    if tree:
+        edges += [(2, n), (n, n + 1), (n, n + 2), (n + 1, n + 3), (n + 1, n + 4), (n + 2, n + 5)]
+        n += 6
+    return Graph(n + isolated, edges)
+
+
+def grid(rows: int, cols: int) -> Graph:
+    return Graph(rows * cols, [
+        (r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)
+    ] + [
+        (r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)
+    ])
+
+
 PLANAR = [
     Graph(0),
     Graph(1),
@@ -124,6 +156,36 @@ class TestIsPlanar:
         assert len(k5_path.component_masks()) == 1
         assert k5_path.edge_count() <= 3 * 2505 - 6
         assert not is_planar(k5_path)
+
+
+class TestBlocksWithLowDegrees:
+    """Blocks holding degree-2 vertices, and bridges and pendant trees, reach
+    the block split and the path-addition test as they are; each verdict is
+    checked against its known value and against networkx."""
+
+    @pytest.mark.parametrize("times", [1, 2])
+    @pytest.mark.parametrize("base", [complete_graph(5), complete_bipartite(3, 3)], ids=["K5", "K33"])
+    @pytest.mark.parametrize("attach", [
+        {"paths": False, "tree": False},
+        {"paths": True, "tree": False},
+        {"paths": False, "tree": True},
+        {"paths": True, "tree": True, "isolated": 3},
+    ], ids=["alone", "paths", "tree", "all"])
+    def test_subdivided_kuratowski_graphs(self, base, times, attach):
+        g = with_attachments(subdivided(base, times), **attach)
+        assert not is_planar(g)
+        assert not networkx_planar(g)
+
+    @pytest.mark.parametrize("g", [
+        subdivided(complete_graph(4), 1),
+        subdivided(complete_graph(4), 2),
+        subdivided(octahedron(), 1),
+        with_attachments(subdivided(octahedron(), 2), isolated=2),
+        with_attachments(grid(4, 4)),
+    ], ids=["K4-1", "K4-2", "octahedron-1", "octahedron-2-attached", "grid-attached"])
+    def test_planar(self, g):
+        assert is_planar(g)
+        assert networkx_planar(g)
 
 
 class TestKuratowskiOracle:

@@ -206,6 +206,17 @@ class TestRunVerifiers:
         with pytest.raises(UnknownTheoremId, match="^unknown theorem id no-such-theorem$"):
             run_verifiers(["no-such-theorem"], max_order=10)
 
+    def test_single_id_string_is_one_id(self):
+        # a string other than "all" names one verifier; it is not split into characters
+        tid = "thm14-totally-disconnected"
+        results = run_verifiers(tid, max_order=10)
+        assert [r.theorem_id for r in results] == [tid]
+        assert _without_timings(results) == _without_timings(run_verifiers([tid], max_order=10))
+
+    def test_unknown_single_id_string(self):
+        with pytest.raises(UnknownTheoremId, match="^unknown theorem id nope$"):
+            run_verifiers("nope")
+
     def test_subset_keeps_order(self):
         ids = ["cor-c1-girth", "thm15-complete"]
         results = run_verifiers(ids, max_order=30)
