@@ -50,7 +50,6 @@ from .invariants import (
     clique_cover_number,
     component_structure,
     compute_report,
-    domination_certificate,
     domination_number,
     girth,
     graph_isomorphic,

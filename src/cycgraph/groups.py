@@ -403,9 +403,10 @@ def read_cayley_file(path: str) -> FiniteGroup:
                 table = np.loadtxt(fh, dtype=np.int64, ndmin=2, comments=None)
         except ValueError as exc:                # a UnicodeDecodeError past that chunk too
             raise NotLatinSquare(f"{path}: rows must hold integers, equally many per line: {exc}") from None
-    if table.size != n * n:
-        raise NotLatinSquare(f"{path}: expected {n * n} entries, found {table.size}")
-    return from_cayley_table(table.reshape(n, n), descriptor=descriptor)
+    if table.shape != (n, n):
+        found = f"a {table.shape[0]} x {table.shape[1]} table" if table.size else "no rows"
+        raise NotLatinSquare(f"{path}: expected {n} lines of {n} entries, found {found}")
+    return from_cayley_table(table, descriptor=descriptor)
 
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")

@@ -278,20 +278,6 @@ def _two_packing(closed: list[int], vertices: Iterable[int]) -> list[int]:
     return packed
 
 
-def domination_certificate(g: Graph) -> int | None:
-    """gamma = k by a checked certificate, or None when none is found.
-
-    A greedy 2-packing of k vertices gives gamma >= k.  For each packed vertex
-    the dominator in its N[v] covering the most still-uncovered vertices is
-    picked; when the k picks dominate every vertex, gamma <= k.  In these
-    graphs the subgroups of one prime order have disjoint N[v] (a cyclic group
-    has one subgroup of each prime order), so the bound is usually tight.
-    """
-    closed = [a | 1 << v for v, a in enumerate(g.adj)]
-    isolated, others = _split_isolated(g.adj)
-    return _packing_certificate(closed, isolated, _two_packing(closed, others))
-
-
 def _packing_certificate(closed: list[int], isolated: int, packed: list[int]) -> int | None:
     """The packing's size, the isolated vertices included, when they and the
     best dominator picked in each packed N[v] dominate every vertex, else None.
@@ -406,12 +392,13 @@ def compute_report(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> Invarian
     budget bounds the domination search.
 
     The components, degrees and edge count are computed once and every shape
-    field and acyclicity are read off them; bipartiteness, the triangle test
-    and girth come from their public predicates.
+    field and acyclicity are read off them; bipartiteness and girth come from
+    their public predicates, and a triangle is a girth of 3.
     """
     n = g.n
     masks, degs, edges = _structure(g)
     shapes = _shapes(n, masks, degs, edges)
+    shortest = girth(g)
     report = InvariantReport(
         vertex_count=n,
         edge_count=edges,
@@ -422,8 +409,8 @@ def compute_report(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> Invarian
         is_cycle=shapes["cycle"],
         is_bipartite=is_bipartite(g),
         is_acyclic=_acyclic(n, masks, edges),
-        has_triangle=has_triangle(g),
-        girth=girth(g),
+        has_triangle=shortest == 3,
+        girth=shortest,
         component_structure=_component_structure(g, masks),
         is_planar=is_planar(g),
     )

@@ -3,7 +3,7 @@
 Grammar accepted by :func:`parse_spec`::
 
     Z(n) | D(n) | Dic(m) | Q(2^a) | S(n) | A(n)
-    atom x atom x ...          (direct products)
+    atom x atom x ...          (direct products of at most ORDER_CAP.bit_length() atoms)
     file:cayley:<path> | file:perm:<path>
 
 Q(2^a) is sugar for Dic(2^(a-2)); whitespace is ignored.
@@ -144,7 +144,12 @@ def parse_spec(text: str) -> GroupSpec:
     s = re.sub(r"\s", "", s)
     if not s:
         raise SpecParseError("empty group spec")
-    atoms = [_parse_atom(a) for a in s.split("x")]
+    texts = s.split("x")
+    # every atom but Z(1), S(1), A(1) and A(2) at least doubles the order
+    most = groups.ORDER_CAP.bit_length()
+    if len(texts) > most:
+        raise SpecParseError(f"{_echo(s)}: a product takes at most {most} factors, got {len(texts)}")
+    atoms = [_parse_atom(a) for a in texts]
     if len(atoms) == 1:
         return atoms[0]
     return GroupSpec("product", tuple(atoms))
@@ -152,43 +157,23 @@ def parse_spec(text: str) -> GroupSpec:
 
 # --- abelian group enumeration ----------------------------------------------
 
-def invariant_factors(prime_powers: list[tuple[int, int]]) -> list[int]:
-    """Invariant factor decomposition d_1 | d_2 | ... given (prime, exponent) parts.
-
-    Returned descending, so the leading factor is the exponent of the group.
-    """
-    by_prime: dict[int, list[int]] = {}
-    for p, e in prime_powers:
-        by_prime.setdefault(p, []).append(e)
-    for exps in by_prime.values():
-        exps.sort(reverse=True)
-    width = max((len(v) for v in by_prime.values()), default=0)
-    out = []
-    for i in range(width):
-        d = 1
-        for p, exps in by_prime.items():
-            if i < len(exps):
-                d *= p ** exps[i]
-        out.append(d)
-    return sorted(out, reverse=True)
-
-
 def abelian_groups_of_order(n: int) -> list[GroupSpec]:
-    """One spec per isomorphism class of abelian groups of order n.
+    """One spec per isomorphism class of abelian groups of order n, in
+    invariant-factor form: Z(36), Z(12)xZ(3), Z(18)xZ(2), Z(6)xZ(6).
 
-    Specs are in invariant-factor form (e.g. Z(36), Z(12)xZ(3)), so the
-    cyclic class always appears as a plain Z(n).
+    A class is one partition lambda_p of each prime's exponent.  Partitions
+    are non-increasing, so the i-th factor prod_p p^lambda_p[i] divides the
+    one before; the cyclic class Z(n) comes first, and n = 1 gives Z(1).
     """
     if n < 1:
         raise ValueError("order must be >= 1")
-    if n == 1:
-        return [GroupSpec("cyclic", (1,))]
     fact = factorize(n)
-    per_prime = [[(p, part) for part in partitions(a)] for p, a in fact]
     out = []
-    for combo in itertools.product(*per_prime):
-        pp = [(p, e) for p, part in combo for e in part]
-        out.append(Zs(*invariant_factors(pp)))
+    for parts in itertools.product(*(partitions(a) for _, a in fact)):
+        out.append(Zs(*(
+            math.prod(p ** lam[i] for (p, _), lam in zip(fact, parts) if i < len(lam))
+            for i in range(max(map(len, parts), default=1))
+        )))
     return out
 
 

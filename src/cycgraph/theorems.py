@@ -115,28 +115,24 @@ class ZnGraphs:
         return (n, *zn_divisor_graph(n))
 
 
+#: (kind, first parameter whose group is not abelian) of each non-abelian catalog
+#: family, in the order the members of one group order are listed
+_CATALOG_FAMILIES = (("dihedral", 3), ("dicyclic", 2), ("symmetric", 3), ("alternating", 4))
+
+
 def default_catalog(max_order: int, vertex_cap: int = DEFAULT_VERTEX_CAP, seed: int = 0) -> Catalog:
-    """All abelian groups plus the dihedral/dicyclic/symmetric/alternating
-    families up to the order bound, each spec once; builds obey ``vertex_cap``."""
+    """For each order n from 2 up to the bound, the abelian classes of n in
+    invariant-factor form, then the members of order n of each family in
+    ``_CATALOG_FAMILIES``, each spec once; builds obey ``vertex_cap``."""
     if not 2 <= max_order <= groups.ORDER_CAP:
         raise ValueError(f"max_order must be between 2 and the order cap {groups.ORDER_CAP}")
-    specs: list[GroupSpec] = []
-    factorials = {}
-    k, f = 1, 1
-    while f <= 2 * max_order:
-        factorials[f] = k
-        k += 1
-        f *= k
-    for n in range(2, max_order + 1):
-        specs.extend(abelian_groups_of_order(n))
-        if n % 2 == 0 and n >= 6:
-            specs.append(GroupSpec("dihedral", (n // 2,)))
-        if n % 4 == 0 and n >= 8:
-            specs.append(GroupSpec("dicyclic", (n // 4,)))
-        if n in factorials and factorials[n] >= 3:
-            specs.append(GroupSpec("symmetric", (factorials[n],)))
-        if 2 * n in factorials and factorials[2 * n] >= 4:
-            specs.append(GroupSpec("alternating", (factorials[2 * n],)))
+    by_order: dict[int, list[GroupSpec]] = {}
+    for kind, k in _CATALOG_FAMILIES:   # each family's order grows with its parameter
+        while (spec := GroupSpec(kind, (k,))).order() <= max_order:
+            by_order.setdefault(spec.order(), []).append(spec)
+            k += 1
+    specs = [s for n in range(2, max_order + 1)
+             for s in abelian_groups_of_order(n) + by_order.get(n, [])]
     return Catalog(specs, max_order, vertex_cap, seed)
 
 

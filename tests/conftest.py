@@ -18,6 +18,7 @@ from math import gcd, isqrt
 
 import pytest
 
+from cycgraph import invariants
 from cycgraph.errors import SkippedSizeCap
 from cycgraph.graphs import Graph, bits, build
 from cycgraph.groups import element_order
@@ -239,6 +240,18 @@ def brute_girth(g: Graph) -> float:
             if v in dist:
                 best = min(best, dist[v] + 1)
     return best
+
+
+def domination_certificate(g: Graph) -> int | None:
+    """gamma = k by the 2-packing certificate that ``domination_number`` tries
+    before its search, or None when it finds none.
+
+    Not an oracle: it runs the solver's own private steps alone, so that tests
+    can check the certificate against ``brute_domination_number``.
+    """
+    closed = [a | 1 << v for v, a in enumerate(g.adj)]
+    isolated, others = invariants._split_isolated(g.adj)
+    return invariants._packing_certificate(closed, isolated, invariants._two_packing(closed, others))
 
 
 #: most vertices per component kuratowski_oracle searches; a larger one is skipped

@@ -297,6 +297,23 @@ class TestExport:
         assert all(len(line) <= 200 for line in err.splitlines())
 
 
+    @pytest.mark.parametrize("command", ["analyze", "export"])
+    @pytest.mark.parametrize("atoms", [16, 500, 10_000])
+    def test_deep_product_is_usage_error(self, capsys, command, atoms):
+        # order-1 atoms pad a product past what any group under the cap needs;
+        # refused while parsing, before the product is walked recursively
+        rc = main([command, "x".join(["Z(1)"] * atoms)])
+        err = capsys.readouterr().err
+        assert rc == EXIT_USAGE
+        assert err.startswith("error: ") and f"at most 15 factors, got {atoms}" in err
+        assert "Traceback" not in err
+        assert all(len(line) <= 200 for line in err.splitlines())
+
+    def test_product_of_fifteen_atoms_is_accepted(self, capsys):
+        rc, out = run(capsys, "analyze", "x".join(["Z(2)"] + ["Z(1)"] * 14), "--format", "json")
+        assert rc == EXIT_OK and json.loads(out)["report"]["vertex_count"] == 0
+
+
 class TestJsonBytes:
     """export and analyze render their JSON directly; the bytes must be those
     of the payload of records dumped with indent=2 and sorted keys."""

@@ -259,7 +259,7 @@ class TestFiles:
     @pytest.mark.parametrize(
         "text",
         ["", "x\n0\n", "2 2\n0 1\n1 0\n", "0\n", "2\n", "2\n0 x\n1 0\n", "2\n0 1\n1\n",
-         "2\n0 1\n1 0\n0 1\n"],
+         "2\n0 1\n1 0\n0 1\n", "2\n0 1 1 0\n", "2\n0\n1\n1\n0\n"],
     )
     def test_cayley_rejects_malformed_file(self, tmp_path, text):
         path = tmp_path / "bad.txt"

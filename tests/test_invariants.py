@@ -17,6 +17,7 @@ from conftest import (
     complete_graph,
     cycle_graph,
     disjoint_union,
+    domination_certificate,
     path_graph,
     petersen,
 )
@@ -32,7 +33,6 @@ from cycgraph.invariants import (
     clique_cover_number,
     component_structure,
     compute_report,
-    domination_certificate,
     domination_number,
     girth,
     graph_isomorphic,

@@ -1,3 +1,6 @@
+import math
+from functools import lru_cache
+
 import pytest
 
 from conftest import element_orders
@@ -9,7 +12,6 @@ from cycgraph.specs import (
     abelian_groups_of_order,
     abelian_prime_signature,
     in_planar_classification,
-    invariant_factors,
     is_cyclic_spec,
     parse_spec,
 )
@@ -109,9 +111,27 @@ class TestAbelianEnumeration:
                 assert key not in seen
                 seen.add(key)
 
-    def test_invariant_factors_helper(self):
-        assert invariant_factors([(2, 2), (2, 1), (3, 1)]) == [12, 2]
-        assert invariant_factors([(5, 1)]) == [5]
+    def test_every_order_up_to_2000(self):
+        # prod_p p(a_p) classes over n = prod_p p^a_p, with n factored by trial
+        # division and p(a) counted here, by the largest part
+        @lru_cache(maxsize=None)
+        def count(a: int, largest: int) -> int:
+            return 1 if a == 0 else sum(count(a - k, k) for k in range(1, min(a, largest) + 1))
+
+        for n in range(1, 2001):
+            m, d, expected = n, 2, 1
+            while d * d <= m:
+                a = 0
+                while m % d == 0:
+                    m, a = m // d, a + 1
+                expected *= count(a, a)
+                d += 1
+            specs = abelian_groups_of_order(n)
+            assert len({s.descriptor for s in specs}) == len(specs) == expected, n
+            for spec in specs:
+                factors = [c.params[0] for c in spec.params] if spec.kind == "product" else [spec.params[0]]
+                assert math.prod(factors) == n and (factors == [1] or min(factors) > 1), spec.descriptor
+                assert all(a >= b and a % b == 0 for a, b in zip(factors, factors[1:])), spec.descriptor
 
 
 class TestClassifiers:

@@ -43,6 +43,24 @@ class TestCatalog:
         assert "S(3)" in descs
         assert "A(4)" not in descs  # order 12 > 8
 
+    def test_family_rules(self):
+        # each order's abelian classes, then D(n/2), Dic(n/4), S(k) at k! and
+        # A(k) at k!/2 where those are groups of order n outside the abelian ones
+        factorial = {1: 1}
+        for k in range(2, 10):
+            factorial[k] = k * factorial[k - 1]
+        for max_order in [*range(2, 121), 240, 720, 2000]:
+            expected = []
+            for n in range(2, max_order + 1):
+                expected += abelian_groups_of_order(n)
+                if n % 2 == 0 and n >= 6:
+                    expected.append(GroupSpec("dihedral", (n // 2,)))
+                if n % 4 == 0 and n >= 8:
+                    expected.append(GroupSpec("dicyclic", (n // 4,)))
+                expected += [GroupSpec("symmetric", (k,)) for k, f in factorial.items() if k >= 3 and f == n]
+                expected += [GroupSpec("alternating", (k,)) for k, f in factorial.items() if k >= 4 and f == 2 * n]
+            assert default_catalog(max_order).specs == expected, max_order
+
     def test_tiny(self):
         assert [s.descriptor for s in default_catalog(2)] == ["Z(2)"]
 
