@@ -67,6 +67,14 @@ def divisors(n: int) -> list[int]:
     return sorted(ds)
 
 
+def totient(n: int) -> int:
+    """Euler's phi: the number of units mod n (1 for n = 1)."""
+    out = n
+    for p, _ in factorize(n):
+        out = out // p * (p - 1)
+    return out
+
+
 def tau(n: int) -> int:
     """Number of divisors."""
     out = 1

@@ -113,6 +113,11 @@ class IntersectionGraph:
         return self.graph.n
 
 
+def vertex_cap_message(descriptor: str, n: int, vertex_cap: int) -> str:
+    """The skip message of a group whose graph has ``n`` vertices, over the cap."""
+    return f"{descriptor}: {n} vertices exceeds cap {vertex_cap}"
+
+
 def build(group: FiniteGroup, vertex_cap: int = DEFAULT_VERTEX_CAP) -> IntersectionGraph:
     """Vertices are the proper nontrivial cyclic subgroups in canonical order;
     two are adjacent iff they share a subgroup P of prime order (any nontrivial
@@ -124,9 +129,7 @@ def build(group: FiniteGroup, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Intersect
     no edge."""
     subs = cyclic_subgroups(group)
     if len(subs) > vertex_cap:
-        raise VertexCapExceeded(
-            f"{group.descriptor}: {len(subs)} vertices exceeds cap {vertex_cap}"
-        )
+        raise VertexCapExceeded(vertex_cap_message(group.descriptor, len(subs), vertex_cap))
     prime = {d: is_prime(d) for d in {s.order for s in subs}}
     cliques: dict[int, list[int]] = {}
     for v, s in enumerate(subs):

@@ -5,17 +5,20 @@ a direct product's from its factors' powers (Goursat's lemma), without
 multiplying, and a group of no family from walking its elements' powers.
 Z(n), D(n) and Dic(m) have theirs written down already sorted instead, which
 saves the sort.  The walk shares no code with the family rows: it is their oracle.
+How many there are of each order is counted by the same rows without listing
+an element, and the listing is that count's oracle.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
 from itertools import compress
 from math import gcd
 from operator import add
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .arith import COPRIME_CACHE_SIZE, coprime_mask, divisors, is_prime
+from .arith import COPRIME_CACHE_SIZE, coprime_mask, divisors, is_prime, totient
 from .groups import FiniteGroup
 
 
@@ -223,6 +226,59 @@ _FAMILY_POWERS = {
     "dihedral": _dihedral_powers,
     "dicyclic": _dicyclic_powers,
     "product": _product_powers,
+}
+
+
+# --- cyclic subgroups counted by order, with no element listed ---------------------
+
+def cyclic_subgroup_orders(group: FiniteGroup) -> Counter[int]:
+    """The order of every cyclic subgroup, the trivial one and G itself when
+    cyclic included, as a multiset: order -> how many cyclic subgroups have it.
+
+    Z(n) has one per divisor of n; D(n) adds its n reflections, of order 2;
+    Dic(m) adds its m subgroups <a^i b>, of order 4.  A direct product G x H
+    is counted from its factors' counts by Goursat's lemma, as
+    :func:`_product_powers` lists it: each pair of cyclic A <= G and B <= H, of
+    orders alpha and beta, gives phi(gcd(alpha, beta)) cyclic subgroups of order
+    lcm(alpha, beta), those projecting onto both.  They are <(a, b^j)>, one
+    per class mod d = gcd(alpha, beta) of units j mod beta.  Each of the phi(d)
+    units u mod d lifts to a unit mod beta: u + d*t is prime to every prime of
+    d, as u is, and t can make it 1 mod each other prime p of beta, since d is
+    a unit mod p.  So there are phi(d) classes, each one subgroup.  Any other
+    group is counted from its own power walk, one length per cyclic subgroup.
+    """
+    if group.family is None:
+        return Counter(map(len, _walk_powers(group)))
+    kind, param = group.family
+    return _FAMILY_ORDERS[kind](param)
+
+
+def vertex_count(group: FiniteGroup) -> int:
+    """``len(cyclic_subgroups(group))``, counted without listing one: the cyclic
+    subgroups of order strictly between 1 and |G| (none in the trivial group)."""
+    n = group.order
+    return sum(k for d, k in cyclic_subgroup_orders(group).items() if 1 < d < n)
+
+
+def _product_orders(factors: tuple[FiniteGroup, FiniteGroup]) -> Counter[int]:
+    """G x H: phi(gcd(alpha, beta)) cyclic subgroups of order lcm(alpha, beta) per
+    pair of cyclic subgroups of G and H, of orders alpha and beta."""
+    g, h = factors
+    hs = cyclic_subgroup_orders(h).items()
+    out: Counter[int] = Counter()
+    for alpha, a in cyclic_subgroup_orders(g).items():
+        for beta, b in hs:
+            d = gcd(alpha, beta)
+            out[alpha // d * beta] += a * b * totient(d)
+    return out
+
+
+#: FiniteGroup.family kind -> its cyclic subgroups counted by order
+_FAMILY_ORDERS = {
+    "cyclic": lambda n: Counter(divisors(n)),
+    "dihedral": lambda n: Counter(divisors(n)) + Counter({2: n}),
+    "dicyclic": lambda m: Counter(divisors(2 * m)) + Counter({4: m}),
+    "product": _product_orders,
 }
 
 

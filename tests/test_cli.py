@@ -16,6 +16,7 @@ import pytest
 
 import cycgraph
 from conftest import write_table_file
+from cycgraph import cli, graphs, subgroups, theorems
 from cycgraph.cli import (
     EXIT_OK,
     EXIT_SKIP_ONLY,
@@ -536,6 +537,31 @@ class TestCatalog:
         for c, f in zip(capped, full):
             n = int(f.rsplit("vertices=", 1)[1])
             assert c == f if n <= 3 else c.split("\t")[:3] == f.split("\t")[:3]
+
+    @pytest.mark.parametrize("cap", [None, "50"])
+    def test_counts_without_building(self, capsys, monkeypatch, cap):
+        # each line as Catalog.item gives it, then the same lines from a run
+        # that can neither build a graph nor list a subgroup
+        cap_argv = ["--vertex-cap", cap] if cap else []
+        catalog = default_catalog(400, int(cap)) if cap else default_catalog(400)
+        expected = []
+        for spec in catalog:
+            item = catalog.item(spec)
+            size = item if isinstance(item, str) else f"vertices={item[2].n}"
+            expected.append(f"{spec.descriptor}\torder={spec.order()}\tfamily={spec.kind}\t{size}")
+        assert any("exceeds cap" in line for line in expected) == bool(cap)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("catalog listed a subgroup or built a graph")
+
+        for module in (graphs, cli, theorems):
+            monkeypatch.setattr(module, "build", refuse)
+        for module in (subgroups, graphs):
+            monkeypatch.setattr(module, "cyclic_subgroups", refuse)
+        monkeypatch.setattr(subgroups, "_proper_subgroups", refuse)
+        rc, out = run(capsys, "catalog", "--max-order", "400", *cap_argv)
+        assert rc == EXIT_OK
+        assert out.splitlines() == expected
 
 
 class TestUsage:

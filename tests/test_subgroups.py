@@ -1,7 +1,9 @@
 import random
+from collections import Counter
 
 import pytest
 
+from conftest import PRODUCTS, write_table_file
 from cycgraph import subgroups
 from cycgraph.arith import tau
 from cycgraph.groups import (
@@ -12,6 +14,8 @@ from cycgraph.groups import (
     dihedral,
     direct_product,
     from_permutation_generators,
+    read_cayley_file,
+    read_permutation_file,
     relabel,
     symmetric,
 )
@@ -19,10 +23,12 @@ from cycgraph.graphs import build
 from cycgraph.specs import parse_spec
 from cycgraph.subgroups import (
     CyclicSubgroup,
+    cyclic_subgroup_orders,
     cyclic_subgroups,
     maximal_among,
     maximal_cyclic_subgroups,
     prime_order_subgroup_count,
+    vertex_count,
 )
 from cycgraph.theorems import default_catalog
 
@@ -171,6 +177,26 @@ def _cyclic_permutation_group(n):
     return from_permutation_generators(n, [tuple(range(1, n)) + (0,)], "perm:Z")
 
 
+PRODUCT_GROUPS = [
+    # non-abelian factors
+    direct_product(dihedral(3), cyclic(2)),
+    direct_product(dihedral(4), dihedral(3)),
+    direct_product(dicyclic(2), cyclic(4)),
+    direct_product(symmetric(4), cyclic(3)),
+    direct_product(alternating(4), alternating(4)),
+    direct_product(dicyclic(3), dihedral(5)),
+    direct_product(cyclic(6), dicyclic(2)),
+    # cyclic as a whole, so G itself is no vertex
+    direct_product(cyclic(2), cyclic(3)),
+    # nested on the right
+    direct_product(cyclic(2), direct_product(cyclic(3), cyclic(2))),
+    # cyclic factors not made by cyclic(): their whole group is still a subgroup
+    direct_product(dihedral(1), cyclic(2)),
+    direct_product(relabel(cyclic(4), [2, 0, 3, 1]), cyclic(2)),
+    direct_product(_cyclic_permutation_group(5), cyclic(2)),
+]
+
+
 class TestProductClosedForm:
     """The direct-product closed form against the power walk on the product's own rule."""
 
@@ -184,24 +210,7 @@ class TestProductClosedForm:
                 products += 1
         assert products == 410
 
-    @pytest.mark.parametrize("group", [
-        # non-abelian factors
-        direct_product(dihedral(3), cyclic(2)),
-        direct_product(dihedral(4), dihedral(3)),
-        direct_product(dicyclic(2), cyclic(4)),
-        direct_product(symmetric(4), cyclic(3)),
-        direct_product(alternating(4), alternating(4)),
-        direct_product(dicyclic(3), dihedral(5)),
-        direct_product(cyclic(6), dicyclic(2)),
-        # cyclic as a whole, so G itself is no vertex
-        direct_product(cyclic(2), cyclic(3)),
-        # nested on the right
-        direct_product(cyclic(2), direct_product(cyclic(3), cyclic(2))),
-        # cyclic factors not made by cyclic(): their whole group is still a subgroup
-        direct_product(dihedral(1), cyclic(2)),
-        direct_product(relabel(cyclic(4), [2, 0, 3, 1]), cyclic(2)),
-        direct_product(_cyclic_permutation_group(5), cyclic(2)),
-    ], ids=repr)
+    @pytest.mark.parametrize("group", PRODUCT_GROUPS, ids=repr)
     def test_products_match_the_walk(self, group):
         assert cyclic_subgroups(group) == _walk_subgroups(group)
 
@@ -218,6 +227,56 @@ class TestProductClosedForm:
         group.mul = counted
         assert cyclic_subgroups(group) == expected
         assert calls == []
+
+
+def assert_count_matches_enumeration(group):
+    """The count by order against the listing of every subgroup: the vertex
+    count and the vertices' orders against ``cyclic_subgroups``, and every
+    order, the trivial subgroup and G included, against the group's own walk."""
+    counts = cyclic_subgroup_orders(group)
+    listed = cyclic_subgroups(group)
+    assert vertex_count(group) == len(listed), group.descriptor
+    proper = Counter({d: k for d, k in counts.items() if 1 < d < group.order})
+    assert proper == Counter(s.order for s in listed), group.descriptor
+    walked = Counter(len(p) for p in subgroups._walk_powers(group))
+    assert sum(counts.values()) == sum(walked.values()), group.descriptor
+    assert counts == walked, group.descriptor
+
+
+class TestOrderCounts:
+    """``cyclic_subgroup_orders`` and ``vertex_count`` count what the enumeration lists."""
+
+    def test_catalog(self):
+        for spec in default_catalog(720):
+            assert_count_matches_enumeration(spec.realize())
+
+    @pytest.mark.parametrize("spec", PRODUCTS)
+    def test_conftest_products(self, spec):
+        assert_count_matches_enumeration(parse_spec(spec).realize())
+
+    @pytest.mark.parametrize("group", PRODUCT_GROUPS, ids=repr)
+    def test_products(self, group):
+        assert_count_matches_enumeration(group)
+
+    @pytest.mark.parametrize("group", [
+        # the trivial group's one cyclic subgroup is both the trivial one and G
+        cyclic(1), symmetric(1), alternating(2), dihedral(1), dihedral(2), dicyclic(2),
+    ], ids=repr)
+    def test_edge_cases(self, group):
+        assert_count_matches_enumeration(group)
+
+    def test_groups_without_a_family(self, tmp_path):
+        perm = list(range(24))
+        random.Random(3).shuffle(perm)
+        table = tmp_path / "dic3xz2.txt"
+        write_table_file(direct_product(dicyclic(3), cyclic(2)), table)
+        gens = tmp_path / "d5.txt"
+        gens.write_text("5\n(0 1 2 3 4)\n(1 4)(2 3)\n")
+        others = [relabel(direct_product(dihedral(6), cyclic(2)), perm),
+                  read_cayley_file(str(table)), read_permutation_file(str(gens))]
+        for group in others:
+            assert group.family is None
+            assert_count_matches_enumeration(group)
 
 
 class TestPrimeOrderCount:
