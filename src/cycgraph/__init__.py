@@ -17,6 +17,7 @@ from .errors import (
     NotAssociative,
     NotLatinSquare,
     OrderCapExceeded,
+    RepeatedTheoremId,
     SkippedSizeCap,
     SpecParseError,
     UnknownTheoremId,

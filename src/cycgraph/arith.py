@@ -1,4 +1,5 @@
-"""Small number-theoretic helpers (trial division scale).
+"""Small number-theoretic helpers (trial division scale), and one segmented
+sieve for runs of consecutive integers.
 
 Sweeps meet the same integers over and over, so ``factorize`` and
 ``coprime_mask`` are cached: each cache is bounded by a constant and holds
@@ -8,12 +9,15 @@ immutable values (tuples, bytes) that no caller can change.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import isqrt
+from typing import Iterator
 
-#: distinct integers whose factorization is kept: a --max-n 2000 sweep meets under 2000.
-#: A run builds each Z(n) divisor graph once, whatever --max-n; past 4096 the Z_n
-#: verifiers' own formulas factor each n once more per verifier, since an LRU cache
-#: scanned in order keeps none of what the next verifier reads first.
+#: distinct integers whose factorization is kept, for group orders and single Z(n)
+#: calls.  The Z(n) sweeps factor nothing here: ``divisor_sieve`` hands each n its
+#: factorization, so the cache's size does not depend on --max-n.
 FACTOR_CACHE_SIZE = 4096
+#: numbers sieved at once by ``divisor_sieve``: its memory is bounded by this, whatever the bound
+SIEVE_BLOCK = 4096
 #: distinct orders whose coprime mask is kept: at most this many times groups.ORDER_CAP bytes
 COPRIME_CACHE_SIZE = 1024
 
@@ -98,3 +102,48 @@ def partitions(n: int) -> tuple[tuple[int, ...], ...]:
                 yield (first,) + rest
 
     return tuple(gen(n, n))
+
+
+def divisor_sieve(
+    start: int, stop: int
+) -> Iterator[tuple[int, tuple[tuple[int, int], ...], list[int]]]:
+    """(n, factorization, divisors 1 < d < n ascending) for start <= n < stop, n ascending.
+
+    A segmented sieve of Eratosthenes (Bays & Hudson, BIT 17, 1977) walks the
+    range in blocks of ``SIEVE_BLOCK`` numbers.  In a block [lo, hi), each base
+    prime p <= sqrt(hi - 1) is divided out of its multiples, in ascending order,
+    and what is left over is 1 or one last prime.  Each d <= sqrt(hi - 1) is
+    listed, in ascending order, at its multiples m >= d^2: these are the small
+    divisors of m, and their co-divisors m // d, taken in reverse, are the rest,
+    ascending, so no list is sorted.  The base primes are extended as the
+    blocks go up, only to the square root of the current block's last number.
+    The factorization has the shape of ``factorize``'s.
+    """
+    if start < 1:
+        raise ValueError(f"cannot sieve from {start}")
+    primes: list[int] = []
+    for lo in range(start, stop, SIEVE_BLOCK):
+        hi = min(lo + SIEVE_BLOCK, stop)
+        root = isqrt(hi - 1)
+        for k in range(primes[-1] + 1 if primes else 2, root + 1):
+            if all(k % p for p in primes if p * p <= k):
+                primes.append(k)
+        left = list(range(lo, hi))
+        factors: list[list[tuple[int, int]]] = [[] for _ in left]
+        for p in primes:
+            for i in range(-lo % p, hi - lo, p):
+                m, e = left[i] // p, 1
+                while m % p == 0:
+                    m //= p
+                    e += 1
+                left[i] = m
+                factors[i].append((p, e))
+        small: list[list[int]] = [[] for _ in left]
+        for d in range(2, root + 1):
+            for i in range(max(d * d, lo + -lo % d) - lo, hi - lo, d):
+                small[i].append(d)
+        for n, last, f, low in zip(range(lo, hi), left, factors, small):
+            if last > 1:
+                f.append((last, 1))
+            high = low[::-1] if not low or low[-1] ** 2 != n else low[-2::-1]
+            yield n, tuple(f), low + [n // d for d in high]

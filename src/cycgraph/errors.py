@@ -48,3 +48,7 @@ class SpecParseError(CycgraphError):
 
 class UnknownTheoremId(CycgraphError):
     pass
+
+
+class RepeatedTheoremId(CycgraphError):
+    """A run named one theorem id more than once."""

@@ -142,7 +142,9 @@ def build(group: FiniteGroup, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Intersect
     return IntersectionGraph(tuple(subs), g, group.descriptor)
 
 
-def zn_divisor_graph(n: int) -> tuple[list[int], Graph]:
+def zn_divisor_graph(
+    n: int, ds: list[int] | None = None, factors: tuple[tuple[int, int], ...] | None = None
+) -> tuple[list[int], Graph]:
     """Intersection graph of Z_n in its divisor representation.
 
     Vertices are the divisors d of n with 1 < d < n (one cyclic subgroup per
@@ -150,9 +152,14 @@ def zn_divisor_graph(n: int) -> tuple[list[int], Graph]:
     that is iff some prime p | n divides both.  So, as in :func:`build`, the
     graph is the union over p | n of the cliques of divisors divisible by p
     (the subgroups holding the one subgroup of order p), and no pair is tested.
+    A sweep hands in those divisors and n's factorization from
+    :func:`~cycgraph.arith.divisor_sieve`; a call for n alone finds them itself.
     """
-    ds = divisors(n)[1:-1]
-    cliques = ([v for v, d in enumerate(ds) if d % p == 0] for p, _ in factorize(n))
+    if ds is None:
+        ds = divisors(n)[1:-1]
+    if factors is None:
+        factors = factorize(n)
+    cliques = ([v for v, d in enumerate(ds) if d % p == 0] for p, _ in factors)
     return ds, _clique_union(len(ds), cliques)
 
 

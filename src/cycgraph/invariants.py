@@ -284,10 +284,12 @@ def _packing_certificate(closed: list[int], isolated: int, packed: list[int]) ->
     An isolated vertex is its own only dominator, so all are picked at once."""
     covered = isolated
     for v in packed:
-        covered |= max(
-            (closed[w] for w in bits(closed[v])),
-            key=lambda c: (c & ~covered).bit_count(),
-        )
+        best = -1
+        for w in bits(closed[v]):  # ties keep the first best dominator
+            gain = (closed[w] & ~covered).bit_count()
+            if gain > best:
+                best, pick = gain, closed[w]
+        covered |= pick
     if covered == (1 << len(closed)) - 1:
         return isolated.bit_count() + len(packed)
     return None

@@ -10,11 +10,12 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from math import prod
 from typing import Callable, Generator
 
 from . import groups
-from .arith import factorize, is_prime, prime_power, tau
-from .errors import SkippedSizeCap, UnknownTheoremId, VertexCapExceeded
+from .arith import divisor_sieve, factorize, is_prime, prime_power
+from .errors import RepeatedTheoremId, SkippedSizeCap, UnknownTheoremId, VertexCapExceeded
 from .graphs import DEFAULT_VERTEX_CAP, Graph, IntersectionGraph, bits, build, zn_divisor_graph
 from .groups import FiniteGroup, relabel
 from .invariants import (
@@ -102,17 +103,20 @@ class Catalog:
 @dataclass
 class ZnGraphs:
     """A source of the Z(n) graphs for 2 <= n <= max_n in divisor
-    representation: its keys are n, ascending, and its items (n, divisors,
-    graph).  It carries t22's solver node budget."""
+    representation: its keys are the rows (n, factorization, divisors) of one
+    :func:`~cycgraph.arith.divisor_sieve` pass, n ascending, and its items
+    (n, factorization, divisors, graph), so neither the build nor a check
+    factors n again.  It carries t22's solver node budget."""
 
     max_n: int
     node_budget: int = DEFAULT_NODE_BUDGET
 
     def __iter__(self):
-        return iter(range(2, self.max_n + 1))
+        return divisor_sieve(2, self.max_n + 1)
 
-    def item(self, n: int) -> tuple[int, list[int], Graph]:
-        return (n, *zn_divisor_graph(n))
+    def item(self, row: tuple) -> tuple[int, tuple, list[int], Graph]:
+        n, factors, ds = row
+        return (n, factors, *zn_divisor_graph(n, ds, factors))
 
 
 #: (kind, first parameter whose group is not abelian) of each non-abelian catalog
@@ -450,40 +454,42 @@ def verify_regular_zn(res: VerificationResult, zn: ZnGraphs) -> Generator:
     """
     res.domain = f"Z(n) for n <= {zn.max_n} with nonempty graph"
     while item := (yield):
-        n, _, g = item
+        n, factors, _, g = item
         if g.n == 0:
             continue
         res.groups_tested += 1
         regular = is_regular(g)
-        pp = prime_power(n)
-        expect = pp is not None and pp[1] >= 2
+        expect = len(factors) == 1 and factors[0][1] >= 2
         if regular != expect:
             res.counterexamples.append(
                 (f"Z({n})", f"regular <-> prime power ({expect})", f"regular={regular}")
             )
 
 
-def zn_expected_degree(n: int, d: int) -> int:
-    """Degree of the order-d vertex of the Z_n graph: tau(n) - 2 minus the
-    count of divisors coprime to d (full-support divisors give tau(n) - 3)."""
-    coprime = 1
-    for p, a in factorize(n):
-        if d % p != 0:
-            coprime *= a + 1
-    return tau(n) - 2 - coprime
+def zn_expected_degrees(factors: tuple[tuple[int, int], ...], ds: list[int]) -> list[int]:
+    """Degree of each order-d vertex, d in ``ds``, of the Z_n graph, n given by
+    its ``factors``: tau(n) - 2 minus the count of divisors coprime to d
+    (full-support divisors give tau(n) - 3)."""
+    tau = prod(a + 1 for _, a in factors)
+    out = []
+    for d in ds:
+        coprime = 1
+        for p, a in factors:
+            if d % p:
+                coprime *= a + 1
+        out.append(tau - 2 - coprime)
+    return out
 
 
 @_verifier("t24-degree-formula-zn", "zn")
 def verify_degree_formula_zn(res: VerificationResult, zn: ZnGraphs) -> Generator:
     res.domain = f"Z(n) for n <= {zn.max_n}, every vertex"
     while item := (yield):
-        n, ds, g = item
+        n, factors, ds, g = item
         if g.n == 0:
             continue
         res.groups_tested += 1
-        for i, d in enumerate(ds):
-            want = zn_expected_degree(n, d)
-            got = g.degree(i)
+        for d, want, got in zip(ds, zn_expected_degrees(factors, ds), g.degrees()):
             if got != want:
                 res.counterexamples.append(
                     (f"Z({n})", f"deg(order-{d} vertex) = {want}", f"deg={got}")
@@ -496,10 +502,10 @@ def verify_domination_zn(res: VerificationResult, zn: ZnGraphs) -> Generator:
     2 when n is squarefree with >= 2 prime factors; primes are skipped."""
     res.domain = f"Z(n) for composite n <= {zn.max_n}"
     while item := (yield):
-        n, _, g = item
+        n, factors, _, g = item
         if g.n == 0:
             continue  # n prime
-        expect = 1 if any(a > 1 for _, a in factorize(n)) else 2
+        expect = 1 if any(a > 1 for _, a in factors) else 2
         try:
             gamma = domination_number(g, zn.node_budget)
         except SkippedSizeCap as exc:
@@ -527,9 +533,11 @@ def run_verifiers(
         ids = list(THEOREM_IDS)
     else:
         ids = [theorem_ids] if isinstance(theorem_ids, str) else list(theorem_ids)
-        for tid in ids:
+        for i, tid in enumerate(ids):
             if tid not in THEOREM_IDS:
                 raise UnknownTheoremId(f"unknown theorem id {tid}")
+            if tid in ids[:i]:
+                raise RepeatedTheoremId(f"theorem id {tid} named more than once")
     # one catalog and one source of Z_n graphs, each made when the first check
     # that reads it is seen and streamed in one pass; each id gets its own result
     results, passes = [], {}

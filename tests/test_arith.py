@@ -6,7 +6,15 @@ from math import gcd, isqrt
 import pytest
 
 from cycgraph import arith
-from cycgraph.arith import coprime_mask, divisors, factorize, is_prime, prime_power, tau
+from cycgraph.arith import (
+    coprime_mask,
+    divisor_sieve,
+    divisors,
+    factorize,
+    is_prime,
+    prime_power,
+    tau,
+)
 
 N = range(1, 5001)
 
@@ -50,6 +58,29 @@ def test_divisors_and_tau():
         ds = sorted(set(low + [n // d for d in low]))
         assert divisors(n) == ds, n
         assert tau(n) == len(ds), n
+
+
+@pytest.mark.parametrize("block", [7, arith.SIEVE_BLOCK])
+def test_divisor_sieve(monkeypatch, block):
+    # at 7 numbers a block, the run crosses 714 block boundaries
+    monkeypatch.setattr(arith, "SIEVE_BLOCK", block)
+    rows = list(divisor_sieve(1, 5001))
+    assert [n for n, _, _ in rows] == list(N)
+    for n, f, ds in rows:
+        assert f == factorize(n), n
+        assert ds == divisors(n)[1:-1], n
+        assert isinstance(f, tuple) and all(isinstance(pa, tuple) for pa in f)
+    # blocks are counted from the start: a run from elsewhere sees the same rows
+    for start in (2, 4990):
+        assert list(divisor_sieve(start, 5001)) == rows[start - 1:]
+
+
+def test_divisor_sieve_bounds():
+    assert list(divisor_sieve(10, 10)) == []
+    assert list(divisor_sieve(1, 2)) == [(1, (), [])]
+    for start in (0, -3):
+        with pytest.raises(ValueError):
+            list(divisor_sieve(start, 10))
 
 
 def test_coprime_mask():

@@ -429,14 +429,15 @@ class TestVerify:
             "thm15-complete", "cor-c1-girth",
         ]
 
-    def test_repeated_id_gets_its_own_result(self, capsys):
-        # both share one pass over the catalog, yet each gets its own result
-        rc, out = run(capsys, "verify", "thm15-complete", "thm15-complete",
-                      "--max-order", "30", "--format", "json")
-        assert rc == EXIT_OK
-        first, again = without_timings(out)["results"]
-        assert first["theorem_id"] == "thm15-complete" and first["groups_tested"] > 0
-        assert first == again
+    @pytest.mark.parametrize("ids", [["t22-domination-zn", "t22-domination-zn"],
+                                     ["thm15-complete", "cor-c1-girth", "thm15-complete"]],
+                             ids=["zn", "catalog"])
+    def test_repeated_id_is_a_usage_error(self, capsys, ids):
+        # a repeated id would run its check twice for two identical results
+        assert main(["verify", *ids, "--max-order", "30", "--max-n", "30"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.err == f"error: theorem id {ids[-1]} named more than once\n"
+        assert captured.out == ""
 
     def test_json_deterministic(self, capsys):
         _, a = run(capsys, "verify", "thm345-star-path-cycle",

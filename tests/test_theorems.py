@@ -7,13 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from conftest import distinct_prime_pairs
-from cycgraph import groups, theorems
+from conftest import distinct_prime_pairs, divisor_gcd_graph
+from cycgraph import arith, graphs, groups, theorems
 from cycgraph.errors import UnknownTheoremId
 from cycgraph.invariants import graph_isomorphic
 from cycgraph.groups import alternating, cyclic, relabel
 from cycgraph.specs import GroupSpec, abelian_groups_of_order, is_cyclic_spec, parse_spec
-from cycgraph.theorems import THEOREM_IDS, default_catalog, run_verifiers, zn_expected_degree
+from cycgraph.theorems import THEOREM_IDS, default_catalog, run_verifiers, zn_expected_degrees
 from cycgraph.graphs import Graph, IntersectionGraph, build, zn_divisor_graph
 
 
@@ -190,9 +190,8 @@ class TestVerifiers:
 
     def test_degree_formula_values(self):
         # full-support divisor: tau(n) - 3
-        assert zn_expected_degree(12, 6) == 6 - 3
-        assert zn_expected_degree(12, 2) == 6 - 2 - 2  # misses prime 3
-        assert zn_expected_degree(30, 2) == 8 - 2 - 4
+        assert zn_expected_degrees(((2, 2), (3, 1)), [6, 2]) == [6 - 3, 6 - 2 - 2]  # 2 misses 3
+        assert zn_expected_degrees(((2, 1), (3, 1), (5, 1)), [2]) == [8 - 2 - 4]
 
     def test_domination(self):
         res = run_verifiers(["t22-domination-zn"], max_n=300)[0]
@@ -205,6 +204,35 @@ class TestVerifiers:
         (res,) = run_verifiers(["t22-domination-zn"], max_n=40, node_budget=1)
         assert res.skipped == ["Z(30): solver node budget exhausted"]
         assert res.groups_tested == 26 and res.passed
+
+    def test_zn_items_come_from_the_sieve(self, monkeypatch):
+        # at 7 numbers a sieve block, the items cross 714 block boundaries
+        monkeypatch.setattr(arith, "SIEVE_BLOCK", 7)
+        items = [theorems.ZnGraphs(5000).item(row) for row in theorems.ZnGraphs(5000)]
+        assert [n for n, *_ in items] == list(range(2, 5001))
+        for n, factors, ds, g in items:
+            assert factors == arith.factorize(n), n
+            assert (ds, g) == divisor_gcd_graph(n), n
+
+    def test_zn_verifiers_factor_no_streamed_n(self, monkeypatch):
+        # above arith.FACTOR_CACHE_SIZE, where factoring n again would miss the cache
+        max_n = 6000
+        assert max_n > arith.FACTOR_CACHE_SIZE
+        zn_ids = ["t24-regular-zn", "t24-degree-formula-zn", "t22-domination-zn"]
+        alone = [_without_timings(run_verifiers([tid], max_n=max_n))[0] for tid in zn_ids]
+        factored = []
+        factorize = arith.factorize
+
+        def recorded(n):
+            factored.append(n)
+            return factorize(n)
+
+        for module in (arith, graphs, theorems):
+            monkeypatch.setattr(module, "factorize", recorded)
+        shared = _without_timings(run_verifiers(zn_ids, max_n=max_n))
+        assert factored == []
+        assert shared == alone
+        assert [r["groups_tested"] for r in shared] == [max_n - 1 - 783] * 3  # 783 primes <= 6000
 
     def test_iso_invariance_seeds_come_from_the_catalog(self, monkeypatch):
         seeds = []
@@ -252,9 +280,9 @@ class TestRunVerifiers:
     def test_zn_graphs_are_built_once_per_run(self, monkeypatch):
         built = []
 
-        def counted(n):
+        def counted(n, *args):
             built.append(n)
-            return zn_divisor_graph(n)
+            return zn_divisor_graph(n, *args)
 
         monkeypatch.setattr(theorems, "zn_divisor_graph", counted)
         zn_ids = ["t24-regular-zn", "t24-degree-formula-zn", "t22-domination-zn"]
@@ -269,9 +297,9 @@ class TestRunVerifiers:
     def test_verify_all_builds_each_zn_graph_once(self, monkeypatch):
         built = []
 
-        def counted(n):
+        def counted(n, *args):
             built.append(n)
-            return zn_divisor_graph(n)
+            return zn_divisor_graph(n, *args)
 
         monkeypatch.setattr(theorems, "zn_divisor_graph", counted)
         run_verifiers("all", max_order=20, max_n=200)
@@ -285,11 +313,11 @@ class TestRunVerifiers:
         thm16_takes = theorems.VERIFIERS["thm16-planarity"][2]
         catalog_item, zn_item = theorems.Catalog.item, theorems.ZnGraphs.item
 
-        def weak_zn_item(self, n):
-            n, ds, g = zn_item(self, n)
+        def weak_zn_item(self, row):
+            *head, g = zn_item(self, row)
             weak = _WeakGraph(g.n)
             weak.adj = g.adj
-            return n, ds, weak
+            return (*head, weak)
 
         def watch(source, make, taken_by_thm16):
             older = []
@@ -300,7 +328,7 @@ class TestRunVerifiers:
                 assert [k for i, (k, r) in enumerate(older) if i not in held and r()] == []
                 made = make(self, key)
                 if not isinstance(made, str):
-                    older.append((key, weakref.ref(made[2])))
+                    older.append((key, weakref.ref(made[-1])))
                 return made
 
             monkeypatch.setattr(source, "item", item)
