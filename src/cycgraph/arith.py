@@ -79,14 +79,6 @@ def totient(n: int) -> int:
     return out
 
 
-def tau(n: int) -> int:
-    """Number of divisors."""
-    out = 1
-    for _, a in factorize(n):
-        out *= a + 1
-    return out
-
-
 @lru_cache(maxsize=64)  # read at prime exponents, all below 15 under groups.ORDER_CAP
 def partitions(n: int) -> tuple[tuple[int, ...], ...]:
     """All partitions of n as non-increasing tuples, in lexicographic order."""

@@ -9,8 +9,8 @@ which :func:`cycgraph.subgroups.cyclic_subgroups` lists the cyclic subgroups
 in closed form (a product's from its two factors); every other group, a
 relabeled copy of one included, has none and is walked, and the walk is the
 closed forms' test oracle.  Only a Cayley table given as input is stored: as
-a compact array of the least unsigned dtype that holds 0..n-1, each row
-turned into the list its rule looks up the first time it is read.
+one ``TABLE_DTYPE`` array, which its rule reads in place through a 2-D
+memoryview.
 User tables are parsed into an int64 array and every group axiom is checked
 with numpy at every order; associativity exactly, by Light's test on a
 generating set (Clifford & Preston, *The Algebraic Theory of Semigroups* I,
@@ -42,6 +42,8 @@ ORDER_CAP = 20000
 #: element is a tuple over the moved points, 8 bytes an entry on 64-bit CPython, so
 #: ~34 MB at the cap (S(7) stores 35,280; a 20,000-cycle would store 4e8, ~3.2 GB)
 PERM_ENTRY_CAP = 2**22
+#: the dtype a table is checked and kept in: it holds every index, as ORDER_CAP < 2**16
+TABLE_DTYPE = "uint16"
 
 
 class FiniteGroup:
@@ -87,8 +89,7 @@ def validate_table(table: Sequence[Sequence[int]]) -> int:
     Check order is fixed (shape, Latin square, identity, associativity) and
     only the first failure is reported.  Every element has an inverse once
     each row is a permutation, since then every row holds the identity.
-    Past the range check, the checks run on a compact copy in the least
-    unsigned dtype that holds 0..n-1 (uint8 up to order 256, uint16 above).
+    Past the range check, the checks run on a ``TABLE_DTYPE`` copy.
     Associativity is exact at every order: see :func:`_check_associative`.
     """
     import numpy as np
@@ -98,7 +99,7 @@ def validate_table(table: Sequence[Sequence[int]]) -> int:
     if t.min() < 0 or t.max() >= n:
         i, j = map(int, np.argwhere((t < 0) | (t >= n))[0])
         raise NotLatinSquare(f"entry ({i},{j}) = {int(t[i, j])} out of range 0..{n - 1}")
-    t = t.astype(_index_dtype(n))
+    t = t.astype(TABLE_DTYPE)
     ar = np.arange(n, dtype=t.dtype)
     bad = np.flatnonzero((np.sort(t, axis=1) != ar).any(axis=1))
     if len(bad):
@@ -112,13 +113,6 @@ def validate_table(table: Sequence[Sequence[int]]) -> int:
     identity = int(np.argmax(two_sided))
     _check_associative(t, identity)
     return identity
-
-
-def _index_dtype(n: int) -> np.dtype:
-    """The least unsigned dtype that holds every index 0..n-1."""
-    import numpy as np
-
-    return np.min_scalar_type(n - 1)
 
 
 def _square_table(table: Sequence[Sequence[int]]) -> np.ndarray:
@@ -178,22 +172,17 @@ def _check_associative(t: np.ndarray, identity: int) -> None:
 def from_cayley_table(table: Sequence[Sequence[int]], descriptor: str = "cayley-table") -> FiniteGroup:
     """The group of a Cayley table, once :func:`validate_table` accepts it.
 
-    The group keeps a compact copy of the table, never the caller's array, so
-    changing ``table`` later leaves the group as it was.  Its rule turns row a
-    into a list the first time it reads it: a caller that multiplies on the
-    left by few elements, as :func:`cycgraph.subgroups.cyclic_subgroups` does,
-    converts few of the n rows.
+    The group keeps a ``TABLE_DTYPE`` copy of the table, never the caller's
+    array, so changing ``table`` later leaves the group as it was.  Its rule
+    reads that copy in place through a 2-D memoryview, whose ``cells[a, b]``
+    is a plain int: no row is ever converted.
     """
     t = _square_table(table)                    # converted once; validate_table reuses it
     identity = validate_table(t)
-    compact = t.astype(_index_dtype(len(t)))
-    rows: list[list[int] | None] = [None] * len(t)
+    cells = memoryview(t.astype(TABLE_DTYPE))
 
     def rule(a, b):
-        row = rows[a]
-        if row is None:
-            row = rows[a] = compact[a].tolist()
-        return row[b]
+        return cells[a, b]
 
     return FiniteGroup(len(t), rule, identity, descriptor)
 

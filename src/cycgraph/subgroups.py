@@ -60,8 +60,7 @@ def _walk_powers(group: FiniteGroup) -> Iterator[list[int]]:
     ``coprime_mask(m)``), which are then skipped.
     Total cost is the sum of |H| over distinct cyclic subgroups H.  Powers
     step as g * x, which equals x * g since powers of g commute with g: every
-    product is a left multiplication by a walk's start, so a group that turns
-    table rows into lists on first use converts one row per walk.
+    product is a left multiplication by a walk's start.
     """
     n = group.order
     mul, e = group.mul, group.identity

@@ -13,7 +13,6 @@ from cycgraph.arith import (
     factorize,
     is_prime,
     prime_power,
-    tau,
 )
 
 N = range(1, 5001)
@@ -57,7 +56,6 @@ def test_divisors_and_tau():
         low = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
         ds = sorted(set(low + [n // d for d in low]))
         assert divisors(n) == ds, n
-        assert tau(n) == len(ds), n
 
 
 @pytest.mark.parametrize("block", [7, arith.SIEVE_BLOCK])

@@ -520,14 +520,19 @@ def prolongation_257():
 
 
 class TestCompactTables:
-    """Tables are checked and kept as uint8 up to order 256 and as uint16 above."""
+    """Tables are checked and kept as uint16 at every order."""
 
     @pytest.mark.parametrize("spec", ["Z(255)", "D(128)", "Z(257)", "S(6)"])
     def test_accepts_relabeled_tables_at_dtype_boundaries(self, spec):
         h = relabeled(spec)
         t = table_of(h)
-        assert groups._index_dtype(h.order) == (np.uint8 if h.order <= 256 else np.uint16)
+        assert np.dtype(groups.TABLE_DTYPE) == np.uint16
+        # uint16 holds every index 0..n-1 only while no order reaches 2**16
+        assert groups.ORDER_CAP < 2**16
         assert validate_table(t) == h.identity
+        mul = from_cayley_table(t).mul
+        products = [[mul(a, b) for b in range(h.order)] for a in range(h.order)]
+        assert products == t and {type(x) for row in products for x in row} == {int}
 
     @pytest.mark.parametrize("spec, switched", [("Z(255)", 6), ("D(128)", 4), ("S(6)", 4)])
     def test_rejects_cycle_switch_at_dtype_boundaries(self, spec, switched):

@@ -5,7 +5,6 @@ import pytest
 
 from conftest import PRODUCTS, write_table_file
 from cycgraph import subgroups
-from cycgraph.arith import tau
 from cycgraph.groups import (
     FiniteGroup,
     alternating,
@@ -62,7 +61,8 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n", list(range(2, 120)) + [360, 1024, 1800])
     def test_cyclic_count_is_tau_minus_two(self, n):
-        assert len(cyclic_subgroups(cyclic(n))) == tau(n) - 2
+        tau = sum(n % d == 0 for d in range(1, n + 1))  # divisors counted by trial
+        assert len(cyclic_subgroups(cyclic(n))) == tau - 2
 
     @pytest.mark.parametrize("alpha", [3, 4, 5])
     def test_dicyclic_count(self, alpha):
