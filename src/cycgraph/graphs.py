@@ -93,9 +93,6 @@ class Graph:
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 
-    def __hash__(self):
-        return hash((self.n, tuple(self.adj)))
-
     def __repr__(self):
         return f"Graph(n={self.n}, edges={self.edge_count()})"
 
@@ -107,6 +104,7 @@ class IntersectionGraph:
     vertices: tuple[CyclicSubgroup, ...]
     graph: Graph
     source_descriptor: str
+    primes: tuple[int, ...]  #: the prime-order vertices, ascending: one per clique C_P
 
     @property
     def n(self) -> int:
@@ -126,7 +124,7 @@ def build(group: FiniteGroup, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Intersect
     one element generates P.  Vertices come sorted by order, so P is met
     before every H > P: P opens C_P, and as P lies in no other prime-order
     subgroup, only the other vertices are tested.  A C_P of one member adds
-    no edge."""
+    no edge.  The P that open the cliques are the graph's ``primes``."""
     subs = cyclic_subgroups(group)
     if len(subs) > vertex_cap:
         raise VertexCapExceeded(vertex_cap_message(group.descriptor, len(subs), vertex_cap))
@@ -139,7 +137,7 @@ def build(group: FiniteGroup, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Intersect
             for p in cliques.keys() & s.elements:
                 cliques[p].append(v)
     g = _clique_union(len(subs), [c for c in cliques.values() if len(c) > 1])
-    return IntersectionGraph(tuple(subs), g, group.descriptor)
+    return IntersectionGraph(tuple(subs), g, group.descriptor, tuple(c[0] for c in cliques.values()))
 
 
 def zn_divisor_graph(

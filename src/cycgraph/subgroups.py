@@ -5,8 +5,8 @@ a direct product's from its factors' powers (Goursat's lemma), without
 multiplying, and a group of no family from walking its elements' powers.
 Z(n), D(n) and Dic(m) have theirs written down already sorted instead, which
 saves the sort.  The walk shares no code with the family rows: it is their oracle.
-How many there are of each order is counted by the same rows without listing
-an element, and the listing is that count's oracle.
+How many there are of each order is the lengths of the same powers, or a
+family's optional count without listing an element; the listing is its oracle.
 """
 
 from __future__ import annotations
@@ -219,7 +219,8 @@ def _unit_lifts(beta: int, d: int) -> tuple[int, ...]:
     return tuple(first.values())
 
 
-#: FiniteGroup.family kind -> the powers of a generator of each of its cyclic subgroups
+#: FiniteGroup.family kind -> the powers of a generator of each cyclic subgroup: the one row
+#: a family needs (its _CLOSED_FORMS and _FAMILY_ORDERS rows are optional fast paths)
 _FAMILY_POWERS = {
     "cyclic": _cyclic_powers,
     "dihedral": _dihedral_powers,
@@ -244,12 +245,12 @@ def cyclic_subgroup_orders(group: FiniteGroup) -> Counter[int]:
     units u mod d lifts to a unit mod beta: u + d*t is prime to every prime of
     d, as u is, and t can make it 1 mod each other prime p of beta, since d is
     a unit mod p.  So there are phi(d) classes, each one subgroup.  Any other
-    group is counted from its own power walk, one length per cyclic subgroup.
+    group, Z(n) too, is counted off :func:`_powers`, one length per subgroup.
     """
-    if group.family is None:
-        return Counter(map(len, _walk_powers(group)))
-    kind, param = group.family
-    return _FAMILY_ORDERS[kind](param)
+    if group.family is not None and group.family[0] in _FAMILY_ORDERS:
+        kind, param = group.family
+        return _FAMILY_ORDERS[kind](param)
+    return Counter(map(len, _powers(group)))
 
 
 def vertex_count(group: FiniteGroup) -> int:
@@ -272,9 +273,8 @@ def _product_orders(factors: tuple[FiniteGroup, FiniteGroup]) -> Counter[int]:
     return out
 
 
-#: FiniteGroup.family kind -> its cyclic subgroups counted by order
+#: FiniteGroup.family kind -> its cyclic subgroups counted by order, without listing them
 _FAMILY_ORDERS = {
-    "cyclic": lambda n: Counter(divisors(n)),
     "dihedral": lambda n: Counter(divisors(n)) + Counter({2: n}),
     "dicyclic": lambda m: Counter(divisors(2 * m)) + Counter({4: m}),
     "product": _product_orders,

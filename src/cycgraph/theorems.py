@@ -14,7 +14,7 @@ from math import prod
 from typing import Callable, Generator
 
 from . import groups
-from .arith import divisor_sieve, factorize, is_prime, prime_power
+from .arith import divisor_sieve, factorize, prime_power
 from .errors import RepeatedTheoremId, SkippedSizeCap, UnknownTheoremId, VertexCapExceeded
 from .graphs import DEFAULT_VERTEX_CAP, Graph, IntersectionGraph, bits, build, zn_divisor_graph
 from .groups import FiniteGroup, relabel
@@ -274,7 +274,7 @@ def verify_totally_disconnected(res: VerificationResult, catalog: Catalog) -> Ge
         # has vertices); prime-order vertices meet trivially, so they hold every x != 1
         # exactly when their non-identity elements number |G| - 1
         orders = [v.order for v in ig.vertices]
-        all_prime = all(map(is_prime, orders)) and 1 + sum(orders) - len(orders) == group.order
+        all_prime = len(ig.primes) == ig.n and 1 + sum(orders) - len(orders) == group.order
         if disconnected != all_prime:
             res.counterexamples.append(
                 (
@@ -297,7 +297,7 @@ def verify_complete(res: VerificationResult, catalog: Catalog) -> Generator:
             continue
         res.groups_tested += 1
         complete = is_complete(ig.graph)
-        m = sum(1 for v in ig.vertices if is_prime(v.order))
+        m = len(ig.primes)
         if complete != (m == 1):
             res.counterexamples.append(
                 (spec.descriptor, f"complete <-> m==1 (m={m})", f"complete={complete}")
@@ -379,9 +379,10 @@ def _subgroup_conditions(ig: IntersectionGraph) -> dict[str, bool]:
     order p, p^2 or pq), plus the pairwise-trivial-intersection clause: one
     pass over the maximal subgroups and one over the special vertices."""
     small = [_order_in_small_set(s.order) for s in maximal_among(ig.vertices)]
+    primes = set(ig.primes)
     special = [
         v for v, s in enumerate(ig.vertices)
-        if _order_in_small_set(s.order) and not is_prime(s.order)
+        if v not in primes and _order_in_small_set(s.order)
     ]
     clause_b = all(
         not (ig.graph.adj[u] >> v & 1)
@@ -435,7 +436,7 @@ def verify_alpha_theta(res: VerificationResult, catalog: Catalog) -> Generator:
     res.domain = f"default catalog, order <= {catalog.max_order}, within solver caps"
     while item := (yield):
         spec, _, ig = item
-        m = sum(1 for v in ig.vertices if is_prime(v.order))
+        m = len(ig.primes)
         # one certificate gives alpha = theta = k; it exists on every such graph
         # (see simplicial_cover), so a graph without one refutes that lemma
         k = simplicial_cover(ig.graph)

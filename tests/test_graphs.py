@@ -3,6 +3,7 @@ import random
 import pytest
 
 from conftest import (
+    PRODUCTS,
     complement,
     complete_bipartite,
     complete_graph,
@@ -12,12 +13,24 @@ from conftest import (
     pairwise_adjacency,
     path_graph,
     petersen,
+    write_table_file,
 )
+from cycgraph.arith import is_prime
 from cycgraph.errors import VertexCapExceeded
 from cycgraph.graphs import Graph, bits, build, zn_divisor_graph
-from cycgraph.groups import cyclic, dicyclic, symmetric
+from cycgraph.groups import (
+    cyclic,
+    dicyclic,
+    dihedral,
+    direct_product,
+    read_cayley_file,
+    read_permutation_file,
+    relabel,
+    symmetric,
+)
 from cycgraph.invariants import compute_report
 from cycgraph.specs import parse_spec
+from cycgraph.subgroups import prime_order_subgroup_count
 from cycgraph.theorems import default_catalog
 
 
@@ -99,8 +112,9 @@ class TestGraph:
 
     def test_equality_and_hash(self):
         assert cycle_graph(4) == cycle_graph(4)
-        assert hash(cycle_graph(4)) == hash(cycle_graph(4))
         assert cycle_graph(4) != path_graph(4)
+        with pytest.raises(TypeError):  # add_edge changes a Graph, so it is unhashable
+            hash(Graph(2))
 
 
 class TestBuild:
@@ -137,6 +151,22 @@ class TestBuild:
 
     def test_source_descriptor(self):
         assert build(dicyclic(2)).source_descriptor == "Dic(2)"
+
+    def test_primes_are_the_prime_order_vertices(self, tmp_path):
+        perm = list(range(24))
+        random.Random(5).shuffle(perm)
+        table = tmp_path / "dic3xz2.txt"
+        write_table_file(direct_product(dicyclic(3), cyclic(2)), table)
+        gens = tmp_path / "d5.txt"
+        gens.write_text("5\n(0 1 2 3 4)\n(1 4)(2 3)\n")
+        specs = [*default_catalog(400), *map(parse_spec, PRODUCTS)]
+        others = [relabel(direct_product(dihedral(6), cyclic(2)), perm),
+                  read_cayley_file(str(table)), read_permutation_file(str(gens))]
+        for group in [spec.realize() for spec in specs] + others:
+            ig = build(group)
+            want = tuple(v for v, s in enumerate(ig.vertices) if is_prime(s.order))
+            assert ig.primes == want, group.descriptor
+            assert len(ig.primes) == prime_order_subgroup_count(group), group.descriptor
 
     def test_matches_pairwise_oracle(self, catalog_240_and_products):
         graphs = [(desc, ig) for desc, _, ig in catalog_240_and_products]

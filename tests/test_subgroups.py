@@ -278,6 +278,17 @@ class TestOrderCounts:
             assert group.family is None
             assert_count_matches_enumeration(group)
 
+    def test_a_family_needs_only_its_powers_row(self, monkeypatch):
+        # a kind with a _FAMILY_POWERS row and no other row is listed and counted
+        # off it, alone and as a factor, as the same rule walked with no family
+        monkeypatch.setitem(subgroups._FAMILY_POWERS, "reflections", subgroups._dihedral_powers)
+        d = dihedral(6)
+        row = FiniteGroup(d.order, d.mul, d.identity, "R(6)", ("reflections", 6))
+        for group in (row, direct_product(row, cyclic(2)), direct_product(row, dihedral(3))):
+            walked = FiniteGroup(group.order, group.mul, group.identity, group.descriptor)
+            for f in (cyclic_subgroups, cyclic_subgroup_orders, vertex_count):
+                assert f(group) == f(walked), (group.descriptor, f.__name__)
+
 
 class TestPrimeOrderCount:
     def test_prime_power_cyclic(self):

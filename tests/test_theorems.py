@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import json
 import time
@@ -96,7 +97,8 @@ class TestVerifiers:
         # but the relabeling's own vertex map is not one
         group = cyclic(24)
         base = build(group)
-        mislabeled = IntersectionGraph(base.vertices[::-1], base.graph, base.source_descriptor)
+        mislabeled = IntersectionGraph(base.vertices[::-1], base.graph, base.source_descriptor,
+                                       base.primes)
         trials = theorems.ISO_TRIALS
         assert len(theorems._relabelings_isomorphic(group, mislabeled, trials, seed=1)) == trials
         other = build(relabel(group, list(reversed(range(group.order)))))
@@ -134,6 +136,25 @@ class TestVerifiers:
         assert len(want) == 13
         assert want[0] == ("Z(4)", "complete K_1", "complete=False, vertices=1")
         assert want[-1] == ("Dic(16)", "complete K_21", "complete=False, vertices=21")
+
+    @pytest.mark.parametrize("theorem_id, descriptor", [
+        ("thm8-300-alpha-theta", "Z(2)xZ(2)"),
+        ("thm14-totally-disconnected", "Z(2)xZ(2)"),
+        ("thm15-complete", "Dic(2)"),
+    ])
+    def test_prime_order_checks_read_the_graphs_primes(self, monkeypatch, theorem_id, descriptor):
+        # with one prime-order vertex dropped from each graph's primes, the check
+        # refutes itself on a group it holds for
+        def drop_a_prime(group, vertex_cap):
+            ig = build(group, vertex_cap)
+            return dataclasses.replace(ig, primes=ig.primes[1:])
+
+        def refuted():
+            return {c[0] for c in run_verifiers([theorem_id], max_order=8)[0].counterexamples}
+
+        assert descriptor not in refuted()
+        monkeypatch.setattr(theorems, "build", drop_a_prime)
+        assert descriptor in refuted()
 
     def test_star_path_cycle(self):
         res = run_verifiers(["thm345-star-path-cycle"], max_order=100)[0]
