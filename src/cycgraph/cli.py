@@ -1,8 +1,9 @@
 """Command-line front end: analyze one group, verify theorems, export graphs.
 
-The JSON of ``export`` and ``analyze`` is rendered as text straight from the
-graph, not built as a payload of records first; its bytes are exactly those
-of ``json.dumps(payload, indent=2, sort_keys=True) + "\n"``.
+The JSON of ``export``, ``analyze`` and ``verify`` is rendered as text
+straight from the graph or the results, not built as a payload of records
+first, and ``verify``'s is written a counterexample at a time; its bytes are
+exactly those of ``json.dumps(payload, indent=2, sort_keys=True) + "\n"``.
 
 Exit codes: 0 everything passed; 1 at least one theorem check failed;
 2 usage error; 3 no verifier tested a group, because every group was skipped
@@ -17,7 +18,7 @@ import gc
 import json
 import locale  # noqa: F401  (see below)
 import sys
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from . import __version__, groups
 from .errors import CycgraphError
@@ -25,7 +26,7 @@ from .graphs import DEFAULT_VERTEX_CAP, IntersectionGraph, build, vertex_cap_mes
 from .invariants import DEFAULT_NODE_BUDGET, compute_report
 from .specs import parse_spec
 from .subgroups import CyclicSubgroup, vertex_count
-from .theorems import THEOREM_IDS, default_catalog, run_verifiers
+from .theorems import THEOREM_IDS, VerificationResult, default_catalog, run_verifiers
 
 # What the imports made (argparse, json, this package) lives as long as the
 # process: move it out of the collector's view once, here, so that no full
@@ -44,19 +45,22 @@ EXIT_USAGE = 2
 EXIT_SKIP_ONLY = 3
 
 
-def _write_out(text: str, out: str | None) -> None:
+def _write_out(text: str | Iterable[str], out: str | None) -> None:
     """Write UTF-8, to ``out`` or to stdout whatever the locale's encoding; a
-    stdout with no byte buffer (an ``io.StringIO``) takes the text as it is."""
+    stdout with no byte buffer (an ``io.StringIO``) takes the text as it is.
+    ``text`` may come as an iterable of chunks, each written as it is made."""
+    chunks = (text,) if isinstance(text, str) else text
     if out is not None:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         return
     buffer = getattr(sys.stdout, "buffer", None)
     if buffer is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
     else:
         sys.stdout.flush()  # text already written goes first
-        buffer.write(text.encode("utf-8"))
+        for chunk in chunks:
+            buffer.write(chunk.encode("utf-8"))
 
 
 # --- analyze ----------------------------------------------------------------
@@ -70,6 +74,17 @@ def _json_array(items: Iterable[str], pad: str) -> str:
     inner = pad + "  "
     body = ("," + inner).join(items)
     return f"[{inner}{body}{pad}]" if body else "[]"
+
+
+def _json_array_chunks(items: Iterable[str], pad: str) -> Iterator[str]:
+    """:func:`_json_array` one item at a time, so a long list is never held
+    whole (one join is faster where the list is held anyway)."""
+    inner = pad + "  "
+    sep = "[" + inner
+    for item in items:
+        yield sep + item
+        sep = "," + inner
+    yield "[]" if sep[0] == "[" else pad + "]"
 
 
 def _vertices_json(vertices: Iterable[CyclicSubgroup], pad: str) -> str:
@@ -166,6 +181,41 @@ def cmd_export(args) -> int:
 
 # --- verify -----------------------------------------------------------------
 
+def _result_json(r: VerificationResult, pad: str) -> Iterator[str]:
+    """One result of verify's JSON report, ``r.to_dict()`` with its keys
+    sorted, closing at indent ``pad``: a chunk per counterexample and per skip."""
+    key, item = pad + "  ", pad + "    "
+    field = item + "  "
+    yield f'{{{key}"counterexamples": '
+    yield from _json_array_chunks(
+        (f'{{{field}"expected": {json.dumps(e)},{field}"group": {json.dumps(g)},'
+         f'{field}"observed": {json.dumps(o)}{item}}}' for g, e, o in r.counterexamples),
+        key,
+    )
+    yield (f',{key}"domain": {json.dumps(r.domain)},'
+           f'{key}"elapsed_s": {json.dumps(round(r.elapsed, 6))},'
+           f'{key}"groups_tested": {r.groups_tested},{key}"notes": {json.dumps(r.notes)},'
+           f'{key}"passed": {json.dumps(r.passed)},{key}"skipped": ')
+    yield from _json_array_chunks(map(json.dumps, r.skipped), key)
+    yield f',{key}"theorem_id": {json.dumps(r.theorem_id)}{pad}}}'
+
+
+def _verify_json(head: dict, results: list[VerificationResult]) -> Iterator[str]:
+    """verify's JSON report: the fields of ``head`` and ``"results"``, rendered
+    in chunks of at most one counterexample or skip, so that the whole report
+    is never held as text."""
+    pad, item = "\n  ", "\n    "
+    fields = {k: f"{pad}{json.dumps(k)}: {json.dumps(v)}" for k, v in sorted(head.items())}
+    yield "{" + "".join(f + "," for k, f in fields.items() if k < "results") + f'{pad}"results": '
+    sep = "["
+    for r in results:
+        yield sep + item
+        yield from _result_json(r, item)
+        sep = ","
+    yield "[]" if sep == "[" else pad + "]"
+    yield "".join("," + f for k, f in fields.items() if k > "results") + "\n}\n"
+
+
 def cmd_verify(args) -> int:
     ids = "all" if args.theorems == ["all"] else args.theorems
     results = run_verifiers(
@@ -176,16 +226,11 @@ def cmd_verify(args) -> int:
         vertex_cap=args.vertex_cap,
         node_budget=args.node_budget,
     )
-    report = {
-        "version": __version__,
-        "seed": args.seed,
-        "max_order": args.max_order,
-        "max_n": args.max_n,
-        "all_passed": all(r.passed for r in results),
-        "results": [r.to_dict() for r in results],
-    }
+    all_passed = all(r.passed for r in results)
     if args.format == "json":
-        _write_out(json.dumps(report, indent=2, sort_keys=True) + "\n", args.out)
+        head = {"version": __version__, "seed": args.seed, "max_order": args.max_order,
+                "max_n": args.max_n, "all_passed": all_passed}
+        _write_out(_verify_json(head, results), args.out)
     else:
         lines = []
         for r in results:
@@ -202,7 +247,7 @@ def cmd_verify(args) -> int:
         _write_out("\n".join(lines) + "\n", args.out)
     if not any(r.groups_tested for r in results):
         return EXIT_SKIP_ONLY
-    if not report["all_passed"]:
+    if not all_passed:
         return EXIT_THEOREM_FAILURE
     return EXIT_OK
 

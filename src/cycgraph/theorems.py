@@ -373,23 +373,29 @@ def _order_in_small_set(m: int) -> bool:
     return False
 
 
-def _subgroup_conditions(ig: IntersectionGraph) -> dict[str, bool]:
+def _subgroup_conditions(ig: IntersectionGraph, small: dict[int, bool]) -> dict[str, bool]:
     """The subgroup-side condition of the acyclicity equivalence under both
     quantifier readings ('some' or 'every' maximal proper cyclic subgroup has
-    order p, p^2 or pq), plus the pairwise-trivial-intersection clause: one
-    pass over the maximal subgroups and one over the special vertices."""
-    small = [_order_in_small_set(s.order) for s in maximal_among(ig.vertices)]
+    order p, p^2 or pq), plus the pairwise-trivial-intersection clause.
+
+    ``small`` maps each order already classified by :func:`_order_in_small_set`
+    to its answer; orders first met here are added.  Only the non-prime
+    vertices are walked for maximality: a prime-order vertex P is maximal iff
+    it has no neighbour, as P <= H != P iff H lies in C_P.  The clause holds
+    iff no special vertex (non-prime, of small order) meets another, tested
+    against one mask of them all.
+    """
+    for d in {s.order for s in ig.vertices} - small.keys():
+        small[d] = _order_in_small_set(d)
+    adj = ig.graph.adj
     primes = set(ig.primes)
-    special = [
-        v for v, s in enumerate(ig.vertices)
-        if v not in primes and _order_in_small_set(s.order)
-    ]
-    clause_b = all(
-        not (ig.graph.adj[u] >> v & 1)
-        for i, u in enumerate(special)
-        for v in special[i + 1:]
-    )
-    return {"some": any(small) and clause_b, "every": all(small) and clause_b}
+    others = [s for v, s in enumerate(ig.vertices) if v not in primes]
+    maximal = [small[s.order] for s in maximal_among(others)]
+    maximal += [small[ig.vertices[p].order] for p in ig.primes if not adj[p]]
+    special = [v for v, s in enumerate(ig.vertices) if v not in primes and small[s.order]]
+    mask = sum(1 << v for v in special)
+    clause_b = not any(adj[u] & mask for u in special)
+    return {"some": any(maximal) and clause_b, "every": all(maximal) and clause_b}
 
 
 @_verifier("thm7-acyclic-equivalences", "catalog")
@@ -401,6 +407,7 @@ def verify_acyclic_equivalences(res: VerificationResult, catalog: Catalog) -> Ge
     """
     res.domain = f"default catalog, order <= {catalog.max_order}"
     match = {"some": 0, "every": 0}
+    small: dict[int, bool] = {}  # order -> p, p^2 or pq; at most max_order entries
     mismatch_examples = {"some": [], "every": []}
     while item := (yield):
         spec, _, ig = item
@@ -416,7 +423,7 @@ def verify_acyclic_equivalences(res: VerificationResult, catalog: Catalog) -> Ge
                     f"acyclic={acyclic}, bipartite={bipartite}, triangle_free={tri_free}",
                 )
             )
-        for reading, holds in _subgroup_conditions(ig).items():
+        for reading, holds in _subgroup_conditions(ig, small).items():
             if holds == acyclic:
                 match[reading] += 1
             elif len(mismatch_examples[reading]) < 5:
@@ -500,18 +507,30 @@ def verify_degree_formula_zn(res: VerificationResult, zn: ZnGraphs) -> Generator
 @_verifier("t22-domination-zn", "zn")
 def verify_domination_zn(res: VerificationResult, zn: ZnGraphs) -> Generator:
     """Domination number of the Z_n graph: 1 when some exponent exceeds 1,
-    2 when n is squarefree with >= 2 prime factors; primes are skipped."""
+    2 when n is squarefree with >= 2 prime factors; primes are skipped.
+
+    Many n share one labeled graph (the divisor graph depends only on how the
+    divisors of n, ascending, split over its primes): the 1,696 composite
+    n <= 2000 give 213 distinct adjacency lists.  So gamma is searched once per
+    distinct row tuple, the key being the rows themselves, and each n is still
+    compared with its own expected value.  A skip is never stored: every n
+    whose search skips is searched again, and listed.
+    """
     res.domain = f"Z(n) for composite n <= {zn.max_n}"
+    gammas: dict[tuple[int, ...], int] = {}
     while item := (yield):
         n, factors, _, g = item
         if g.n == 0:
             continue  # n prime
         expect = 1 if any(a > 1 for _, a in factors) else 2
-        try:
-            gamma = domination_number(g, zn.node_budget)
-        except SkippedSizeCap as exc:
-            res.skipped.append(f"Z({n}): {exc}")
-            continue
+        key = tuple(g.adj)
+        if key not in gammas:
+            try:
+                gammas[key] = domination_number(g, zn.node_budget)
+            except SkippedSizeCap as exc:
+                res.skipped.append(f"Z({n}): {exc}")
+                continue
+        gamma = gammas[key]
         res.groups_tested += 1
         if gamma != expect:
             res.counterexamples.append((f"Z({n})", f"gamma={expect}", f"gamma={gamma}"))

@@ -460,6 +460,48 @@ class TestVerify:
         assert without_timings(first[1]) == without_timings(second[1])
         assert without_timings(first[1]) == without_timings(fresh.stdout)
 
+    @pytest.mark.parametrize("sink", ["stdout", "stringio", "out"])
+    def test_streamed_json_equals_one_dump(self, capsys, monkeypatch, tmp_path, sink):
+        # the report is written result by result, yet its bytes are those of one
+        # json.dumps of the whole report over the same results (timings included)
+        runs = []
+
+        def recorded(*args, **kwargs):
+            runs.append(theorems.run_verifiers(*args, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "run_verifiers", recorded)
+        argv = ["verify", "all", "--max-order", "40", "--max-n", "500", "--format", "json"]
+        path = tmp_path / "verify.json"
+        if sink == "out":
+            rc = main([*argv, "--out", str(path)])
+            out = path.read_bytes().decode("utf-8")
+        elif sink == "stringio":
+            with contextlib.redirect_stdout(io.StringIO()) as buf:
+                rc = main(argv)
+            out = buf.getvalue()
+        else:
+            rc, out = run(capsys, *argv)
+        (results,) = runs
+        report = {
+            "version": cycgraph.__version__, "seed": 0, "max_order": 40, "max_n": 500,
+            "all_passed": all(r.passed for r in results),
+            "results": [r.to_dict() for r in results],
+        }
+        assert rc == EXIT_THEOREM_FAILURE
+        assert any(r.counterexamples for r in results) and any(r.notes for r in results)
+        assert out == dumped(report)
+
+    def test_json_report_is_written_in_small_chunks(self):
+        # 563 counterexamples, each its own chunk: no chunk holds a whole result
+        results = theorems.run_verifiers(["t24-regular-zn", "t22-domination-zn"], max_n=2000)
+        head = {"all_passed": False, "version": "x", "max_n": 2000, "max_order": 100, "seed": 0}
+        chunks = list(cli._verify_json(head, results))
+        assert "".join(chunks) == dumped({**head, "results": [r.to_dict() for r in results]})
+        assert len(results[0].counterexamples) == 563
+        assert len(chunks) > 563 and max(map(len, chunks)) < 300
+        assert "".join(cli._verify_json(head, [])) == dumped({**head, "results": []})
+
 
 def fresh_calls(module: str, calls: list[str], after: str = "") -> list[str]:
     """In one fresh interpreter, import cycgraph.cli and make each CLI call in

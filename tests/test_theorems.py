@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import json
+import random
 import time
 import weakref
 from collections import Counter
@@ -10,12 +11,13 @@ import pytest
 
 from conftest import distinct_prime_pairs, divisor_gcd_graph
 from cycgraph import arith, graphs, groups, theorems
-from cycgraph.errors import UnknownTheoremId
-from cycgraph.invariants import graph_isomorphic
+from cycgraph.errors import SkippedSizeCap, UnknownTheoremId
+from cycgraph.invariants import DEFAULT_NODE_BUDGET, domination_number, graph_isomorphic
 from cycgraph.groups import alternating, cyclic, relabel
 from cycgraph.specs import GroupSpec, abelian_groups_of_order, is_cyclic_spec, parse_spec
 from cycgraph.theorems import THEOREM_IDS, default_catalog, run_verifiers, zn_expected_degrees
 from cycgraph.graphs import Graph, IntersectionGraph, build, zn_divisor_graph
+from cycgraph.subgroups import maximal_among
 
 
 class _WeakGraph(Graph):
@@ -174,8 +176,37 @@ class TestVerifiers:
         assert f"'every' matches acyclicity on {n}/{n}" in res.notes
 
     def test_subgroup_condition_readings(self):
-        conditions = theorems._subgroup_conditions(build(cyclic(7)))
+        conditions = theorems._subgroup_conditions(build(cyclic(7)), {})
         assert conditions == {"every": True, "some": False}  # 'every' holds vacuously
+
+    def test_subgroup_conditions_equal_the_pairwise_oracle(self, catalog_240_and_products):
+        group = parse_spec("S(4)xZ(3)").realize()
+        perm = list(range(group.order))
+        random.Random(5).shuffle(perm)
+        relabeled = ("S(4)xZ(3) relabeled", None, build(relabel(group, perm)))
+        small = {}
+        for descriptor, _, ig in [*catalog_240_and_products, relabeled]:
+            assert theorems._subgroup_conditions(ig, small) == _pairwise_subgroup_conditions(ig), \
+                descriptor
+        assert small == {d: theorems._order_in_small_set(d) for d in small}
+
+    def test_acyclic_equivalences_classify_each_order_once(self, monkeypatch,
+                                                           catalog_240_and_products):
+        calls = Counter()
+        in_small_set = theorems._order_in_small_set
+
+        def counted(m):
+            calls[m] += 1
+            return in_small_set(m)
+
+        monkeypatch.setattr(theorems, "_order_in_small_set", counted)
+        (res,) = run_verifiers(["thm7-acyclic-equivalences"], max_order=200)
+        # default_catalog lists its groups by order, so catalog(200) comes first
+        catalog = catalog_240_and_products[:len(default_catalog(200))]
+        assert max(group.order for _, group, _ in catalog) == 200
+        orders = {v.order for _, _, ig in catalog for v in ig.vertices}
+        assert res.groups_tested == len(catalog)
+        assert set(calls) == orders and set(calls.values()) == {1}
 
     def test_alpha_theta(self):
         res = run_verifiers(["thm8-300-alpha-theta"], max_order=60)[0]
@@ -225,6 +256,41 @@ class TestVerifiers:
         (res,) = run_verifiers(["t22-domination-zn"], max_n=40, node_budget=1)
         assert res.skipped == ["Z(30): solver node budget exhausted"]
         assert res.groups_tested == 26 and res.passed
+
+    def test_domination_searches_each_distinct_graph_once(self, monkeypatch):
+        searched = []
+        search = theorems.domination_number
+
+        def counted(g, node_budget):
+            searched.append(tuple(g.adj))
+            return search(g, node_budget)
+
+        monkeypatch.setattr(theorems, "domination_number", counted)
+        (res,) = run_verifiers(["t22-domination-zn"], max_n=2000)
+        rows = [tuple(g.adj) for n in range(2, 2001) if (g := zn_divisor_graph(n)[1]).n]
+        assert res.groups_tested == len(rows) and res.passed
+        assert sorted(searched) == sorted(set(rows))
+
+    @pytest.mark.parametrize("node_budget", [DEFAULT_NODE_BUDGET, 1])
+    def test_domination_equals_a_search_per_n(self, node_budget):
+        tested, counterexamples, skipped = 0, [], []
+        for n in range(2, 601):
+            _, g = zn_divisor_graph(n)
+            if not g.n:
+                continue
+            expect = 1 if any(a > 1 for _, a in arith.factorize(n)) else 2
+            try:
+                gamma = domination_number(g, node_budget)
+            except SkippedSizeCap as exc:
+                skipped.append(f"Z({n}): {exc}")
+                continue
+            tested += 1
+            if gamma != expect:
+                counterexamples.append((f"Z({n})", f"gamma={expect}", f"gamma={gamma}"))
+        (res,) = run_verifiers(["t22-domination-zn"], max_n=600, node_budget=node_budget)
+        assert (res.groups_tested, res.counterexamples, res.skipped) == (
+            tested, counterexamples, skipped)
+        assert bool(skipped) == (node_budget == 1)
 
     def test_zn_items_come_from_the_sieve(self, monkeypatch):
         # at 7 numbers a sieve block, the items cross 714 block boundaries
@@ -467,6 +533,23 @@ class TestRegistry:
             (res,) = run_verifiers([tid], max_order=12, max_n=30, node_budget=1000)
             assert res.theorem_id == tid and res.domain
             assert res.elapsed > 0 and res.passed == (not res.counterexamples)
+
+
+def _pairwise_subgroup_conditions(ig: IntersectionGraph) -> dict[str, bool]:
+    """thm7's subgroup-side condition as first written: each order classified
+    per vertex, every vertex walked for maximality, every special pair tested."""
+    small = [theorems._order_in_small_set(s.order) for s in maximal_among(ig.vertices)]
+    primes = set(ig.primes)
+    special = [
+        v for v, s in enumerate(ig.vertices)
+        if v not in primes and theorems._order_in_small_set(s.order)
+    ]
+    clause_b = all(
+        not (ig.graph.adj[u] >> v & 1)
+        for i, u in enumerate(special)
+        for v in special[i + 1:]
+    )
+    return {"some": any(small) and clause_b, "every": all(small) and clause_b}
 
 
 def _without_timings(results):
