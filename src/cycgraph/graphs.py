@@ -43,11 +43,6 @@ class Graph:
         self.adj[u] |= 1 << v
         self.adj[v] |= 1 << u
 
-    def degree(self, v: int) -> int:
-        if not (0 <= v < self.n):
-            raise IndexError(f"vertex {v} out of range")
-        return self.adj[v].bit_count()
-
     def edge_count(self) -> int:
         return sum(a.bit_count() for a in self.adj) // 2
 

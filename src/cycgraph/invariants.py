@@ -335,10 +335,10 @@ def domination_number(g: Graph, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
                 return True
         return False
 
-    for k in range(len(packed), n - forced + 1):
-        if feasible(isolated, k):
-            return k + forced
-    return n  # unreachable: the full vertex set always dominates
+    k = len(packed)   # the other vertices dominate the rest, so this ends or the budget raises
+    while not feasible(isolated, k):
+        k += 1
+    return k + forced
 
 
 # --- graph isomorphism --------------------------------------------------------

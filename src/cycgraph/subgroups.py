@@ -4,7 +4,7 @@ A group's list is read off the powers of one generator per cyclic subgroup:
 a direct product's from its factors' powers (Goursat's lemma), without
 multiplying, and a group of no family from walking its elements' powers.
 Z(n), D(n) and Dic(m) have theirs written down already sorted instead, which
-saves the sort.  The walk shares no code with the family rows: it is their oracle.
+saves the sort.  The walk shares no code with the ``_FAMILIES`` rows: it is their oracle.
 How many there are of each order is the lengths of the same powers, or a
 family's optional count without listing an element; the listing is its oracle.
 """
@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import compress
 from math import gcd
 from operator import add
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .arith import COPRIME_CACHE_SIZE, coprime_mask, divisors, is_prime, totient
 from .groups import FiniteGroup
@@ -45,9 +45,9 @@ def cyclic_subgroups(group: FiniteGroup) -> list[CyclicSubgroup]:
     of one generator per cyclic subgroup (:func:`_powers`): a direct product's
     from its factors', any other group's from its own power walk.
     """
-    if group.family is not None and group.family[0] in _CLOSED_FORMS:
-        kind, param = group.family
-        return _CLOSED_FORMS[kind](param)
+    family = group.family
+    if family is not None and (listed := _FAMILIES[family[0]].listed) is not None:
+        return listed(family[1])
     return _proper_subgroups(_powers(group), group.order)
 
 
@@ -141,27 +141,19 @@ def _dicyclic_closed_form(m: int) -> list[CyclicSubgroup]:
     return _after_order(_rotation_subgroups(n2), quaternions, 4)
 
 
-#: FiniteGroup.family kind -> its cyclic_subgroups, written down already sorted
-_CLOSED_FORMS = {
-    "cyclic": _cyclic_closed_form,
-    "dihedral": _dihedral_closed_form,
-    "dicyclic": _dicyclic_closed_form,
-}
-
-
 # --- every cyclic subgroup as the powers of one generator --------------------------
 
 def _powers(group: FiniteGroup) -> Iterable[Sequence[int]]:
     """The powers (e, g, g^2, ...) of one generator g of every cyclic subgroup
     <g> of ``group``, the trivial subgroup included and G itself when cyclic.
 
-    A family group's by its ``_FAMILY_POWERS`` row (a product's from its
+    A family group's by its ``_FAMILIES`` row (a product's from its
     factors'), any other group's by its own power walk.
     """
     if group.family is None:
         return _walk_powers(group)
     kind, param = group.family
-    return _FAMILY_POWERS[kind](param)
+    return _FAMILIES[kind].powers(param)
 
 
 @lru_cache(maxsize=COPRIME_CACHE_SIZE)
@@ -219,16 +211,6 @@ def _unit_lifts(beta: int, d: int) -> tuple[int, ...]:
     return tuple(first.values())
 
 
-#: FiniteGroup.family kind -> the powers of a generator of each cyclic subgroup: the one row
-#: a family needs (its _CLOSED_FORMS and _FAMILY_ORDERS rows are optional fast paths)
-_FAMILY_POWERS = {
-    "cyclic": _cyclic_powers,
-    "dihedral": _dihedral_powers,
-    "dicyclic": _dicyclic_powers,
-    "product": _product_powers,
-}
-
-
 # --- cyclic subgroups counted by order, with no element listed ---------------------
 
 def cyclic_subgroup_orders(group: FiniteGroup) -> Counter[int]:
@@ -245,11 +227,11 @@ def cyclic_subgroup_orders(group: FiniteGroup) -> Counter[int]:
     units u mod d lifts to a unit mod beta: u + d*t is prime to every prime of
     d, as u is, and t can make it 1 mod each other prime p of beta, since d is
     a unit mod p.  So there are phi(d) classes, each one subgroup.  Any other
-    group, Z(n) too, is counted off :func:`_powers`, one length per subgroup.
+    group is counted off :func:`_powers`, one length per subgroup.
     """
-    if group.family is not None and group.family[0] in _FAMILY_ORDERS:
-        kind, param = group.family
-        return _FAMILY_ORDERS[kind](param)
+    family = group.family
+    if family is not None and (counted := _FAMILIES[family[0]].counted) is not None:
+        return counted(family[1])
     return Counter(map(len, _powers(group)))
 
 
@@ -273,11 +255,24 @@ def _product_orders(factors: tuple[FiniteGroup, FiniteGroup]) -> Counter[int]:
     return out
 
 
-#: FiniteGroup.family kind -> its cyclic subgroups counted by order, without listing them
-_FAMILY_ORDERS = {
-    "dihedral": lambda n: Counter(divisors(n)) + Counter({2: n}),
-    "dicyclic": lambda m: Counter(divisors(2 * m)) + Counter({4: m}),
-    "product": _product_orders,
+class _Family(NamedTuple):
+    """One ``FiniteGroup.family`` kind, each field a function of its parameter: its
+    :func:`_powers`, the one field a family needs, and two optional fast paths, its
+    :func:`cyclic_subgroups` already sorted and its :func:`cyclic_subgroup_orders`."""
+
+    powers: Callable
+    listed: Callable | None = None
+    counted: Callable | None = None
+
+
+#: FiniteGroup.family kind -> its row
+_FAMILIES = {
+    "cyclic": _Family(_cyclic_powers, _cyclic_closed_form, lambda n: Counter(divisors(n))),
+    "dihedral": _Family(_dihedral_powers, _dihedral_closed_form,
+                        lambda n: Counter(divisors(n)) + Counter({2: n})),
+    "dicyclic": _Family(_dicyclic_powers, _dicyclic_closed_form,
+                        lambda m: Counter(divisors(2 * m)) + Counter({4: m})),
+    "product": _Family(_product_powers, counted=_product_orders),
 }
 
 

@@ -91,13 +91,11 @@ class Catalog:
     def __len__(self):
         return len(self.specs)
 
-    def item(self, spec: GroupSpec) -> tuple[GroupSpec, FiniteGroup, IntersectionGraph] | str:
-        """Realize and build ``spec``: (spec, group, graph), or the message of the vertex-cap skip."""
+    def item(self, spec: GroupSpec) -> tuple[GroupSpec, FiniteGroup, IntersectionGraph]:
+        """Realize and build ``spec``: (spec, group, graph); raises
+        :class:`VertexCapExceeded` over the vertex cap."""
         group = spec.realize()
-        try:
-            return spec, group, build(group, self.vertex_cap)
-        except VertexCapExceeded as exc:
-            return str(exc)
+        return spec, group, build(group, self.vertex_cap)
 
 
 @dataclass
@@ -179,10 +177,10 @@ def _stream(source, checks: list[tuple[VerificationResult, Generator, Callable |
     """One pass over ``source`` for every (result, check, takes) in ``checks``.
 
     A key's item is built once, only if some live check takes the key, sent to
-    each such check (a vertex-cap skip message goes to their ``skipped``
-    instead) and dropped.  The pass stops once no check is live, closes the
-    rest by sending None, and marks each result passed iff it has no
-    counterexample.
+    each such check and dropped.  A key whose build exceeds the vertex cap is
+    sent to no check; its message goes to each such check's ``skipped``.  The
+    pass stops once no check is live, closes the rest by sending None, and
+    marks each result passed iff it has no counterexample.
     """
     live = [c for c in checks if _send(c[0], c[1], None)]
     for key in source:
@@ -191,11 +189,14 @@ def _stream(source, checks: list[tuple[VerificationResult, Generator, Callable |
         takers = [c for c in live if c[2] is None or c[2](key)]
         if not takers:
             continue
-        item = source.item(key)
+        try:
+            item = source.item(key)
+        except VertexCapExceeded as exc:
+            for c in takers:
+                c[0].skipped.append(str(exc))
+            continue
         for c in takers:
-            if isinstance(item, str):
-                c[0].skipped.append(item)
-            elif not _send(c[0], c[1], item):
+            if not _send(c[0], c[1], item):
                 live = [d for d in live if d is not c]
     for res, check, _ in live:
         _send(res, check, None)

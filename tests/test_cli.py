@@ -26,6 +26,7 @@ from cycgraph.cli import (
     main,
 )
 from cycgraph.cli import render_json
+from cycgraph.errors import VertexCapExceeded
 from cycgraph.graphs import bits, build
 from cycgraph.groups import ORDER_CAP, dicyclic
 from cycgraph.invariants import DEFAULT_NODE_BUDGET, compute_report
@@ -589,8 +590,10 @@ class TestCatalog:
         catalog = default_catalog(400, int(cap)) if cap else default_catalog(400)
         expected = []
         for spec in catalog:
-            item = catalog.item(spec)
-            size = item if isinstance(item, str) else f"vertices={item[2].n}"
+            try:
+                size = f"vertices={catalog.item(spec)[2].n}"
+            except VertexCapExceeded as exc:
+                size = str(exc)
             expected.append(f"{spec.descriptor}\torder={spec.order()}\tfamily={spec.kind}\t{size}")
         assert any("exceeds cap" in line for line in expected) == bool(cap)
 

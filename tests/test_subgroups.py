@@ -279,15 +279,37 @@ class TestOrderCounts:
             assert_count_matches_enumeration(group)
 
     def test_a_family_needs_only_its_powers_row(self, monkeypatch):
-        # a kind with a _FAMILY_POWERS row and no other row is listed and counted
-        # off it, alone and as a factor, as the same rule walked with no family
-        monkeypatch.setitem(subgroups._FAMILY_POWERS, "reflections", subgroups._dihedral_powers)
+        # a kind whose _FAMILIES row has only its powers is listed and counted
+        # off them, alone and as a factor, as the same rule walked with no family
+        monkeypatch.setitem(subgroups._FAMILIES, "reflections",
+                            subgroups._Family(subgroups._dihedral_powers))
         d = dihedral(6)
         row = FiniteGroup(d.order, d.mul, d.identity, "R(6)", ("reflections", 6))
         for group in (row, direct_product(row, cyclic(2)), direct_product(row, dihedral(3))):
             walked = FiniteGroup(group.order, group.mul, group.identity, group.descriptor)
             for f in (cyclic_subgroups, cyclic_subgroup_orders, vertex_count):
                 assert f(group) == f(walked), (group.descriptor, f.__name__)
+
+
+class TestFamilyRows:
+    """Each ``_FAMILIES`` row's optional fast paths against its own powers."""
+
+    def test_fast_paths_equal_the_rows_powers(self):
+        groups = [spec.realize() for spec in default_catalog(400)]
+        groups += [parse_spec(spec).realize() for spec in PRODUCTS]
+        met = set()
+        for group in groups:
+            if group.family is None:
+                continue
+            kind, p = group.family
+            row = subgroups._FAMILIES[kind]
+            if row.listed is not None:
+                listed = subgroups._proper_subgroups(row.powers(p), group.order)
+                assert row.listed(p) == listed, group.descriptor
+            if row.counted is not None:
+                assert row.counted(p) == Counter(map(len, row.powers(p))), group.descriptor
+            met.add(kind)
+        assert met == set(subgroups._FAMILIES)
 
 
 class TestPrimeOrderCount:

@@ -11,7 +11,7 @@ import pytest
 
 from conftest import distinct_prime_pairs, divisor_gcd_graph
 from cycgraph import arith, graphs, groups, theorems
-from cycgraph.errors import SkippedSizeCap, UnknownTheoremId
+from cycgraph.errors import SkippedSizeCap, UnknownTheoremId, VertexCapExceeded
 from cycgraph.invariants import DEFAULT_NODE_BUDGET, domination_number, graph_isomorphic
 from cycgraph.groups import alternating, cyclic, relabel
 from cycgraph.specs import GroupSpec, abelian_groups_of_order, is_cyclic_spec, parse_spec
@@ -414,8 +414,7 @@ class TestRunVerifiers:
                 held.update([i for i, (k, _) in enumerate(older) if taken_by_thm16(k)][-1:])
                 assert [k for i, (k, r) in enumerate(older) if i not in held and r()] == []
                 made = make(self, key)
-                if not isinstance(made, str):
-                    older.append((key, weakref.ref(made[-1])))
+                older.append((key, weakref.ref(made[-1])))
                 return made
 
             monkeypatch.setattr(source, "item", item)
@@ -427,6 +426,32 @@ class TestRunVerifiers:
         assert [r.theorem_id for r in results] == list(THEOREM_IDS)
         assert len(catalog) == len(default_catalog(40)) and len(zn) == 59
         assert [k for k, r in catalog + zn if r()] == []
+
+    def test_a_vertex_cap_skip_goes_to_each_taker_and_to_no_check(self):
+        # key 2's item raises: each check that takes 2 lists the message and
+        # is sent the other keys it takes; a check that does not take 2 lists nothing
+        message = "G: 9 vertices exceeds cap 3"
+
+        class Source:
+            def __iter__(self):
+                return iter(range(5))
+
+            def item(self, key):
+                if key == 2:
+                    raise VertexCapExceeded(message)
+                return key
+
+        def check(seen):
+            while (item := (yield)) is not None:
+                seen.append(item)
+
+        takes = [None, lambda k: k % 2 == 0, lambda k: k != 2]
+        seen = [[] for _ in takes]
+        results = [theorems.VerificationResult(str(i), "") for i in range(len(takes))]
+        theorems._stream(Source(), [(r, check(s), t) for r, s, t in zip(results, seen, takes)])
+        assert seen == [[0, 1, 3, 4], [0, 4], [0, 1, 3, 4]]
+        assert [r.skipped for r in results] == [[message], [message], []]
+        assert all(r.passed for r in results)
 
     def test_elapsed_leaves_out_the_builds(self, monkeypatch):
         # each build sleeps 2 ms; the checks' own time is far less than the builds'
