@@ -12,11 +12,10 @@ from functools import lru_cache
 from math import isqrt
 from typing import Iterator
 
-#: distinct integers whose factorization is kept, for group orders and single Z(n)
-#: calls.  The Z(n) sweeps factor nothing here: ``divisor_sieve`` hands each n its
-#: factorization, so the cache's size does not depend on --max-n.
+#: distinct integers whose factorization is kept, for group orders and single Z(n) calls;
+#: the Z(n) sweeps take each n's from ``factor_sieve``, so none depends on --max-n
 FACTOR_CACHE_SIZE = 4096
-#: numbers sieved at once by ``divisor_sieve``: its memory is bounded by this, whatever the bound
+#: numbers sieved at once by ``factor_sieve``: its memory is bounded by this, whatever the bound
 SIEVE_BLOCK = 4096
 #: distinct orders whose coprime mask is kept: at most this many times groups.ORDER_CAP bytes
 COPRIME_CACHE_SIZE = 1024
@@ -65,10 +64,17 @@ def prime_power(n: int) -> tuple[int, int] | None:
 
 def divisors(n: int) -> list[int]:
     """All divisors of n, ascending."""
+    return sorted(exponent_divisors(factorize(n)))
+
+
+def exponent_divisors(factors: tuple[tuple[int, int], ...]) -> list[int]:
+    """All divisors of the n factored as ``factors``, in exponent order: by the tuple
+    (e_1, ..., e_k) of d = p_1^e_1 ... p_k^e_k, lexicographically, so 1 first and n last;
+    d's place depends only on its exponents and n's exponent signature (a_1, ..., a_k)."""
     ds = [1]
-    for p, a in factorize(n):
+    for p, a in factors:
         ds = [d * p**k for d in ds for k in range(a + 1)]
-    return sorted(ds)
+    return ds
 
 
 def totient(n: int) -> int:
@@ -96,28 +102,22 @@ def partitions(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(gen(n, n))
 
 
-def divisor_sieve(
-    start: int, stop: int
-) -> Iterator[tuple[int, tuple[tuple[int, int], ...], list[int]]]:
-    """(n, factorization, divisors 1 < d < n ascending) for start <= n < stop, n ascending.
+def factor_sieve(start: int, stop: int) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
+    """(n, factorization) for start <= n < stop, n ascending.
 
     A segmented sieve of Eratosthenes (Bays & Hudson, BIT 17, 1977) walks the
     range in blocks of ``SIEVE_BLOCK`` numbers.  In a block [lo, hi), each base
     prime p <= sqrt(hi - 1) is divided out of its multiples, in ascending order,
-    and what is left over is 1 or one last prime.  Each d <= sqrt(hi - 1) is
-    listed, in ascending order, at its multiples m >= d^2: these are the small
-    divisors of m, and their co-divisors m // d, taken in reverse, are the rest,
-    ascending, so no list is sorted.  The base primes are extended as the
-    blocks go up, only to the square root of the current block's last number.
-    The factorization has the shape of ``factorize``'s.
+    and what is left over is 1 or one last prime.  The base primes are extended
+    as the blocks go up, only to the square root of the current block's last
+    number.  The factorization has the shape of ``factorize``'s.
     """
     if start < 1:
         raise ValueError(f"cannot sieve from {start}")
     primes: list[int] = []
     for lo in range(start, stop, SIEVE_BLOCK):
         hi = min(lo + SIEVE_BLOCK, stop)
-        root = isqrt(hi - 1)
-        for k in range(primes[-1] + 1 if primes else 2, root + 1):
+        for k in range(primes[-1] + 1 if primes else 2, isqrt(hi - 1) + 1):
             if all(k % p for p in primes if p * p <= k):
                 primes.append(k)
         left = list(range(lo, hi))
@@ -130,12 +130,7 @@ def divisor_sieve(
                     e += 1
                 left[i] = m
                 factors[i].append((p, e))
-        small: list[list[int]] = [[] for _ in left]
-        for d in range(2, root + 1):
-            for i in range(max(d * d, lo + -lo % d) - lo, hi - lo, d):
-                small[i].append(d)
-        for n, last, f, low in zip(range(lo, hi), left, factors, small):
+        for n, last, f in zip(range(lo, hi), left, factors):
             if last > 1:
                 f.append((last, 1))
-            high = low[::-1] if not low or low[-1] ** 2 != n else low[-2::-1]
-            yield n, tuple(f), low + [n // d for d in high]
+            yield n, tuple(f)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .arith import divisors, factorize, is_prime
+from .arith import exponent_divisors, factorize, is_prime
 from .errors import VertexCapExceeded
 from .groups import FiniteGroup
 from .subgroups import CyclicSubgroup, cyclic_subgroups
@@ -136,22 +136,21 @@ def build(group: FiniteGroup, vertex_cap: int = DEFAULT_VERTEX_CAP) -> Intersect
 
 
 def zn_divisor_graph(
-    n: int, ds: list[int] | None = None, factors: tuple[tuple[int, int], ...] | None = None
+    n: int, factors: tuple[tuple[int, int], ...] | None = None
 ) -> tuple[list[int], Graph]:
     """Intersection graph of Z_n in its divisor representation.
 
     Vertices are the divisors d of n with 1 < d < n (one cyclic subgroup per
-    divisor, of order d), ascending; d and e are adjacent iff gcd(d, e) > 1,
-    that is iff some prime p | n divides both.  So, as in :func:`build`, the
-    graph is the union over p | n of the cliques of divisors divisible by p
-    (the subgroups holding the one subgroup of order p), and no pair is tested.
-    A sweep hands in those divisors and n's factorization from
-    :func:`~cycgraph.arith.divisor_sieve`; a call for n alone finds them itself.
+    divisor, of order d), in :func:`~cycgraph.arith.exponent_divisors` order;
+    d and e are adjacent iff gcd(d, e) > 1, that is iff some prime p | n
+    divides both.  So, as in :func:`build`, the graph is the union over p | n
+    of the cliques of divisors divisible by p, and no pair is tested.  As
+    p_i | d iff d's i-th exponent is positive, the graph depends only on n's
+    exponent signature.  A call without n's factorization factors n.
     """
-    if ds is None:
-        ds = divisors(n)[1:-1]
     if factors is None:
         factors = factorize(n)
+    ds = exponent_divisors(factors)[1:-1]
     cliques = ([v for v, d in enumerate(ds) if d % p == 0] for p, _ in factors)
     return ds, _clique_union(len(ds), cliques)
 

@@ -14,7 +14,7 @@ from math import prod
 from typing import Callable, Generator
 
 from . import groups
-from .arith import divisor_sieve, factorize, prime_power
+from .arith import exponent_divisors, factor_sieve, factorize, prime_power
 from .errors import RepeatedTheoremId, SkippedSizeCap, UnknownTheoremId, VertexCapExceeded
 from .graphs import DEFAULT_VERTEX_CAP, Graph, IntersectionGraph, bits, build, zn_divisor_graph
 from .groups import FiniteGroup, relabel
@@ -101,20 +101,25 @@ class Catalog:
 @dataclass
 class ZnGraphs:
     """A source of the Z(n) graphs for 2 <= n <= max_n in divisor
-    representation: its keys are the rows (n, factorization, divisors) of one
-    :func:`~cycgraph.arith.divisor_sieve` pass, n ascending, and its items
-    (n, factorization, divisors, graph), so neither the build nor a check
-    factors n again.  It carries t22's solver node budget."""
+    representation: its keys are the rows (n, factorization) of one
+    :func:`~cycgraph.arith.factor_sieve` pass, n ascending, and its items
+    (n, factorization, graph), so nothing factors n again.  The graph depends
+    only on n's exponent signature, so ``graphs`` holds one per signature met
+    in this run, shared by its n.  It carries t22's solver node budget."""
 
     max_n: int
     node_budget: int = DEFAULT_NODE_BUDGET
+    graphs: dict[tuple[int, ...], Graph] = field(default_factory=dict, init=False, repr=False)
 
     def __iter__(self):
-        return divisor_sieve(2, self.max_n + 1)
+        return factor_sieve(2, self.max_n + 1)
 
-    def item(self, row: tuple) -> tuple[int, tuple, list[int], Graph]:
-        n, factors, ds = row
-        return (n, factors, *zn_divisor_graph(n, ds, factors))
+    def item(self, row: tuple) -> tuple[int, tuple, Graph]:
+        n, factors = row
+        signature = tuple(a for _, a in factors)
+        if signature not in self.graphs:
+            self.graphs[signature] = zn_divisor_graph(n, factors)[1]
+        return n, factors, self.graphs[signature]
 
 
 #: (kind, first parameter whose group is not abelian) of each non-abelian catalog
@@ -463,7 +468,7 @@ def verify_regular_zn(res: VerificationResult, zn: ZnGraphs) -> Generator:
     """
     res.domain = f"Z(n) for n <= {zn.max_n} with nonempty graph"
     while item := (yield):
-        n, factors, _, g = item
+        n, factors, g = item
         if g.n == 0:
             continue
         res.groups_tested += 1
@@ -494,10 +499,11 @@ def zn_expected_degrees(factors: tuple[tuple[int, int], ...], ds: list[int]) -> 
 def verify_degree_formula_zn(res: VerificationResult, zn: ZnGraphs) -> Generator:
     res.domain = f"Z(n) for n <= {zn.max_n}, every vertex"
     while item := (yield):
-        n, factors, ds, g = item
+        n, factors, g = item
         if g.n == 0:
             continue
         res.groups_tested += 1
+        ds = exponent_divisors(factors)[1:-1]
         for d, want, got in zip(ds, zn_expected_degrees(factors, ds), g.degrees()):
             if got != want:
                 res.counterexamples.append(
@@ -510,17 +516,17 @@ def verify_domination_zn(res: VerificationResult, zn: ZnGraphs) -> Generator:
     """Domination number of the Z_n graph: 1 when some exponent exceeds 1,
     2 when n is squarefree with >= 2 prime factors; primes are skipped.
 
-    Many n share one labeled graph (the divisor graph depends only on how the
-    divisors of n, ascending, split over its primes): the 1,696 composite
-    n <= 2000 give 213 distinct adjacency lists.  So gamma is searched once per
-    distinct row tuple, the key being the rows themselves, and each n is still
-    compared with its own expected value.  A skip is never stored: every n
-    whose search skips is searched again, and listed.
+    Many n share one labeled graph (the divisor graph depends only on n's
+    exponent signature): the 1,696 composite n <= 2000 give 75 distinct
+    adjacency lists.  So gamma is searched once per distinct row tuple, the
+    key being the rows themselves, and each n is still compared with its own
+    expected value.  A skip is never stored: every n whose search skips is
+    searched again, and listed.
     """
     res.domain = f"Z(n) for composite n <= {zn.max_n}"
     gammas: dict[tuple[int, ...], int] = {}
     while item := (yield):
-        n, factors, _, g = item
+        n, factors, g = item
         if g.n == 0:
             continue  # n prime
         expect = 1 if any(a > 1 for _, a in factors) else 2

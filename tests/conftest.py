@@ -133,6 +133,17 @@ def divisor_gcd_graph(n: int) -> tuple[list[int], Graph]:
     return ds, g
 
 
+def by_divisor(ds: list[int], g: Graph) -> tuple[list[int], Graph]:
+    """The divisor graph ``g``, whose vertex v is the divisor ds[v], with its
+    vertices renumbered by ascending divisor: the map d -> d onto the vertex
+    order of :func:`divisor_gcd_graph`, so the two compare row for row."""
+    order = sorted(range(len(ds)), key=ds.__getitem__)
+    at = {v: i for i, v in enumerate(order)}
+    h = Graph(len(ds))
+    h.adj = [sum(1 << at[w] for w in bits(g.adj[v])) for v in order]
+    return [ds[v] for v in order], h
+
+
 def pairwise_adjacency(vertices) -> Graph:
     """Intersection graph of subgroups given by their element sets: H and K are
     adjacent iff they share at least two elements, tested for every pair."""

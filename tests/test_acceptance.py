@@ -21,9 +21,10 @@ from conftest import (
     brute_domination_number,
     brute_independence_number,
     distinct_prime_pairs,
+    divisor_gcd_graph,
     kuratowski_oracle,
 )
-from cycgraph.graphs import build, zn_divisor_graph
+from cycgraph.graphs import build
 from cycgraph.groups import alternating, cyclic, dicyclic
 from cycgraph.invariants import (
     clique_cover_number,
@@ -206,7 +207,7 @@ def test_criterion_11a_divisor_oracle():
     t0 = time.perf_counter()
     bad = []
     for n in range(2, 2001):
-        divs, oracle = zn_divisor_graph(n)
+        divs, oracle = divisor_gcd_graph(n)
         ig = build(cyclic(n))
         if sorted(divs) != sorted(v.order for v in ig.vertices):
             bad.append(n)

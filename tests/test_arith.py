@@ -8,8 +8,9 @@ import pytest
 from cycgraph import arith
 from cycgraph.arith import (
     coprime_mask,
-    divisor_sieve,
     divisors,
+    exponent_divisors,
+    factor_sieve,
     factorize,
     is_prime,
     prime_power,
@@ -58,27 +59,39 @@ def test_divisors_and_tau():
         assert divisors(n) == ds, n
 
 
+def test_exponent_divisors():
+    # lexicographic in the exponent tuple, first prime most significant
+    assert exponent_divisors(((2, 2), (3, 1))) == [1, 3, 2, 6, 4, 12]
+    assert exponent_divisors(((3, 1), (5, 2))) == [1, 5, 25, 3, 15, 75]
+    assert exponent_divisors(()) == [1]
+    for n in N:
+        f = factorize(n)
+        ds = exponent_divisors(f)
+        assert sorted(ds) == divisors(n), n
+        exps = [tuple(next(e for e in range(a + 1) if d % p ** (e + 1)) for p, a in f) for d in ds]
+        assert exps == sorted(exps), n
+
+
 @pytest.mark.parametrize("block", [7, arith.SIEVE_BLOCK])
-def test_divisor_sieve(monkeypatch, block):
+def test_factor_sieve(monkeypatch, block):
     # at 7 numbers a block, the run crosses 714 block boundaries
     monkeypatch.setattr(arith, "SIEVE_BLOCK", block)
-    rows = list(divisor_sieve(1, 5001))
-    assert [n for n, _, _ in rows] == list(N)
-    for n, f, ds in rows:
+    rows = list(factor_sieve(1, 5001))
+    assert [n for n, _ in rows] == list(N)
+    for n, f in rows:
         assert f == factorize(n), n
-        assert ds == divisors(n)[1:-1], n
         assert isinstance(f, tuple) and all(isinstance(pa, tuple) for pa in f)
     # blocks are counted from the start: a run from elsewhere sees the same rows
     for start in (2, 4990):
-        assert list(divisor_sieve(start, 5001)) == rows[start - 1:]
+        assert list(factor_sieve(start, 5001)) == rows[start - 1:]
 
 
-def test_divisor_sieve_bounds():
-    assert list(divisor_sieve(10, 10)) == []
-    assert list(divisor_sieve(1, 2)) == [(1, (), [])]
+def test_factor_sieve_bounds():
+    assert list(factor_sieve(10, 10)) == []
+    assert list(factor_sieve(1, 2)) == [(1, ())]
     for start in (0, -3):
         with pytest.raises(ValueError):
-            list(divisor_sieve(start, 10))
+            list(factor_sieve(start, 10))
 
 
 def test_coprime_mask():

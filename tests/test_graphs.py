@@ -4,6 +4,7 @@ import pytest
 
 from conftest import (
     PRODUCTS,
+    by_divisor,
     complement,
     complete_bipartite,
     complete_graph,
@@ -15,7 +16,7 @@ from conftest import (
     petersen,
     write_table_file,
 )
-from cycgraph.arith import is_prime
+from cycgraph.arith import exponent_divisors, factorize, is_prime
 from cycgraph.errors import VertexCapExceeded
 from cycgraph.graphs import Graph, bits, build, zn_divisor_graph
 from cycgraph.groups import (
@@ -179,14 +180,19 @@ class TestBuild:
 
 class TestDivisorOracle:
     def test_vertices(self):
+        # exponent order: 12 = 2^2 * 3, so 3 = (0, 1), 2 = (1, 0), 6 = (1, 1), 4 = (2, 0)
         divs, g = zn_divisor_graph(12)
-        assert divs == [2, 3, 4, 6]
+        assert divs == [3, 2, 6, 4]
         assert g.n == 4
+        assert by_divisor(divs, g) == divisor_gcd_graph(12)
+        for n in range(1, 3001):
+            divs, _ = zn_divisor_graph(n)
+            assert divs == exponent_divisors(factorize(n))[1:-1], n
 
     def test_adjacency_is_gcd(self):
-        # divisors in order and every row, against the pairwise gcd definition
+        # divisors and every row under d -> d, against the pairwise gcd definition
         for n in range(1, 3001):
-            assert zn_divisor_graph(n) == divisor_gcd_graph(n), n
+            assert by_divisor(*zn_divisor_graph(n)) == divisor_gcd_graph(n), n
 
     @pytest.mark.parametrize("n", list(range(2, 200)) + [512, 1024, 1800])
     def test_matches_element_level_build(self, n):

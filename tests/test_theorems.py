@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import distinct_prime_pairs, divisor_gcd_graph
+from conftest import by_divisor, distinct_prime_pairs, divisor_gcd_graph
 from cycgraph import arith, graphs, groups, theorems
 from cycgraph.errors import SkippedSizeCap, UnknownTheoremId, VertexCapExceeded
 from cycgraph.invariants import DEFAULT_NODE_BUDGET, domination_number, graph_isomorphic
@@ -295,11 +295,32 @@ class TestVerifiers:
     def test_zn_items_come_from_the_sieve(self, monkeypatch):
         # at 7 numbers a sieve block, the items cross 714 block boundaries
         monkeypatch.setattr(arith, "SIEVE_BLOCK", 7)
-        items = [theorems.ZnGraphs(5000).item(row) for row in theorems.ZnGraphs(5000)]
+        zn = theorems.ZnGraphs(5000)
+        items = [zn.item(row) for row in zn]
         assert [n for n, *_ in items] == list(range(2, 5001))
-        for n, factors, ds, g in items:
+        for n, factors, g in items:
             assert factors == arith.factorize(n), n
-            assert (ds, g) == divisor_gcd_graph(n), n
+            ds = arith.exponent_divisors(factors)[1:-1]
+            assert by_divisor(ds, g) == divisor_gcd_graph(n), n
+
+    def test_zn_graphs_are_shared_per_exponent_signature(self):
+        # the first n of each signature up to 100,000 gets a graph equal to its
+        # gcd oracle under d -> d; every later n of that signature gets the same object
+        zn = theorems.ZnGraphs(100_000)
+        first = {}
+        for row in zn:
+            n, factors, g = zn.item(row)
+            signature = tuple(a for _, a in factors)
+            if signature in first:
+                assert g is first[signature], n
+                continue
+            first[signature] = g
+            assert zn.graphs.keys() == first.keys(), n
+            ds = arith.exponent_divisors(factors)[1:-1]
+            assert by_divisor(ds, g) == divisor_gcd_graph(n), n
+        assert len(first) == 350
+        assert zn.graphs.keys() == first.keys()
+        assert all(zn.graphs[s] is g for s, g in first.items())
 
     def test_zn_verifiers_factor_no_streamed_n(self, monkeypatch):
         # above arith.FACTOR_CACHE_SIZE, where factoring n again would miss the cache
@@ -374,12 +395,14 @@ class TestRunVerifiers:
         monkeypatch.setattr(theorems, "zn_divisor_graph", counted)
         zn_ids = ["t24-regular-zn", "t24-degree-formula-zn", "t22-domination-zn"]
         shared = _without_timings(run_verifiers(zn_ids, max_n=300))
-        assert built == list(range(2, 301))
+        assert built == _first_of_each_signature(300)
         built.clear()
         run_verifiers(["cor-c1-girth"], max_order=20, max_n=300)
         assert built == []
         alone = [_without_timings(run_verifiers([tid], max_n=300))[0] for tid in zn_ids]
         assert shared == alone
+        # each run starts with no graph: a graph kept across runs would not be built again
+        assert built == _first_of_each_signature(300) * len(zn_ids)
 
     def test_verify_all_builds_each_zn_graph_once(self, monkeypatch):
         built = []
@@ -390,7 +413,7 @@ class TestRunVerifiers:
 
         monkeypatch.setattr(theorems, "zn_divisor_graph", counted)
         run_verifiers("all", max_order=20, max_n=200)
-        assert built == list(range(2, 201))
+        assert built == _first_of_each_signature(200)
 
     def test_each_item_is_dropped_once_the_next_is_sent(self, monkeypatch):
         # a weak reference to each item's graph, taken as its source builds it.
@@ -575,6 +598,14 @@ def _pairwise_subgroup_conditions(ig: IntersectionGraph) -> dict[str, bool]:
         for v in special[i + 1:]
     )
     return {"some": any(small) and clause_b, "every": all(small) and clause_b}
+
+
+def _first_of_each_signature(max_n):
+    """The least n of each exponent signature over 2 <= n <= max_n, ascending."""
+    first = {}
+    for n in range(2, max_n + 1):
+        first.setdefault(tuple(a for _, a in arith.factorize(n)), n)
+    return list(first.values())
 
 
 def _without_timings(results):
